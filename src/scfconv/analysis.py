@@ -1,16 +1,24 @@
 """Exact Jacobian of the fixed-point map, convergence factor, and the bound ladder.
 
 The Jacobian acts on half-vectorized density-matrix coordinates (dimension
-m = n(n+1)/2) and is assembled either from dense Kronecker products (small n)
-or column-by-column through the structured formula: apply L to a basis
-perturbation, rotate into the eigenbasis, scale entrywise by the
-reciprocal-gap matrix, rotate back, and half-vectorize.  Both routes are
-mathematically identical.
+m = n(n+1)/2).  It is built once per fixed point from a factored core on the
+column support S of L' (the columns of L' that are exactly nonzero):
+
+    W[a, b, s] = x_a^H L(E_s) x_b,   s in S
+    J[:, S]    = sign * sum over R_ab != 0 of R_ab vech(x_a x_b^H) W[a, b, S]
+
+and J is exactly zero outside the columns S.  Every reported number is read
+from small matrices of this core: c = rho(J[S, S]), c2 = ||J[:, S]||_2, c2a
+from the rows of W, c2b and the gap pair terms from L'[:, S] times the
+S-rows of the vech(x_a x_b^H) columns, and the rank-truncated family from
+one prefix pass over the pairs in gap order.  The dense Kronecker form
+survives only in ``cyclic_spectral_radii``, the check's oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,10 +32,6 @@ from .matops import (
 )
 from .problems import Problem, assemble_Lprime
 from .scf import FixedPointBundle, ScfOptions, estimate_rate, locate_fixed_point, scf_step
-
-# Above this dimension the n^2 x n^2 Kronecker factors are not materialized
-# and the column-structured assembly is used instead.
-KRON_CAP = 32
 
 
 @dataclass
@@ -78,14 +82,13 @@ def gap_structure(lambdas, p: int) -> GapStructure:
         raise ZeroGapError(
             f"zero gap: lambda_p = {lam[p - 1]!r}, lambda_p+1 = {lam[p]!r}"
         )
-    entries = []
-    for i in range(1, p + 1):
-        for j in range(p + 1, n + 1):
-            entries.append((abs(lam[j - 1] - lam[i - 1]), i, j))
-    entries.sort()
+    occ = np.repeat(np.arange(1, p + 1), n - p)
+    virt = np.tile(np.arange(p + 1, n + 1), p)
+    cross = np.abs(lam[virt - 1] - lam[occ - 1])
+    order = np.lexsort((virt, occ, cross))
     return GapStructure(
-        cross_gaps=np.array([e[0] for e in entries]),
-        pairs=[(e[1], e[2]) for e in entries],
+        cross_gaps=cross[order],
+        pairs=list(zip(occ[order].tolist(), virt[order].tolist())),
         n=n,
         p=p,
     )
@@ -93,10 +96,16 @@ def gap_structure(lambdas, p: int) -> GapStructure:
 
 @dataclass
 class JacobianBundle:
-    """The assembled Jacobian with the pieces needed for every bound.
+    """The assembled Jacobian with the factored core every bound is read from.
 
     ``vec_r`` is the diagonal of D stored as vec of the divided-difference
-    matrix; ``sign`` is the scalar in front of the assembled product.
+    matrix R; ``sign`` is the scalar in front of the assembled product.
+    ``support`` is S, the columns of L' that are exactly nonzero; J vanishes
+    outside them.  The core is indexed by the ordered pairs (a, b) of
+    ``pair_a``/``pair_b`` (0-based): every entry where R is nonzero, plus
+    every occupied/virtual cross pair.  Pair t has ``u[:, t] = vech(x_a x_b^H)``
+    and ``w[t] = W[a, b, S]`` with W[a, b, s] = x_a^H L(E_s) x_b, so that
+    J[:, S] = sign * u @ (R_ab * w).
     """
 
     j_p: np.ndarray
@@ -105,6 +114,11 @@ class JacobianBundle:
     x: np.ndarray
     lambdas: np.ndarray
     p: int
+    support: np.ndarray
+    pair_a: np.ndarray
+    pair_b: np.ndarray
+    u: np.ndarray
+    w: np.ndarray
     sign: float = -1.0
     filter: str = "step"
 
@@ -116,45 +130,59 @@ class JacobianBundle:
     def m(self) -> int:
         return self.j_p.shape[0]
 
+    @property
+    def j_s(self) -> np.ndarray:
+        """J[:, S], the columns of J that can be nonzero."""
+        return self.j_p[:, self.support]
 
-def _assemble(x, vec_r, l_prime, sign: float, kron_cap: int) -> np.ndarray:
+    @property
+    def j_ss(self) -> np.ndarray:
+        """J[S, S].  J is zero outside the columns S, so ordered (S, rest) it is
+        block lower-triangular with a zero block: rho(J) = rho(J[S, S])."""
+        return self.j_p[np.ix_(self.support, self.support)]
+
+    @property
+    def r(self) -> np.ndarray:
+        """R_ab of every core pair."""
+        return self.vec_r[self.pair_a + self.n * self.pair_b]
+
+    @cached_property
+    def lprime_r(self) -> np.ndarray:
+        """R of L'[:, S] = QR: every norm of L'[:, S] M equals that of R M."""
+        return np.linalg.qr(self.l_prime[:, self.support], mode="r")
+
+    @cached_property
+    def lprime_u(self) -> np.ndarray:
+        """Q^H L' vech(x_a x_b^H) of every core pair (the norms of L' U)."""
+        return self.lprime_r @ self.u[self.support]
+
+
+def _assemble(bundle: FixedPointBundle, r: np.ndarray, l_prime, sign: float, filter: str):
+    x, p = bundle.x, bundle.p
     n = x.shape[0]
     m = l_prime.shape[1]
+    support = np.flatnonzero(np.any(l_prime != 0, axis=0))
+    cross = np.zeros((n, n), dtype=bool)
+    cross[:p, p:] = cross[p:, :p] = True
+    pair_a, pair_b = np.nonzero((r != 0) | cross)
     vidx = vech_index(n)
-    if n <= kron_cap:
-        k1 = np.kron(x.conj(), x)
-        k2 = np.kron(x.T, x.conj().T)
-        full = sign * (k1 * vec_r[None, :]) @ (k2 @ l_prime)
-        return full[vidx, :]
-    # column-structured route: rotate, scale by R entrywise, rotate back
-    r = vec_r.reshape(n, n, order="F")
-    l3 = np.ascontiguousarray(l_prime.reshape(n, n, m, order="F"))
-    tmp = np.tensordot(x.conj().T, l3, axes=([1], [0]))
-    mid = np.tensordot(tmp, x, axes=([1], [0])).transpose(0, 2, 1)
-    mid = mid * (sign * r)[:, :, None]
-    tmp = np.tensordot(x, mid, axes=([1], [0]))
-    out = np.tensordot(tmp, x.conj(), axes=([1], [1])).transpose(0, 2, 1)
-    flat = out.reshape(n * n, m, order="F")
-    return flat[vidx, :]
+    u = x[vidx % n][:, pair_a] * x[vidx // n][:, pair_b].conj()
+    # L(E_s) for s in S as a stack of n x n matrices (columns are vec, column-major)
+    l_s = l_prime[:, support].T.reshape(-1, n, n).transpose(0, 2, 1)
+    w = (x.conj().T @ l_s @ x)[:, pair_a, pair_b].T
+    j_p = np.zeros((m, m), dtype=complex)
+    j_p[:, support] = u @ ((sign * r[pair_a, pair_b])[:, None] * w)
+    return JacobianBundle(
+        j_p=j_p, vec_r=r.ravel(order="F"), l_prime=l_prime, x=x,
+        lambdas=np.asarray(bundle.lambdas, dtype=float), p=p, support=support,
+        pair_a=pair_a, pair_b=pair_b, u=u, w=w, sign=sign, filter=filter,
+    )
 
 
-def assemble_jacobian(
-    bundle: FixedPointBundle, l_prime: np.ndarray, kron_cap: int = KRON_CAP
-) -> JacobianBundle:
+def assemble_jacobian(bundle: FixedPointBundle, l_prime: np.ndarray) -> JacobianBundle:
     """Exact Jacobian of the step-filter fixed-point map at the fixed point."""
     r = divided_difference_matrix(bundle.lambdas, bundle.p, kind="step")
-    vec_r = r.ravel(order="F")
-    j_p = _assemble(bundle.x, vec_r, l_prime, sign=-1.0, kron_cap=kron_cap)
-    return JacobianBundle(
-        j_p=j_p,
-        vec_r=vec_r,
-        l_prime=l_prime,
-        x=bundle.x,
-        lambdas=np.asarray(bundle.lambdas, dtype=float),
-        p=bundle.p,
-        sign=-1.0,
-        filter="step",
-    )
+    return _assemble(bundle, r, l_prime, sign=-1.0, filter="step")
 
 
 def fermi_jacobian(
@@ -162,7 +190,6 @@ def fermi_jacobian(
     l_prime: np.ndarray,
     beta: float,
     mu: float | None = None,
-    kron_cap: int = KRON_CAP,
 ) -> JacobianBundle:
     """Jacobian with the Fermi-Dirac divided-difference matrix in place of R.
 
@@ -175,18 +202,7 @@ def fermi_jacobian(
     if mu is None:
         mu = fermi_chemical_potential(bundle.lambdas, beta, bundle.p)
     r_f = divided_difference_matrix(bundle.lambdas, bundle.p, kind="fermi", beta=beta, mu=mu)
-    vec_r = r_f.ravel(order="F")
-    j_p = _assemble(bundle.x, vec_r, l_prime, sign=1.0, kron_cap=kron_cap)
-    return JacobianBundle(
-        j_p=j_p,
-        vec_r=vec_r,
-        l_prime=l_prime,
-        x=bundle.x,
-        lambdas=np.asarray(bundle.lambdas, dtype=float),
-        p=bundle.p,
-        sign=1.0,
-        filter="fermi",
-    )
+    return _assemble(bundle, r_f, l_prime, sign=1.0, filter="fermi")
 
 
 def jacobian_fd(
@@ -230,11 +246,10 @@ def jacobian_fd(
             if order == 2:
                 col = (psi(step) - psi(-step)) / (2.0 * step)
             else:
+                # differences first, so a column whose psi values are all
+                # equal comes out exactly zero
                 col = (
-                    -psi(2.0 * step)
-                    + 8.0 * psi(step)
-                    - 8.0 * psi(-step)
-                    + psi(-2.0 * step)
+                    8.0 * (psi(step) - psi(-step)) - (psi(2.0 * step) - psi(-2.0 * step))
                 ) / (12.0 * step)
         except ZeroGapError as exc:
             raise ZeroGapError(f"zero gap while perturbing column j={j + 1}: {exc}") from exc
@@ -295,68 +310,48 @@ def convergence_factor(j_p: np.ndarray) -> float:
 
 def bound_c2(j_p: np.ndarray) -> float:
     """Spectral-norm bound: largest singular value of the Jacobian."""
-    return float(np.linalg.norm(j_p, 2))
+    return _norm2(j_p)
 
 
 def bound_naive(l_prime: np.ndarray, delta1: float) -> float:
-    """||L'||_2 / delta_1."""
+    """||L'||_2 / delta_1 (the zero columns of L' may be left out)."""
     if delta1 <= 0:
         raise ValueError("delta1 must be positive")
-    return float(np.linalg.norm(l_prime, 2)) / delta1
+    return _norm2(l_prime) / delta1
 
 
-def _cross_pairs(vec_r: np.ndarray, n: int):
-    """Ordered index pairs (a, b), 0-based, where the divided-difference matrix
-    has cross-gap entries, together with |r_ab|."""
-    r = vec_r.reshape(n, n, order="F")
-    out = []
-    for a in range(n):
-        for b in range(n):
-            if a != b and r[a, b] != 0.0:
-                out.append((a, b, abs(r[a, b])))
-    return out
+def _norm2(a: np.ndarray) -> float:
+    """Spectral norm, 0 for a matrix with no entries."""
+    return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
 def bound_cyclic(jb: JacobianBundle) -> tuple[float, float]:
     """The two cyclic-permutation spectral-norm bounds (c_2a, c_2b).
 
-    Both matrices have nonzero columns only where the diagonal of D is
-    nonzero; the norms are evaluated on those columns directly, which stays
-    exact and avoids materializing n^2 x n^2 products.
+    Both matrices have nonzero columns only at the off-diagonal entries of R.
+    The c_2a column of pair (a, b) is |R_ab| L'^H vec(x_a x_b^H), whose
+    entries are conj W[a, b, :]; the c_2b column is |R_ab| L' vech(x_a x_b^H).
     """
-    n = jb.n
-    m = jb.l_prime.shape[1]
-    vidx = vech_index(n)
-    pairs = _cross_pairs(jb.vec_r, n)
-    if not pairs:
-        return 0.0, 0.0
-    cols_a = np.zeros((n * n, len(pairs)), dtype=complex)
-    cols_b = np.zeros((n * n, len(pairs)), dtype=complex)
-    lh = jb.l_prime.conj().T
-    for k, (a, b, rab) in enumerate(pairs):
-        outer = np.outer(jb.x[:, a], jb.x[:, b].conj())
-        # adjoint column of the c_2a matrix
-        v = lh @ outer.ravel(order="F")
-        col = np.zeros(n * n, dtype=complex)
-        col[vidx] = v
-        cols_a[:, k] = rab * col
-        # column of the c_2b matrix (one-nonzero-column identity)
-        cols_b[:, k] = rab * (jb.l_prime @ vech(outer))
-    c2a = float(np.linalg.svd(cols_a, compute_uv=False)[0])
-    c2b = float(np.linalg.svd(cols_b, compute_uv=False)[0])
+    off = jb.pair_a != jb.pair_b
+    scale = np.abs(jb.r[off])
+    c2a = _norm2(scale[:, None] * jb.w[off])
+    c2b = _norm2(jb.lprime_u[:, off] * scale[None, :])
     return c2a, c2b
+
+
+def _omega_pairs(jb: JacobianBundle, gaps: GapStructure) -> np.ndarray:
+    """Core pair positions of (j, i) and (i, j) for each cross pair (i, j),
+    in gap order: row q holds the two pairs omega(q + 1) adds."""
+    pos = np.full((jb.n, jb.n), -1)
+    pos[jb.pair_a, jb.pair_b] = np.arange(jb.pair_a.size)
+    occ, virt = (np.asarray(gaps.pairs, dtype=np.intp).reshape(-1, 2) - 1).T
+    return np.stack([pos[virt, occ], pos[occ, virt]], axis=1)
 
 
 def _pair_terms(jb: JacobianBundle, gaps: GapStructure) -> np.ndarray:
     """Per-gap terms (||L(S(x_l x_m^H))||_F + ||L(S(x_m x_l^H))||_F) / gap."""
-    terms = np.zeros(gaps.count)
-    for k, ((i, j), gap) in enumerate(zip(gaps.pairs, gaps.cross_gaps)):
-        xo = jb.x[:, i - 1]
-        xv = jb.x[:, j - 1]
-        t = np.linalg.norm(jb.l_prime @ vech(np.outer(xv, xo.conj())))
-        t += np.linalg.norm(jb.l_prime @ vech(np.outer(xo, xv.conj())))
-        terms[k] = t / gap
-    return terms
+    norms = np.linalg.norm(jb.lprime_u, axis=0)[_omega_pairs(jb, gaps)]
+    return norms.sum(axis=1) / gaps.cross_gaps
 
 
 def bound_gap(jb: JacobianBundle, gaps: GapStructure, q: int) -> float:
@@ -373,42 +368,49 @@ def bound_gap_all(jb: JacobianBundle, gaps: GapStructure, q_max: int | None = No
         q_max = full
     if not 0 <= q_max <= full:
         raise ValueError(f"q_max={q_max} out of range [0, {full}]")
-    norm_lp = float(np.linalg.norm(jb.l_prime, 2))
-    terms = _pair_terms(jb, gaps)
-    cum = np.concatenate([[0.0], np.cumsum(terms)])
-    out = np.empty(q_max + 1)
-    for q in range(q_max + 1):
-        lead = 0.0 if q >= full else norm_lp / gaps.delta(q + 1)
-        out[q] = lead + cum[q]
-    return out
+    norm_lp = _norm2(jb.lprime_r)
+    cum = np.concatenate([[0.0], np.cumsum(_pair_terms(jb, gaps))])
+    # delta_{q+1} past the last gap is +inf: the leading term vanishes at q = p(n-p)
+    deltas = np.append(gaps.cross_gaps, np.inf)
+    return (norm_lp / deltas + cum)[: q_max + 1]
 
 
-def bound_rank_truncated(
-    jb: JacobianBundle, k: int, gaps: GapStructure | None = None
-) -> float:
-    """Spectral norm of the Jacobian truncated to the k smallest-gap entries of D.
+def bound_rank_truncated(jb: JacobianBundle, ks, gaps: GapStructure | None = None) -> np.ndarray:
+    """Spectral norms of the Jacobian truncated to the k smallest-gap entries of D.
 
-    Keeps only the diagonal entries of D indexed by omega(k) (rank <= 2k);
-    k = p(n-p) leaves D untouched and recovers c_2 exactly.
+    J_k keeps only the diagonal entries of D indexed by omega(k) (rank <= 2k);
+    k = p(n-p) leaves D untouched and recovers c_2 exactly.  One prefix pass
+    serves every k in ``ks``: with a_t = R_ab vech(x_a x_b^H) and
+    b_t = W[a, b, S] for the pairs t in gap order, J_k[:, S] = J_{k-1}[:, S]
+    + the two terms a_t b_t^T that omega(k) adds, and ||J_k||^2 is the top
+    eigenvalue of the |S| x |S| Gram matrix J_k^H J_k, accumulated term by
+    term from G = A^H A.  k = p(n-p) is the norm of the whole product.
     """
     if gaps is None:
         gaps = gap_structure(jb.lambdas, jb.p)
-    if not 1 <= k <= gaps.count:
-        raise ValueError(f"k={k} out of range [1, {gaps.count}]")
-    n = jb.n
-    m = jb.l_prime.shape[1]
-    r = jb.vec_r.reshape(n, n, order="F")
-    l3 = np.ascontiguousarray(jb.l_prime.reshape(n, n, m, order="F"))
-    selected = gaps.omega(k)
-    left = np.zeros((m, len(selected)), dtype=complex)
-    right = np.zeros((len(selected), m), dtype=complex)
-    for t, (a, b) in enumerate(selected):
-        xa = jb.x[:, a - 1]
-        xb = jb.x[:, b - 1]
-        left[:, t] = r[a - 1, b - 1] * vech(np.outer(xa, xb.conj()))
-        right[t, :] = np.einsum("i,ijt,j->t", xa.conj(), l3, xb)
-    q_factor, r_factor = np.linalg.qr(left)
-    return float(np.linalg.svd(r_factor @ right, compute_uv=False)[0])
+    ks = np.asarray(ks, dtype=int).reshape(-1)
+    if ks.size and not (1 <= ks.min() and ks.max() <= gaps.count):
+        raise ValueError(f"k in {ks.tolist()} out of range [1, {gaps.count}]")
+    order = _omega_pairs(jb, gaps).ravel()
+    a = jb.u[:, order] * jb.r[order]
+    b = jb.w[order]
+    out = np.empty(ks.size)
+    full = ks == gaps.count
+    if full.any():
+        out[full] = _norm2(a @ b)
+    part = ks[~full]
+    if part.size:
+        top = 2 * part.max()
+        a, b = a[:, :top], b[:top]
+        g = a.conj().T @ a
+        # H_k - H_{k-1} = sum over the new terms t of conj(b_t) y_t^T + conj(y_t) b_t^T,
+        # y_t = sum_{s<t} G_ts b_s + G_tt b_t / 2
+        y = np.tril(g, -1) @ b + 0.5 * np.diag(g).real[:, None] * b
+        step = b.conj().reshape(top // 2, 2, -1).transpose(0, 2, 1) @ y.reshape(top // 2, 2, -1)
+        h = np.cumsum(step + step.conj().transpose(0, 2, 1), axis=0)[part - 1]
+        lam = np.linalg.eigvalsh(h)[:, -1] if b.shape[1] else np.zeros(part.size)
+        out[~full] = np.sqrt(np.maximum(lam, 0.0))
+    return out
 
 
 def bound_liu(problem: Problem, delta1: float) -> float:
@@ -436,14 +438,13 @@ def cyclic_spectral_radii(jb: JacobianBundle) -> list:
     t_dense = np.zeros((m, n * n))
     t_dense[np.arange(m), vidx] = 1.0
     lpt = jb.l_prime @ t_dense
-    radii = [convergence_factor(jb.j_p)]
-    a2 = jb.sign * (k1 * d[None, :]) @ (k2 @ lpt)
-    radii.append(convergence_factor(a2))
-    a3 = jb.sign * (d[:, None] * (k2 @ lpt)) @ k1
-    radii.append(convergence_factor(a3))
-    a4 = jb.sign * lpt @ (k1 * d[None, :]) @ k2
-    radii.append(convergence_factor(a4))
-    return radii
+    # each reordered product is freed once its radius is taken
+    return [
+        convergence_factor(jb.j_p),
+        convergence_factor(jb.sign * (k1 * d[None, :]) @ (k2 @ lpt)),
+        convergence_factor(jb.sign * (d[:, None] * (k2 @ lpt)) @ k1),
+        convergence_factor(jb.sign * lpt @ (k1 * d[None, :]) @ k2),
+    ]
 
 
 @dataclass
@@ -499,7 +500,6 @@ def analyze_problem(
     opts: ScfOptions | None = None,
     q_max: int | None = None,
     fd_check: bool = False,
-    kron_cap: int = KRON_CAP,
 ) -> tuple[ConvergenceReport, FixedPointBundle | None, JacobianBundle | None]:
     """Full analysis pipeline: locate the fixed point, assemble J, evaluate bounds.
 
@@ -512,21 +512,21 @@ def analyze_problem(
     if not bundle.converged:
         return ConvergenceReport(n=problem.n, p=problem.p, converged=False), bundle, None
     l_prime = assemble_Lprime(problem.op, problem.n)
-    jb = assemble_jacobian(bundle, l_prime, kron_cap=kron_cap)
+    jb = assemble_jacobian(bundle, l_prime)
     gaps = gap_structure(bundle.lambdas, problem.p)
     full = gaps.count
     q_top = full if q_max is None else min(q_max, full)
 
-    c = convergence_factor(jb.j_p)
-    c2 = bound_c2(jb.j_p)
+    c = convergence_factor(jb.j_ss)
+    c2 = bound_c2(jb.j_s)
     c2a, c2b = bound_cyclic(jb)
-    c_naive = bound_naive(l_prime, gaps.delta(1))
+    c_naive = bound_naive(l_prime[:, jb.support], gaps.delta(1))
     c_gap = bound_gap_all(jb, gaps, q_max=q_top)
     c_liu = None
     if problem.meta.get("alpha") is not None:
         c_liu = bound_liu(problem, gaps.delta(1))
     tilde_ks = sorted(set(range(1, q_top + 1)) | {full})
-    c_tilde = [[k, bound_rank_truncated(jb, k, gaps)] for k in tilde_ks]
+    c_tilde = [[k, float(v)] for k, v in zip(tilde_ks, bound_rank_truncated(jb, tilde_ks, gaps))]
 
     measured = None
     if plain is not None and plain.converged and plain.damping == 1.0:

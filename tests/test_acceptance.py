@@ -357,7 +357,7 @@ def test_criterion_11_rank_truncation_recovers_c2():
         bundle, _, jb = solve_and_jacobian(problem)
         gaps = gap_structure(bundle.lambdas, problem.p)
         c2 = bound_c2(jb.j_p)
-        tilde = bound_rank_truncated(jb, gaps.count, gaps)
+        (tilde,) = bound_rank_truncated(jb, [gaps.count], gaps)
         worst = max(worst, abs(tilde - c2) / c2)
     ok = worst <= 1e-12
     report(11, ok, f"max |c_tilde(full) - c2| relative {worst:.3e} over {len(cases)} problems")

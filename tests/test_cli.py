@@ -279,3 +279,46 @@ def test_check_negative_control(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("family", ["laplacian-real", "laplacian-complex"])
+def test_check_passes_on_laplacian(capsys, family):
+    # Most columns of a diagonal-map Jacobian are exactly zero; the FD
+    # oracle must return them as zero, not as stencil cancellation noise.
+    code = main(["check", "--family", family, "--n", "8", "--p", "3", "--alpha", "10"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--family", "illustrative", "--q-max", "2"],
+        ["check", "--family", "illustrative", "--out", "report.txt"],
+        ["sweep", "--family", "illustrative", "--axis", "eps", "--values", "0.1", "--q-max", "2"],
+    ],
+)
+def test_unread_flags_are_rejected(argv):
+    with pytest.raises(SystemExit):
+        main(argv)
+
+
+def test_sweep_quantities_match_analyze(tmp_path):
+    common = ["--family", "laplacian-real", "--n", "7", "--p", "3", "--alpha", "10"]
+    report_path, sweep_path = tmp_path / "report.json", tmp_path / "sweep.csv"
+    assert main(["analyze", *common, "--out", str(report_path)]) == 0
+    outputs = "c,c2,c2a,c2b,naive,liu,gap:0,gap:2,gap:99,tilde:1,tilde:3,tilde:99"
+    args = ["sweep", *common, "--axis", "alpha", "--values", "10", "--outputs", outputs]
+    assert main(args + ["--out", str(sweep_path)]) == 0
+    report = json.loads(report_path.read_text())
+    _, rows = read_csv(sweep_path)
+    got = {row[2]: float(row[3]) for row in rows}
+    tilde = dict(report["c_tilde"])
+    expected = {
+        "c": report["c"], "c2": report["c2"], "c2a": report["c2a"], "c2b": report["c2b"],
+        "naive": report["c_naive"], "liu": report["c_liu"],
+        "gap:0": report["c_gap"][0], "gap:2": report["c_gap"][2], "gap:99": report["c_gap"][12],
+        "tilde:1": tilde[1], "tilde:3": tilde[3], "tilde:99": tilde[12],
+    }
+    assert got == pytest.approx(expected, rel=1e-12)
