@@ -131,17 +131,6 @@ class JacobianBundle:
         return self.j_p.shape[0]
 
     @property
-    def j_s(self) -> np.ndarray:
-        """J[:, S], the columns of J that can be nonzero."""
-        return self.j_p[:, self.support]
-
-    @property
-    def j_ss(self) -> np.ndarray:
-        """J[S, S].  J is zero outside the columns S, so ordered (S, rest) it is
-        block lower-triangular with a zero block: rho(J) = rho(J[S, S])."""
-        return self.j_p[np.ix_(self.support, self.support)]
-
-    @property
     def r(self) -> np.ndarray:
         """R_ab of every core pair."""
         return self.vec_r[self.pair_a + self.n * self.pair_b]
@@ -155,6 +144,27 @@ class JacobianBundle:
     def lprime_u(self) -> np.ndarray:
         """Q^H L' vech(x_a x_b^H) of every core pair (the norms of L' U)."""
         return self.lprime_r @ self.u[self.support]
+
+    @cached_property
+    def lprime_norm(self) -> float:
+        """||L'||_2, read from the R factor of L'[:, S]."""
+        return _norm2(self.lprime_r)
+
+    @cached_property
+    def c(self) -> float:
+        """The convergence factor rho(J) = rho(J[S, S]).  J is zero outside the
+        columns S, so ordered (S, rest) it is block lower-triangular with a
+        zero diagonal block."""
+        return convergence_factor(self.j_p[np.ix_(self.support, self.support)])
+
+    @cached_property
+    def c2(self) -> float:
+        """The spectral-norm bound ||J||_2 = ||J[:, S]||_2."""
+        return bound_c2(self.j_p[:, self.support])
+
+    def c_naive(self, gaps: GapStructure) -> float:
+        """||L'||_2 / delta_1."""
+        return self.lprime_norm / gaps.delta(1)
 
 
 def _assemble(bundle: FixedPointBundle, r: np.ndarray, l_prime, sign: float, filter: str):
@@ -368,23 +378,23 @@ def bound_gap_all(jb: JacobianBundle, gaps: GapStructure, q_max: int | None = No
         q_max = full
     if not 0 <= q_max <= full:
         raise ValueError(f"q_max={q_max} out of range [0, {full}]")
-    norm_lp = _norm2(jb.lprime_r)
     cum = np.concatenate([[0.0], np.cumsum(_pair_terms(jb, gaps))])
     # delta_{q+1} past the last gap is +inf: the leading term vanishes at q = p(n-p)
     deltas = np.append(gaps.cross_gaps, np.inf)
-    return (norm_lp / deltas + cum)[: q_max + 1]
+    return (jb.lprime_norm / deltas + cum)[: q_max + 1]
 
 
 def bound_rank_truncated(jb: JacobianBundle, ks, gaps: GapStructure | None = None) -> np.ndarray:
     """Spectral norms of the Jacobian truncated to the k smallest-gap entries of D.
 
     J_k keeps only the diagonal entries of D indexed by omega(k) (rank <= 2k);
-    k = p(n-p) leaves D untouched and recovers c_2 exactly.  One prefix pass
-    serves every k in ``ks``: with a_t = R_ab vech(x_a x_b^H) and
-    b_t = W[a, b, S] for the pairs t in gap order, J_k[:, S] = J_{k-1}[:, S]
-    + the two terms a_t b_t^T that omega(k) adds, and ||J_k||^2 is the top
-    eigenvalue of the |S| x |S| Gram matrix J_k^H J_k, accumulated term by
-    term from G = A^H A.  k = p(n-p) is the norm of the whole product.
+    k = p(n-p) leaves D untouched and recovers c_2 exactly.  With the pairs t
+    in gap order, a_t = R_ab vech(x_a x_b^H) and b_t = W[a, b, S] as the
+    columns of A and the rows of B, J_k[:, S] = A[:, :2k] B[:2k].  One QR of
+    A and one of B^H give A = Q_A R_A and B = L_B Q_B^H; the R factor of a
+    column prefix of A is the matching block of R_A, so ||J_k|| is the norm
+    of R_A[:, :2k] L_B[:2k], a prefix sum of rank-one terms that lies in the
+    leading 2k x 2k block.  One pass serves every k in ``ks``.
     """
     if gaps is None:
         gaps = gap_structure(jb.lambdas, jb.p)
@@ -394,22 +404,44 @@ def bound_rank_truncated(jb: JacobianBundle, ks, gaps: GapStructure | None = Non
     order = _omega_pairs(jb, gaps).ravel()
     a = jb.u[:, order] * jb.r[order]
     b = jb.w[order]
-    out = np.empty(ks.size)
+    out = np.zeros(ks.size)
     full = ks == gaps.count
     if full.any():
         out[full] = _norm2(a @ b)
     part = ks[~full]
-    if part.size:
+    if part.size and b.shape[1]:
         top = 2 * part.max()
-        a, b = a[:, :top], b[:top]
-        g = a.conj().T @ a
-        # H_k - H_{k-1} = sum over the new terms t of conj(b_t) y_t^T + conj(y_t) b_t^T,
-        # y_t = sum_{s<t} G_ts b_s + G_tt b_t / 2
-        y = np.tril(g, -1) @ b + 0.5 * np.diag(g).real[:, None] * b
-        step = b.conj().reshape(top // 2, 2, -1).transpose(0, 2, 1) @ y.reshape(top // 2, 2, -1)
-        h = np.cumsum(step + step.conj().transpose(0, 2, 1), axis=0)[part - 1]
-        lam = np.linalg.eigvalsh(h)[:, -1] if b.shape[1] else np.zeros(part.size)
-        out[~full] = np.sqrt(np.maximum(lam, 0.0))
+        r_a = np.linalg.qr(a[:, :top], mode="r")
+        l_b = np.linalg.qr(b[:top].conj().T, mode="r").conj().T
+        out[~full] = _prefix_norms(r_a, l_b, part, budget=jb.m**2)
+    return out
+
+
+def _prefix_norms(r_a: np.ndarray, l_b: np.ndarray, ks: np.ndarray, budget: int) -> np.ndarray:
+    """||sum over t < 2k of r_a[:, t] l_b[t]||_2 for each k in ``ks``.
+
+    r_a is upper and l_b lower trapezoidal, so the k-th sum lies in the leading
+    2k x 2k block.  The sums are taken a run of k at a time, the last carried
+    over; a run's stack holds at most ``budget`` entries (or one block).
+    """
+    k_top = int(ks.max())
+    rows, cols = r_a.shape[0], l_b.shape[1]
+    carry = np.zeros((rows, cols), dtype=complex)
+    out = np.empty(ks.size)
+    lo = 0
+    while lo < k_top:
+        his = np.arange(lo + 1, k_top + 1)
+        sizes = (his - lo) * np.minimum(2 * his, rows) * np.minimum(2 * his, cols)
+        hi = int(his[max(np.searchsorted(sizes, budget, side="right") - 1, 0)])
+        e, f = min(2 * hi, rows), min(2 * hi, cols)
+        left = r_a[:e, 2 * lo : 2 * hi].T.reshape(hi - lo, 2, e).transpose(0, 2, 1)
+        sums = left @ l_b[2 * lo : 2 * hi, :f].reshape(hi - lo, 2, f)
+        sums[0] += carry[:e, :f]
+        np.cumsum(sums, axis=0, out=sums)
+        carry[:e, :f] = sums[-1]
+        here = (ks > lo) & (ks <= hi)
+        out[here] = np.linalg.norm(sums[ks[here] - lo - 1], 2, axis=(1, 2))
+        lo = hi
     return out
 
 
@@ -517,10 +549,7 @@ def analyze_problem(
     full = gaps.count
     q_top = full if q_max is None else min(q_max, full)
 
-    c = convergence_factor(jb.j_ss)
-    c2 = bound_c2(jb.j_s)
     c2a, c2b = bound_cyclic(jb)
-    c_naive = bound_naive(l_prime[:, jb.support], gaps.delta(1))
     c_gap = bound_gap_all(jb, gaps, q_max=q_top)
     c_liu = None
     if problem.meta.get("alpha") is not None:
@@ -541,20 +570,9 @@ def analyze_problem(
         fd_err = max_column_relative_error(jb.j_p, fd)
 
     report = ConvergenceReport(
-        n=problem.n,
-        p=problem.p,
-        converged=True,
-        c=c,
-        c2=c2,
-        c2a=c2a,
-        c2b=c2b,
-        c_naive=c_naive,
-        c_gap=c_gap,
-        c_liu=c_liu,
-        c_tilde=c_tilde,
-        gaps=gaps,
-        measured_rate=measured,
-        fd_check=fd_err,
+        n=problem.n, p=problem.p, converged=True, c=jb.c, c2=jb.c2, c2a=c2a, c2b=c2b,
+        c_naive=jb.c_naive(gaps), c_gap=c_gap, c_liu=c_liu, c_tilde=c_tilde, gaps=gaps,
+        measured_rate=measured, fd_check=fd_err,
     )
     return report, bundle, jb
 

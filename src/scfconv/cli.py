@@ -17,11 +17,9 @@ import numpy as np
 from .analysis import (
     analyze_problem,
     assemble_jacobian,
-    bound_c2,
     bound_cyclic,
     bound_gap_all,
     bound_liu,
-    bound_naive,
     bound_rank_truncated,
     convergence_factor,
     cyclic_spectral_radii,
@@ -75,6 +73,18 @@ def add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows to ``path``, or to stdout when path is None."""
+    out = open(path, "w", newline="") if path else sys.stdout
+    try:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
+    finally:
+        if path:
+            out.close()
+
+
 def build_problem(args) -> Problem:
     if args.file:
         return load_problem(args.file)
@@ -100,31 +110,14 @@ def build_opts(args) -> ScfOptions:
 def cmd_solve(args) -> int:
     problem = build_problem(args)
     bundle = scf_solve(problem, opts=build_opts(args))
-    rows = []
-    for k, rec in enumerate(bundle.history):
-        err_to_fixed = (
-            bundle.errors_to_fixed[k] if bundle.errors_to_fixed is not None else None
-        )
-        rows.append(
-            [
-                k + 1,
-                fmt(rec.step_err),
-                fmt(err_to_fixed),
-                fmt(rec.lambda_p),
-                fmt(rec.lambda_p1),
-                fmt(rec.gap),
-            ]
-        )
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(
-            ["iter", "step_err_fro", "err_to_fixed_point_fro", "lambda_p", "lambda_p1", "gap"]
-        )
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+    to_fixed = bundle.errors_to_fixed
+    rows = [
+        [k + 1, fmt(rec.step_err), fmt(None if to_fixed is None else to_fixed[k]),
+         fmt(rec.lambda_p), fmt(rec.lambda_p1), fmt(rec.gap)]
+        for k, rec in enumerate(bundle.history)
+    ]
+    header = ["iter", "step_err_fro", "err_to_fixed_point_fro", "lambda_p", "lambda_p1", "gap"]
+    write_csv(args.out, header, rows)
     if not bundle.converged:
         print(
             f"not converged after {bundle.iterations} iterations "
@@ -162,9 +155,11 @@ def parse_outputs(spec: str):
             raise SystemExit(f"unknown output quantity {token!r}")
         if base in ("gap", "tilde"):
             try:
-                int(token.split(":")[1])
+                index = int(token.split(":")[1])
             except (IndexError, ValueError):
                 raise SystemExit(f"quantity {token!r} needs an integer suffix, e.g. gap:1")
+            if index < (0 if base == "gap" else 1):
+                raise SystemExit(f"quantity {token!r}: gap:Q needs Q >= 0, tilde:K needs K >= 1")
     return tokens
 
 
@@ -223,7 +218,7 @@ def cmd_sweep(args) -> int:
             gap_tokens = [t for t in index if base[t] == "gap"]
             tilde_tokens = [t for t in index if base[t] == "tilde"]
             if gap_tokens:
-                family = bound_gap_all(jb, gaps, q_max=max(index[t] for t in gap_tokens))
+                family = bound_gap_all(jb, gaps)
                 quantities.update((t, family[index[t]]) for t in gap_tokens)
             if tilde_tokens:
                 tilde = bound_rank_truncated(jb, [index[t] for t in tilde_tokens], gaps)
@@ -234,34 +229,19 @@ def cmd_sweep(args) -> int:
                 quantities.update((t, cyc[base[t]]) for t in cyclic_tokens)
             for token in outputs:
                 if token == "c":
-                    quantities[token] = convergence_factor(jb.j_ss)
+                    quantities[token] = jb.c
                 elif token == "c2":
-                    quantities[token] = bound_c2(jb.j_s)
+                    quantities[token] = jb.c2
                 elif token == "naive":
-                    quantities[token] = bound_naive(l_prime[:, jb.support], gaps.delta(1))
+                    quantities[token] = jb.c_naive(gaps)
                 elif token == "liu":
                     quantities[token] = bound_liu(problem, gaps.delta(1))
-        for token in outputs:
-            rows.append(
-                [
-                    args.axis,
-                    fmt(value),
-                    token,
-                    fmt(quantities.get(token)),
-                    converged,
-                    fmt(measured),
-                ]
-            )
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(
-            ["axis_name", "axis_value", "quantity", "value", "converged", "measured_rate"]
-        )
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+        rows += [
+            [args.axis, fmt(value), token, fmt(quantities.get(token)), converged, fmt(measured)]
+            for token in outputs
+        ]
+    header = ["axis_name", "axis_value", "quantity", "value", "converged", "measured_rate"]
+    write_csv(args.out, header, rows)
     return EXIT_OK
 
 
@@ -310,9 +290,9 @@ def cmd_check(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'} cyclic-permutation spectral radii: spread {spread:.3e}")
 
     gaps = gap_structure(bundle.lambdas, problem.p)
-    c = convergence_factor(jb.j_ss)
+    c = jb.c
     c2a, c2b = bound_cyclic(jb)
-    ladder = {"c2": bound_c2(jb.j_s), "c2a": c2a, "c2b": c2b}
+    ladder = {"c2": jb.c2, "c2a": c2a, "c2b": c2b}
     gap_bounds = bound_gap_all(jb, gaps)
     violations = [name for name, val in ladder.items() if c > val + 1e-10]
     violations += [f"gap:{q}" for q, val in enumerate(gap_bounds) if c > val + 1e-10]

@@ -257,6 +257,15 @@ def test_sweep_rejects_unknown_quantity(tmp_path):
         )
 
 
+@pytest.mark.parametrize("outputs", ["gap:-1,gap:3", "tilde:0", "c,tilde:-2"])
+def test_sweep_rejects_out_of_range_suffix(outputs):
+    # gap:Q counts from Q = 0 and tilde:K from K = 1; a negative suffix must
+    # not wrap around to the end of the family
+    args = ["sweep", "--family", "illustrative", "--axis", "eps", "--values", "0.1"]
+    with pytest.raises(SystemExit):
+        main(args + ["--outputs", outputs])
+
+
 def test_sweep_needs_grid(tmp_path):
     with pytest.raises(SystemExit):
         main(["sweep", "--family", "illustrative", "--axis", "eps"])

@@ -16,6 +16,8 @@ complex Hermitian mask, the illustrative problem's three diagonal columns,
 and no column at all (the zero operator).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,14 +28,11 @@ from scfconv import (
     ScfOptions,
     assemble_Lprime,
     assemble_jacobian,
-    bound_c2,
     bound_cyclic,
     bound_gap_all,
-    bound_naive,
     bound_rank_truncated,
     build_illustrative,
     build_laplacian,
-    convergence_factor,
     fermi_jacobian,
     gap_structure,
     locate_fixed_point,
@@ -45,16 +44,15 @@ from conftest import random_hermitian
 REL = 1e-12
 
 
-def general_vec_problem() -> Problem:
+def general_vec_problem(n: int = 5, p: int = 2) -> Problem:
     """L(P) = sum_k B_k P B_k^H, stored as its column-major matrix."""
     rng = np.random.default_rng(7)
-    n = 5
     matrix = np.zeros((n * n, n * n), dtype=complex)
     for _ in range(3):
         b = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(n)
         matrix += np.kron(b.conj(), b)
     a0 = random_hermitian(rng, n, scale=0.3) + np.diag(2.0 * np.arange(n))
-    return Problem(a0=a0, op=GeneralVec(matrix=matrix), p=2)
+    return Problem(a0=a0, op=GeneralVec(matrix=matrix), p=p)
 
 
 def banded_mask_problem() -> Problem:
@@ -135,11 +133,11 @@ def dense_ladder(problem, bundle, l_prime):
 def core_ladder(jb, gaps, l_prime):
     c2a, c2b = bound_cyclic(jb)
     return {
-        "c": convergence_factor(jb.j_ss),
-        "c2": bound_c2(jb.j_s),
+        "c": jb.c,
+        "c2": jb.c2,
         "c2a": c2a,
         "c2b": c2b,
-        "c_naive": bound_naive(l_prime[:, jb.support], gaps.delta(1)),
+        "c_naive": jb.c_naive(gaps),
         "c_gap": bound_gap_all(jb, gaps),
         "c_tilde": bound_rank_truncated(jb, np.arange(1, gaps.count + 1), gaps),
     }
@@ -189,3 +187,32 @@ def test_factored_quantity_matches_dense_definition(case, name):
         assert np.all(got == 0.0)
     else:
         assert np.allclose(got, expected, rtol=REL, atol=0.0), (got, expected)
+
+
+def test_every_k_on_a_dense_support_allocates_no_more_than_a_few_jacobians():
+    # |S| = m: a stack of one |S| x |S| matrix per k would take 36 Jacobians here
+    problem = general_vec_problem(n=12, p=6)
+    bundle, _ = locate_fixed_point(problem, ScfOptions(max_iter=800))
+    assert bundle.converged
+    jb = assemble_jacobian(bundle, assemble_Lprime(problem.op, problem.n))
+    gaps = gap_structure(bundle.lambdas, problem.p)
+    assert jb.support.size == jb.m
+    ks = np.arange(1, gaps.count + 1)
+    jb.lprime_u  # the cached core factors are not part of the pass
+    tracemalloc.start()
+    try:
+        got = bound_rank_truncated(jb, ks, gaps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * jb.j_p.nbytes, (peak, jb.j_p.nbytes)
+    order = [
+        t
+        for i, j in gaps.pairs
+        for t in (np.flatnonzero((jb.pair_a == j - 1) & (jb.pair_b == i - 1))[0],
+                  np.flatnonzero((jb.pair_a == i - 1) & (jb.pair_b == j - 1))[0])
+    ]
+    a = jb.u[:, order] * jb.r[order]
+    b = jb.w[order]
+    expected = [np.linalg.norm(a[:, : 2 * k] @ b[: 2 * k], 2) for k in ks]
+    assert np.allclose(got, expected, rtol=REL, atol=0.0)
