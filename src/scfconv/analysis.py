@@ -31,7 +31,7 @@ from .matops import (
     vech_inv,
 )
 from .problems import Problem, assemble_Lprime
-from .scf import FixedPointBundle, ScfOptions, estimate_rate, locate_fixed_point, scf_step
+from .scf import FixedPointBundle, ScfOptions, locate_fixed_point, measured_rate, scf_step
 
 
 @dataclass
@@ -190,7 +190,13 @@ def _assemble(bundle: FixedPointBundle, r: np.ndarray, l_prime, sign: float, fil
 
 
 def assemble_jacobian(bundle: FixedPointBundle, l_prime: np.ndarray) -> JacobianBundle:
-    """Exact Jacobian of the step-filter fixed-point map at the fixed point."""
+    """Exact Jacobian of the fixed-point map that produced ``bundle``.
+
+    The step filter by default; a bundle of the Fermi filter gives
+    ``fermi_jacobian`` at its own beta and mu.
+    """
+    if bundle.filter == "fermi":
+        return fermi_jacobian(bundle, l_prime, bundle.beta, bundle.mu)
     r = divided_difference_matrix(bundle.lambdas, bundle.p, kind="step")
     return _assemble(bundle, r, l_prime, sign=-1.0, filter="step")
 
@@ -201,18 +207,28 @@ def fermi_jacobian(
     beta: float,
     mu: float | None = None,
 ) -> JacobianBundle:
-    """Jacobian with the Fermi-Dirac divided-difference matrix in place of R.
+    """Jacobian of the Fermi-filter map, chemical potential included.
 
-    The assembled product carries a positive sign; the divided differences of
-    the (decreasing) Fermi function are themselves negative on cross pairs,
-    which recovers the step-filter Jacobian in the sharp limit.
+    The divided-difference matrix of the Fermi function takes the place of R
+    and the product carries a positive sign (the divided differences of the
+    decreasing Fermi function are negative on cross pairs, which recovers the
+    step-filter Jacobian in the sharp limit).  mu is solved again for every
+    P, so each column also gains the Fermi-level shift -dmu X f'(Lambda) X^H
+    with dmu = sum_i f'_i W[i, i, s] / sum_i f'_i: a rank-one term on the
+    columns S, and zero when every f'_i underflows.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     if mu is None:
         mu = fermi_chemical_potential(bundle.lambdas, beta, bundle.p)
     r_f = divided_difference_matrix(bundle.lambdas, bundle.p, kind="fermi", beta=beta, mu=mu)
-    return _assemble(bundle, r_f, l_prime, sign=1.0, filter="fermi")
+    jb = _assemble(bundle, r_f, l_prime, sign=1.0, filter="fermi")
+    diag = jb.pair_a == jb.pair_b
+    fprime = jb.r[diag]
+    total = fprime.sum()
+    if total != 0:
+        jb.j_p[:, jb.support] -= np.outer(jb.u[:, diag] @ fprime, (fprime / total) @ jb.w[diag])
+    return jb
 
 
 def jacobian_fd(
@@ -268,7 +284,11 @@ def jacobian_fd(
 
 
 def realified_jacobian_fd(
-    problem: Problem, p_star: np.ndarray, step: float | None = None
+    problem: Problem,
+    p_star: np.ndarray,
+    step: float | None = None,
+    filter: str = "step",
+    beta: float | None = None,
 ) -> np.ndarray:
     """Real Jacobian over the n^2 real coordinates of the Hermitian manifold.
 
@@ -305,8 +325,8 @@ def realified_jacobian_fd(
     dim = m + offdiag.size
     out = np.zeros((dim, dim))
     for k, direction in enumerate(directions):
-        plus, _, _ = scf_step(problem, p_star + step * direction)
-        minus, _, _ = scf_step(problem, p_star - step * direction)
+        plus, _, _ = scf_step(problem, p_star + step * direction, filter=filter, beta=beta)
+        minus, _, _ = scf_step(problem, p_star - step * direction, filter=filter, beta=beta)
         out[:, k] = coords((plus - minus) / (2.0 * step))
     return out
 
@@ -503,10 +523,10 @@ class ConvergenceReport:
         omega = None
         if self.gaps is not None:
             deltas = [float(v) for v in self.gaps.cross_gaps]
-            q_top = len(self.c_gap) - 1 if self.c_gap is not None else self.gaps.count
+        if self.c_gap is not None:
             omega = [
                 [[int(a), int(b)] for a, b in self.gaps.omega(q)]
-                for q in range(q_top + 1)
+                for q in range(len(self.c_gap))
             ]
         return {
             "n": self.n,
@@ -538,42 +558,35 @@ def analyze_problem(
     Divergent plain SCF is handled by damped fixed-point location; the
     Jacobian and every bound still apply at the located fixed point.
     ``q_max`` caps both the c_gap family and the rank-truncation list (the
-    full-rank value, which must equal c_2, is always included).
+    full-rank value, which must equal c_2, is always included).  Under the
+    Fermi filter c and c2 are those of the Fermi map; the ladder above c2 is
+    step-filter theory and stays None.
     """
     bundle, plain = locate_fixed_point(problem, opts)
     if not bundle.converged:
         return ConvergenceReport(n=problem.n, p=problem.p, converged=False), bundle, None
-    l_prime = assemble_Lprime(problem.op, problem.n)
-    jb = assemble_jacobian(bundle, l_prime)
+    jb = assemble_jacobian(bundle, assemble_Lprime(problem.op, problem.n))
     gaps = gap_structure(bundle.lambdas, problem.p)
-    full = gaps.count
-    q_top = full if q_max is None else min(q_max, full)
-
-    c2a, c2b = bound_cyclic(jb)
-    c_gap = bound_gap_all(jb, gaps, q_max=q_top)
-    c_liu = None
-    if problem.meta.get("alpha") is not None:
-        c_liu = bound_liu(problem, gaps.delta(1))
-    tilde_ks = sorted(set(range(1, q_top + 1)) | {full})
-    c_tilde = [[k, float(v)] for k, v in zip(tilde_ks, bound_rank_truncated(jb, tilde_ks, gaps))]
-
-    measured = None
-    if plain is not None and plain.converged and plain.damping == 1.0:
-        try:
-            measured = estimate_rate(plain.errors_to_fixed).rate
-        except Exception:
-            measured = None
-
-    fd_err = None
-    if fd_check:
-        fd = jacobian_fd(problem, bundle.p_star)
-        fd_err = max_column_relative_error(jb.j_p, fd)
-
     report = ConvergenceReport(
-        n=problem.n, p=problem.p, converged=True, c=jb.c, c2=jb.c2, c2a=c2a, c2b=c2b,
-        c_naive=jb.c_naive(gaps), c_gap=c_gap, c_liu=c_liu, c_tilde=c_tilde, gaps=gaps,
-        measured_rate=measured, fd_check=fd_err,
+        n=problem.n, p=problem.p, converged=True, c=jb.c, c2=jb.c2, gaps=gaps
     )
+    if jb.filter == "step":
+        full = gaps.count
+        q_top = full if q_max is None else min(q_max, full)
+        report.c2a, report.c2b = bound_cyclic(jb)
+        report.c_naive = jb.c_naive(gaps)
+        report.c_gap = bound_gap_all(jb, gaps, q_max=q_top)
+        if problem.meta.get("alpha") is not None:
+            report.c_liu = bound_liu(problem, gaps.delta(1))
+        tilde_ks = sorted(set(range(1, q_top + 1)) | {full})
+        report.c_tilde = [
+            [k, float(v)] for k, v in zip(tilde_ks, bound_rank_truncated(jb, tilde_ks, gaps))
+        ]
+
+    report.measured_rate = measured_rate(plain)
+    if fd_check:
+        fd = jacobian_fd(problem, bundle.p_star, filter=bundle.filter, beta=bundle.beta)
+        report.fd_check = max_column_relative_error(jb.j_p, fd)
     return report, bundle, jb
 
 

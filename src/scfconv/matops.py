@@ -26,7 +26,7 @@ class ZeroGapError(ValueError):
 
 
 class ChemicalPotentialError(RuntimeError):
-    """Bisection for the chemical potential could not meet the trace target."""
+    """The chemical potential search could not meet the trace target."""
 
 
 def require_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
@@ -91,6 +91,16 @@ def selector_T(n: int) -> np.ndarray:
     return t
 
 
+def duplication_D(n: int) -> np.ndarray:
+    """The n^2-by-m 0/1 duplication matrix with D @ v = vec(vech_inv(v))."""
+    vidx = _vech_index_cached(n)
+    rows, cols = vidx % n, vidx // n
+    d = np.zeros((n * n, vidx.size))
+    j = np.arange(vidx.size)
+    d[vidx, j] = d[cols + n * rows, j] = 1.0
+    return d
+
+
 def symmetrize_S(x) -> np.ndarray:
     """Map X = L + D + R (triangular split) to L + D + L^T."""
     x = np.asarray(x)
@@ -139,10 +149,14 @@ def fermi_occupations(lam, beta: float, mu: float) -> np.ndarray:
 def fermi_chemical_potential(
     lam, beta: float, p: int, tol: float = 1e-12, max_iter: int = 200
 ) -> float:
-    """Chemical potential mu with sum of occupations equal to p, by bisection.
+    """Chemical potential mu with sum of occupations equal to p, by safeguarded Newton.
 
     Brackets on [lambda_1 - 1, lambda_n + 1]; the total occupation is strictly
-    increasing in mu for finite beta.
+    increasing in mu for finite beta.  Newton on g(mu) = sum f_i - p, with
+    g' = beta sum f_i (1 - f_i), starts midway between lambda_p and
+    lambda_{p+1}; every evaluation shrinks the bracket by the sign of g, and
+    a step that leaves the bracket (or a slope that underflows to 0) is
+    replaced by the bracket's midpoint.
     """
     lam = np.sort(np.asarray(lam, dtype=float))
     if beta <= 0:
@@ -152,22 +166,26 @@ def fermi_chemical_potential(
         raise ChemicalPotentialError(
             f"trace target p={p} not bracketed on [{lo}, {hi}] for beta={beta}"
         )
-    mu = 0.5 * (lo + hi)
+    top = min(max(p, 1), lam.size - 1)
+    mu = 0.5 * (lam[top - 1] + lam[top])
     for _ in range(max_iter):
-        mu = 0.5 * (lo + hi)
-        trace = fermi_occupations(lam, beta, mu).sum()
-        if abs(trace - p) <= tol:
+        f = fermi_occupations(lam, beta, mu)
+        excess = f.sum() - p
+        if abs(excess) <= tol:
             return mu
-        if trace < p:
+        if excess < 0:
             lo = mu
         else:
             hi = mu
-    trace = fermi_occupations(lam, beta, mu).sum()
-    if abs(trace - p) <= tol:
+        slope = beta * (f * (1.0 - f)).sum()
+        newton = mu - excess / slope if slope > 0 else hi
+        mu = newton if lo < newton < hi else 0.5 * (lo + hi)
+    excess = fermi_occupations(lam, beta, mu).sum() - p
+    if abs(excess) <= tol:
         return mu
     raise ChemicalPotentialError(
-        f"mu bisection did not reach |trace - p| <= {tol} in {max_iter} iterations "
-        f"(residual {trace - p:.3e})"
+        f"mu search did not reach |trace - p| <= {tol} in {max_iter} iterations "
+        f"(residual {excess:.3e})"
     )
 
 

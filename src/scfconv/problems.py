@@ -3,7 +3,8 @@
 The linear part L is kept in one of three representations (Hadamard mask,
 diagonal map, general vectorized matrix) rather than always densified: the
 mask and diagonal forms are O(n^2) to apply, which keeps the Laplacian family
-cheap at n = 60.
+cheap at n = 60.  Each form also writes its L' (the derivative of L in vech
+coordinates) in closed form, with no loop over basis matrices.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .matops import require_hermitian, vech_inv
+from .matops import duplication_D, require_hermitian, vech_index
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,12 @@ class HadamardMask:
     def apply(self, p: np.ndarray) -> np.ndarray:
         return self.mask * p
 
+    def lprime(self) -> np.ndarray:
+        """L' in closed form: diag(vec mask) times the duplication matrix, so
+        column (i, k) holds mask[i, k] at vec(i, k) and mask[k, i] at vec(k, i)."""
+        mask = self.mask.ravel(order="F")[:, None]
+        return np.asarray(mask * duplication_D(self.n), dtype=complex)
+
 
 @dataclass(frozen=True)
 class DiagonalMap:
@@ -48,6 +55,17 @@ class DiagonalMap:
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         return self.alpha * np.diag(self.coeff @ np.diagonal(p))
+
+    def lprime(self) -> np.ndarray:
+        """L' in closed form: only the n diagonal columns are nonzero, and the
+        one of E_ii holds alpha * coeff[:, i] on the diagonal of vec."""
+        n = self.n
+        vidx = vech_index(n)
+        out = np.zeros((n * n, vidx.size), dtype=complex)
+        # the vec positions of the diagonal are the multiples of n + 1
+        diag = np.arange(n) * (n + 1)
+        out[np.ix_(diag, np.flatnonzero(vidx % (n + 1) == 0))] = self.alpha * self.coeff
+        return out
 
 
 @dataclass(frozen=True)
@@ -72,6 +90,19 @@ class GeneralVec:
         v = self.matrix @ p.ravel(order="F")
         return v.reshape(n, n, order="F")
 
+    def lprime(self) -> np.ndarray:
+        """L' in closed form: column (i, k) is the sum of the matrix columns
+        at vec(i, k) and, off the diagonal, vec(k, i)."""
+        n = self.n
+        if self.matrix.shape != (n * n, n * n):
+            raise ValueError(f"operator matrix shape {self.matrix.shape} is not square n^2")
+        vidx = vech_index(n)
+        rows, cols = vidx % n, vidx // n
+        out = self.matrix[:, vidx].astype(complex, copy=False)
+        off = np.flatnonzero(rows != cols)
+        out[:, off] += self.matrix[:, cols[off] + n * rows[off]]
+        return out
+
 
 OperatorSpec = Union[HadamardMask, DiagonalMap, GeneralVec]
 
@@ -86,27 +117,12 @@ def apply_L(op: OperatorSpec, p) -> np.ndarray:
     return op.apply(p)
 
 
-def operator_matrix(op: OperatorSpec, n: int) -> np.ndarray:
-    """Dense n^2 x n^2 matrix of L acting on column-major vec coordinates."""
-    out = np.zeros((n * n, n * n), dtype=complex)
-    basis = np.zeros((n, n))
-    for j in range(n * n):
-        basis.flat = 0.0
-        basis[j % n, j // n] = 1.0  # column-major basis element
-        out[:, j] = apply_L(op, basis).ravel(order="F")
-    return out
-
-
 def assemble_Lprime(op: OperatorSpec, n: int) -> np.ndarray:
-    """The n^2 x m matrix with column j = vec(L(vech_inv(e_j)))."""
-    m = n * (n + 1) // 2
-    out = np.zeros((n * n, m), dtype=complex)
-    ej = np.zeros(m)
-    for j in range(m):
-        ej.flat = 0.0
-        ej[j] = 1.0
-        out[:, j] = apply_L(op, vech_inv(ej)).ravel(order="F")
-    return out
+    """The n^2 x m matrix with column j = vec(L(vech_inv(e_j))), from the
+    operator's closed form."""
+    if op.n != n:
+        raise ValueError(f"dimension mismatch: operator is n={op.n}, L' asked for n={n}")
+    return op.lprime()
 
 
 @dataclass

@@ -229,3 +229,13 @@ def estimate_rate(errors, tail: int = 8, floor: float = RATE_FLOOR) -> RateEstim
     slope = np.polyfit(idx.astype(float), logs, 1)[0]
     ratios = errors[idx][1:] / errors[idx][:-1]
     return RateEstimate(rate=float(np.exp(slope)), ratios=ratios, points_used=idx.size)
+
+
+def measured_rate(plain: FixedPointBundle | None) -> float | None:
+    """Fitted rate of a converged plain (undamped) run; None when there is none to fit."""
+    if plain is None or not plain.converged or plain.damping != 1.0:
+        return None
+    try:
+        return estimate_rate(plain.errors_to_fixed).rate
+    except RateEstimationError:
+        return None

@@ -377,3 +377,38 @@ def test_max_column_relative_error_basics():
     b = a.copy()
     b[0, 0] += 1e-3
     assert max_column_relative_error(b, a) == pytest.approx(1e-3, rel=1e-10)
+
+
+@pytest.mark.parametrize("beta", [5.0, 20.0, 100.0])
+def test_fermi_jacobian_matches_fd_of_the_fermi_map(beta):
+    # at the Fermi fixed point, against the FD Jacobian of the Fermi map itself
+    problem = build_illustrative(0.1)
+    bundle, _ = locate_fixed_point(problem, ScfOptions(filter="fermi", beta=beta))
+    assert bundle.converged
+    jf = assemble_jacobian(bundle, assemble_Lprime(problem.op, problem.n))
+    assert jf.filter == "fermi"
+    fd = jacobian_fd(problem, bundle.p_star, filter="fermi", beta=beta)
+    assert max_column_relative_error(jf.j_p, fd) <= 1e-6
+    assert jf.c == pytest.approx(convergence_factor(fd), rel=1e-6)
+
+
+def test_fermi_jacobian_with_every_fprime_underflowed_is_finite():
+    problem = build_laplacian(8, 10.0, 3, variant="real")
+    bundle, _ = locate_fixed_point(problem, ScfOptions(filter="fermi", beta=5.0))
+    assert bundle.converged
+    jf = assemble_jacobian(bundle, assemble_Lprime(problem.op, problem.n))
+    diag = jf.pair_a == jf.pair_b
+    assert not np.any(jf.r[diag])  # sum of f' is exactly 0: no Fermi-level shift
+    assert np.all(np.isfinite(jf.j_p))
+    fd = jacobian_fd(problem, bundle.p_star, filter="fermi", beta=5.0)
+    assert max_column_relative_error(jf.j_p, fd) <= 1e-6
+
+
+def test_analyze_under_fermi_reports_the_fermi_map_only():
+    problem = build_illustrative(0.1)
+    report, bundle, jb = analyze_problem(problem, ScfOptions(filter="fermi", beta=20.0))
+    assert jb.filter == "fermi" and bundle.mu is not None
+    assert report.c == jb.c and report.c2 == jb.c2
+    for name in ("c2a", "c2b", "c_naive", "c_gap", "c_liu", "c_tilde"):
+        assert getattr(report, name) is None
+    assert report.to_dict()["omega"] is None

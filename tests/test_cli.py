@@ -306,6 +306,9 @@ def test_check_passes_on_laplacian(capsys, family):
         ["check", "--family", "illustrative", "--q-max", "2"],
         ["check", "--family", "illustrative", "--out", "report.txt"],
         ["sweep", "--family", "illustrative", "--axis", "eps", "--values", "0.1", "--q-max", "2"],
+        ["solve", "--family", "illustrative", "--seed", "1"],
+        ["analyze", "--family", "illustrative", "--seed", "1"],
+        ["sweep", "--family", "illustrative", "--axis", "eps", "--values", "0.1", "--seed", "1"],
     ],
 )
 def test_unread_flags_are_rejected(argv):
@@ -331,3 +334,24 @@ def test_sweep_quantities_match_analyze(tmp_path):
         "tilde:1": tilde[1], "tilde:3": tilde[3], "tilde:99": tilde[12],
     }
     assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_check_passes_under_fermi(capsys):
+    code = main(["check", "--family", "illustrative", "--filter", "fermi", "--beta", "20"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "FAIL" not in out
+    assert "PASS finite-difference oracle" in out
+    assert "INFO cyclic-permutation spectral radii: skipped" in out
+
+
+def test_sweep_under_fermi_leaves_the_step_ladder_empty(tmp_path):
+    out = tmp_path / "sweep.csv"
+    outputs = "c,c2,c2a,c2b,naive,liu,gap:1,tilde:1"
+    code = main(["sweep", "--family", "illustrative", "--axis", "eps", "--values", "0.1",
+                 "--filter", "fermi", "--beta", "20", "--outputs", outputs, "--out", str(out)])
+    assert code == 0
+    _, rows = read_csv(out)
+    values = {row[2]: row[3] for row in rows}
+    assert float(values["c"]) <= float(values["c2"])
+    assert all(values[t] == "" for t in outputs.split(",")[2:])

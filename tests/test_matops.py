@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scfconv.matops import (
     ChemicalPotentialError,
@@ -228,3 +230,64 @@ def test_divided_difference_rejects_unsorted():
         divided_difference_matrix(np.array([1.0, 0.0]), 1)
     with pytest.raises(ValueError):
         divided_difference_matrix(np.array([0.0, 1.0]), 1, kind="parabolic")
+
+
+def bisection_mu(lam, beta, p, tol=1e-12, max_iter=200):
+    """The chemical potential by plain bisection: the reference for the Newton search."""
+    lam = np.sort(np.asarray(lam, dtype=float))
+    lo, hi = lam[0] - 1.0, lam[-1] + 1.0
+    if fermi_occupations(lam, beta, lo).sum() > p or fermi_occupations(lam, beta, hi).sum() < p:
+        raise ChemicalPotentialError("not bracketed")
+    for _ in range(max_iter + 1):
+        mu = 0.5 * (lo + hi)
+        trace = fermi_occupations(lam, beta, mu).sum()
+        if abs(trace - p) <= tol:
+            return mu
+        if trace < p:
+            lo = mu
+        else:
+            hi = mu
+    raise ChemicalPotentialError("no convergence")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    p_frac=st.floats(0.0, 1.0),
+    log_beta=st.floats(-1.0, 5.0),
+    log_scale=st.floats(-2.0, 3.0),
+    clustered=st.booleans(),
+)
+def test_newton_chemical_potential_agrees_with_bisection(
+    seed, n, p_frac, log_beta, log_scale, clustered
+):
+    rng = np.random.default_rng(seed)
+    lam = rng.normal(size=n) * 10.0**log_scale
+    if clustered:  # near-degenerate levels around the Fermi level
+        lam = np.round(lam, 1)
+    p = min(1 + int(p_frac * (n - 1)), n - 1)
+    beta = 10.0**log_beta
+    outcomes = []
+    for search in (fermi_chemical_potential, bisection_mu):
+        try:
+            mu = search(lam, beta, p)
+        except ChemicalPotentialError:
+            outcomes.append(None)
+        else:
+            outcomes.append(abs(fermi_occupations(lam, beta, mu).sum() - p))
+    newton, bisection = outcomes
+    assert (newton is None) == (bisection is None)
+    if newton is not None:
+        assert newton <= 1e-12 and bisection <= 1e-12
+
+
+def test_newton_chemical_potential_contract_at_the_edges():
+    lam = np.array([0.0, 1.0, 2.0])
+    with pytest.raises(ChemicalPotentialError):  # not bracketed
+        fermi_chemical_potential(lam, 1.0, 0)
+    with pytest.raises(ChemicalPotentialError):  # too few steps for the target
+        fermi_chemical_potential(lam, 1.0, 1, tol=1e-15, max_iter=0)
+    # a flat gap (every f' underflows) falls back to bisection
+    mu = fermi_chemical_potential(np.array([0.0, 1e4]), 1e5, 1)
+    assert 0.0 < mu < 1e4

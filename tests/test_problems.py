@@ -13,11 +13,11 @@ from scfconv import (
     build_illustrative,
     build_laplacian,
     load_problem,
-    operator_matrix,
     save_problem,
     scf_solve,
     spectral_filter_density,
     vech,
+    vech_inv,
 )
 from scfconv.matops import symmetrize_S
 
@@ -37,7 +37,10 @@ def test_diagonal_map_matches_general_vec():
     rng = np.random.default_rng(0)
     coeff = rng.normal(size=(4, 4))
     op = DiagonalMap(coeff=coeff, alpha=2.5)
-    dense = GeneralVec(matrix=operator_matrix(op, 4))
+    # vec(L(P)) has alpha * coeff[l, k] P_kk at the diagonal position l
+    matrix = np.zeros((16, 16))
+    matrix[np.ix_(5 * np.arange(4), 5 * np.arange(4))] = 2.5 * coeff
+    dense = GeneralVec(matrix=matrix)
     p = random_hermitian(rng, 4)
     assert np.allclose(apply_L(op, p), apply_L(dense, p), atol=1e-13)
 
@@ -201,3 +204,62 @@ def test_json_rejects_invalid(tmp_path):
     path.write_text(json.dumps(unknown))
     with pytest.raises(ValueError):
         load_problem(path)
+
+
+def lprime_by_basis_loop(op, n):
+    """L' column by column, L applied to each vech basis matrix: the oracle of
+    the operators' closed forms."""
+    m = n * (n + 1) // 2
+    out = np.zeros((n * n, m), dtype=complex)
+    ej = np.zeros(m)
+    for j in range(m):
+        ej.flat = 0.0
+        ej[j] = 1.0
+        out[:, j] = apply_L(op, vech_inv(ej)).ravel(order="F")
+    return out
+
+
+def lprime_operators(n, rng):
+    real = rng.normal(size=(n, n))
+    cplx = real + 1j * rng.normal(size=(n, n))
+    big = rng.normal(size=(n * n, n * n))
+    return {
+        "hadamard-symmetric": HadamardMask(mask=(real + real.T) / 2.0),
+        "hadamard-nonsymmetric": HadamardMask(mask=real),
+        "hadamard-complex-hermitian": HadamardMask(mask=(cplx + cplx.conj().T) / 2.0),
+        "hadamard-complex": HadamardMask(mask=cplx),
+        "diagonal-map": DiagonalMap(coeff=real, alpha=2.5),
+        "diagonal-map-negative-alpha": DiagonalMap(coeff=real, alpha=-0.3),
+        # the dense vec matrix of a random map does not preserve Hermiticity
+        "general-vec-real": GeneralVec(matrix=big),
+        "general-vec-complex": GeneralVec(matrix=big + 1j * rng.normal(size=(n * n, n * n))),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "hadamard-symmetric",
+        "hadamard-nonsymmetric",
+        "hadamard-complex-hermitian",
+        "hadamard-complex",
+        "diagonal-map",
+        "diagonal-map-negative-alpha",
+        "general-vec-real",
+        "general-vec-complex",
+    ],
+)
+def test_assemble_Lprime_equals_the_basis_loop(name, n):
+    op = lprime_operators(n, np.random.default_rng(n))[name]
+    got = assemble_Lprime(op, n)
+    expected = lprime_by_basis_loop(op, n)
+    assert got.dtype == expected.dtype == complex
+    assert np.array_equal(got, expected)
+
+
+def test_assemble_Lprime_checks_the_dimension():
+    with pytest.raises(ValueError):
+        assemble_Lprime(HadamardMask(mask=np.ones((3, 3))), 4)
+    with pytest.raises(ValueError):
+        assemble_Lprime(GeneralVec(matrix=np.ones((9, 8))), 3)
