@@ -13,6 +13,9 @@ from the rows of W, c2b and the gap pair terms from L'[:, S] times the
 S-rows of the vech(x_a x_b^H) columns, and the rank-truncated family from
 one prefix pass over the pairs in gap order.  The dense Kronecker form
 survives only in ``cyclic_spectral_radii``, the check's oracle.
+
+``LADDER`` names these quantities, and ``ladder`` is the one evaluator that
+``analyze``, ``sweep`` and ``check`` read them from.
 """
 
 from __future__ import annotations
@@ -149,6 +152,11 @@ class JacobianBundle:
     def lprime_norm(self) -> float:
         """||L'||_2, read from the R factor of L'[:, S]."""
         return _norm2(self.lprime_r)
+
+    @cached_property
+    def gaps(self) -> GapStructure:
+        """The sorted cross gaps of ``lambdas``."""
+        return gap_structure(self.lambdas, self.p)
 
     @cached_property
     def c(self) -> float:
@@ -384,13 +392,6 @@ def _pair_terms(jb: JacobianBundle, gaps: GapStructure) -> np.ndarray:
     return norms.sum(axis=1) / gaps.cross_gaps
 
 
-def bound_gap(jb: JacobianBundle, gaps: GapStructure, q: int) -> float:
-    """Higher-gap bound: ||L'||_2 / delta_{q+1} plus the q smallest-gap pair terms."""
-    if not 0 <= q <= gaps.count:
-        raise ValueError(f"q={q} out of range [0, {gaps.count}]")
-    return bound_gap_all(jb, gaps, q_max=q)[q]
-
-
 def bound_gap_all(jb: JacobianBundle, gaps: GapStructure, q_max: int | None = None) -> np.ndarray:
     """The whole family c_gap[q] for q = 0 .. q_max (default p(n-p))."""
     full = gaps.count
@@ -499,6 +500,54 @@ def cyclic_spectral_radii(jb: JacobianBundle) -> list:
     ]
 
 
+# The ladder table: every quantity ``ladder`` evaluates, by its CLI name.  The
+# families gap:Q and tilde:K take an index, at least the number given here.
+LADDER = dict.fromkeys(("c", "c2", "c2a", "c2b", "naive", "liu")) | {"gap": 0, "tilde": 1}
+
+
+def ladder_token(token: str) -> tuple[str, int | None]:
+    """(name, index) of a token of the ladder table; ValueError for any other."""
+    name, colon, suffix = token.partition(":")
+    low = LADDER.get(name)
+    if name in LADDER and low is None and not colon:
+        return name, None
+    if low is not None and suffix.isdecimal() and int(suffix) >= low:
+        return name, int(suffix)
+    raise ValueError(
+        f"unknown output quantity {token!r}: the ladder table has {', '.join(LADDER)}, "
+        f"where gap:Q needs Q >= {LADDER['gap']} and tilde:K needs K >= {LADDER['tilde']}"
+    )
+
+
+def ladder(problem: Problem, jb: JacobianBundle, tokens) -> dict:
+    """The quantities of the ladder table that ``tokens`` name, keyed by token.
+
+    gap:Q and tilde:K past p(n-p) read the last member of their family, and
+    each family is evaluated once per call.  Above c2 the ladder is
+    step-filter theory: those values are None under the Fermi filter, and
+    liu is None for a problem whose metadata carries no coupling alpha.
+    """
+    wanted = {token: ladder_token(token) for token in tokens}
+    found = {name: getattr(jb, name) for name in ("c", "c2") if name in wanted}
+    if jb.filter == "step":
+        gaps = jb.gaps
+        if "c2a" in wanted or "c2b" in wanted:
+            found["c2a"], found["c2b"] = bound_cyclic(jb)
+        if "naive" in wanted:
+            found["naive"] = jb.c_naive(gaps)
+        if "liu" in wanted and problem.meta.get("alpha") is not None:
+            found["liu"] = bound_liu(problem, gaps.delta(1))
+        gap = {t: min(i, gaps.count) for t, (name, i) in wanted.items() if name == "gap"}
+        tilde = {t: min(i, gaps.count) for t, (name, i) in wanted.items() if name == "tilde"}
+        if gap:
+            found.update(zip(gap, bound_gap_all(jb, gaps)[list(gap.values())]))
+        if tilde:
+            ks = sorted(set(tilde.values()))
+            family = dict(zip(ks, bound_rank_truncated(jb, ks, gaps)))
+            found.update((t, family[k]) for t, k in tilde.items())
+    return {t: None if found.get(t) is None else float(found[t]) for t in wanted}
+
+
 @dataclass
 class ConvergenceReport:
     """Exact convergence factor, the full bound ladder, and the gap structure."""
@@ -519,15 +568,11 @@ class ConvergenceReport:
     fd_check: float | None = None
 
     def to_dict(self) -> dict:
-        deltas = None
-        omega = None
+        deltas = pairs = None
         if self.gaps is not None:
             deltas = [float(v) for v in self.gaps.cross_gaps]
         if self.c_gap is not None:
-            omega = [
-                [[int(a), int(b)] for a, b in self.gaps.omega(q)]
-                for q in range(len(self.c_gap))
-            ]
+            pairs = [list(pair) for pair in self.gaps.pairs]
         return {
             "n": self.n,
             "p": self.p,
@@ -541,7 +586,7 @@ class ConvergenceReport:
             "c_liu": self.c_liu,
             "c_tilde": self.c_tilde,
             "deltas": deltas,
-            "omega": omega,
+            "pairs": pairs,
             "measured_rate": self.measured_rate,
             "fd_check": self.fd_check,
         }
@@ -558,30 +603,32 @@ def analyze_problem(
     Divergent plain SCF is handled by damped fixed-point location; the
     Jacobian and every bound still apply at the located fixed point.
     ``q_max`` caps both the c_gap family and the rank-truncation list (the
-    full-rank value, which must equal c_2, is always included).  Under the
-    Fermi filter c and c2 are those of the Fermi map; the ladder above c2 is
-    step-filter theory and stays None.
+    full-rank value, which must equal c_2, is always included).  Every
+    number is read from ``ladder``: under the Fermi filter c and c2 are
+    those of the Fermi map, and the ladder above c2 stays None.
     """
+    if q_max is not None and q_max < 0:
+        raise ValueError(f"q_max={q_max} must be >= 0")
     bundle, plain = locate_fixed_point(problem, opts)
     if not bundle.converged:
         return ConvergenceReport(n=problem.n, p=problem.p, converged=False), bundle, None
     jb = assemble_jacobian(bundle, assemble_Lprime(problem.op, problem.n))
-    gaps = gap_structure(bundle.lambdas, problem.p)
-    report = ConvergenceReport(
-        n=problem.n, p=problem.p, converged=True, c=jb.c, c2=jb.c2, gaps=gaps
+    gaps = jb.gaps
+    q_top = gaps.count if q_max is None else min(q_max, gaps.count)
+    gap_tokens = [f"gap:{q}" for q in range(q_top + 1)]
+    tilde_ks = sorted(set(range(1, q_top + 1)) | {gaps.count})
+    values = ladder(
+        problem, jb,
+        ["c", "c2", "c2a", "c2b", "naive", "liu", *gap_tokens, *(f"tilde:{k}" for k in tilde_ks)],
     )
-    if jb.filter == "step":
-        full = gaps.count
-        q_top = full if q_max is None else min(q_max, full)
-        report.c2a, report.c2b = bound_cyclic(jb)
-        report.c_naive = jb.c_naive(gaps)
-        report.c_gap = bound_gap_all(jb, gaps, q_max=q_top)
-        if problem.meta.get("alpha") is not None:
-            report.c_liu = bound_liu(problem, gaps.delta(1))
-        tilde_ks = sorted(set(range(1, q_top + 1)) | {full})
-        report.c_tilde = [
-            [k, float(v)] for k, v in zip(tilde_ks, bound_rank_truncated(jb, tilde_ks, gaps))
-        ]
+    report = ConvergenceReport(
+        n=problem.n, p=problem.p, converged=True, c=values["c"], c2=values["c2"],
+        c2a=values["c2a"], c2b=values["c2b"], c_naive=values["naive"], c_liu=values["liu"],
+        gaps=gaps,
+    )
+    if values["gap:0"] is not None:
+        report.c_gap = np.array([values[t] for t in gap_tokens])
+        report.c_tilde = [[k, values[f"tilde:{k}"]] for k in tilde_ks]
 
     report.measured_rate = measured_rate(plain)
     if fd_check:

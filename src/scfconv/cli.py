@@ -17,16 +17,14 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import (
+    LADDER,
     analyze_problem,
     assemble_jacobian,
-    bound_cyclic,
-    bound_gap_all,
-    bound_liu,
-    bound_rank_truncated,
     convergence_factor,
     cyclic_spectral_radii,
-    gap_structure,
     jacobian_fd,
+    ladder,
+    ladder_token,
     max_column_relative_error,
     realified_jacobian_fd,
 )
@@ -87,25 +85,26 @@ def write_csv(path, header, rows) -> None:
 
 
 def build_problem(args) -> Problem:
-    if args.file:
-        return load_problem(args.file)
-    if args.family == "illustrative":
-        return build_illustrative(args.eps, d=args.d)
-    if args.family == "laplacian-complex":
-        return build_laplacian(args.n, args.alpha, args.p, variant="complex", h=args.h)
-    if args.family == "laplacian-real":
-        return build_laplacian(args.n, args.alpha, args.p, variant="real", h=args.h)
+    """The problem the arguments name; bad input exits with a one-line message."""
+    try:
+        if args.file:
+            return load_problem(args.file)
+        if args.family == "illustrative":
+            return build_illustrative(args.eps, d=args.d)
+        if args.family in ("laplacian-complex", "laplacian-real"):
+            variant = args.family.split("-")[1]
+            return build_laplacian(args.n, args.alpha, args.p, variant=variant, h=args.h)
+    except (ValueError, OSError) as exc:
+        raise SystemExit(str(exc)) from None
     raise SystemExit("either --family or --file is required")
 
 
 def build_opts(args) -> ScfOptions:
-    return ScfOptions(
-        tol=args.tol,
-        max_iter=args.max_iter,
-        damping=args.damping,
-        filter=args.filter,
-        beta=args.beta,
-    )
+    try:
+        return ScfOptions(tol=args.tol, max_iter=args.max_iter, damping=args.damping,
+                          filter=args.filter, beta=args.beta)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def cmd_solve(args) -> int:
@@ -148,19 +147,13 @@ def cmd_analyze(args) -> int:
 
 
 def parse_outputs(spec: str):
+    """The comma-separated tokens of the ladder table in ``spec``."""
     tokens = [t.strip() for t in spec.split(",") if t.strip()]
-    known = {"c", "c2", "c2a", "c2b", "naive", "liu"}
     for token in tokens:
-        base = token.split(":")[0]
-        if base not in known and base not in ("gap", "tilde"):
-            raise SystemExit(f"unknown output quantity {token!r}")
-        if base in ("gap", "tilde"):
-            try:
-                index = int(token.split(":")[1])
-            except (IndexError, ValueError):
-                raise SystemExit(f"quantity {token!r} needs an integer suffix, e.g. gap:1")
-            if index < (0 if base == "gap" else 1):
-                raise SystemExit(f"quantity {token!r}: gap:Q needs Q >= 0, tilde:K needs K >= 1")
+        try:
+            ladder_token(token)
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from None
     return tokens
 
 
@@ -175,48 +168,15 @@ def sweep_grid(args):
     raise SystemExit("sweep needs --values or --grid LO HI COUNT")
 
 
-def problem_at(args, axis: str, value: float) -> Problem:
-    if args.family == "illustrative":
-        if axis != "eps":
-            raise SystemExit("illustrative family sweeps over --axis eps")
-        return build_illustrative(value, d=args.d)
-    variant = "complex" if args.family == "laplacian-complex" else "real"
-    n, alpha = args.n, args.alpha
-    if axis == "alpha":
-        alpha = value
-    elif axis == "n":
-        n = int(round(value))
-    else:
-        raise SystemExit(f"axis {axis!r} not valid for family {args.family}")
-    return build_laplacian(n, alpha, args.p, variant=variant, h=args.h)
-
-
-def step_ladder(problem: Problem, jb, outputs) -> dict:
-    """The requested step-filter bounds above c2 of one sweep cell."""
-    gaps = gap_structure(jb.lambdas, jb.p)
-    base = {t: t.split(":")[0] for t in outputs}
-    # gap:Q and tilde:K, capped at p(n-p), each family in one call
-    index = {t: min(int(t.split(":")[1]), gaps.count) for t in outputs
-             if base[t] in ("gap", "tilde")}
-    gap_tokens = [t for t in index if base[t] == "gap"]
-    tilde_tokens = [t for t in index if base[t] == "tilde"]
-    quantities = {}
-    if gap_tokens:
-        family = bound_gap_all(jb, gaps)
-        quantities.update((t, family[index[t]]) for t in gap_tokens)
-    if tilde_tokens:
-        tilde = bound_rank_truncated(jb, [index[t] for t in tilde_tokens], gaps)
-        quantities.update(zip(tilde_tokens, tilde))
-    cyclic_tokens = [t for t in outputs if base[t] in ("c2a", "c2b")]
-    if cyclic_tokens:
-        cyc = dict(zip(("c2a", "c2b"), bound_cyclic(jb)))
-        quantities.update((t, cyc[base[t]]) for t in cyclic_tokens)
-    for token in outputs:
-        if token == "naive":
-            quantities[token] = jb.c_naive(gaps)
-        elif token == "liu":
-            quantities[token] = bound_liu(problem, gaps.delta(1))
-    return quantities
+def problem_at(args, value: float) -> Problem:
+    """The problem of one sweep cell: the family with ``--axis`` set to ``value``."""
+    if args.family == "illustrative" and args.axis != "eps":
+        raise SystemExit("illustrative family sweeps over --axis eps")
+    if args.family != "illustrative" and args.axis == "eps":
+        raise SystemExit(f"axis 'eps' not valid for family {args.family}")
+    if args.axis == "n":
+        value = int(round(value))
+    return build_problem(argparse.Namespace(**{**vars(args), "file": None, args.axis: value}))
 
 
 def cmd_sweep(args) -> int:
@@ -224,18 +184,17 @@ def cmd_sweep(args) -> int:
         raise SystemExit("sweep requires --family")
     outputs = parse_outputs(args.outputs)
     grid = sweep_grid(args)
+    opts = build_opts(args)
     rows = []
     for value in grid:
-        problem = problem_at(args, args.axis, value)
-        bundle, plain = locate_fixed_point(problem, build_opts(args))
+        problem = problem_at(args, value)
+        bundle, plain = locate_fixed_point(problem, opts)
         measured = measured_rate(plain)
         converged = 1 if (plain is not None and plain.converged) else 0
         quantities = {}
         if bundle.converged:
             jb = assemble_jacobian(bundle, assemble_Lprime(problem.op, problem.n))
-            quantities.update((t, getattr(jb, t)) for t in outputs if t in ("c", "c2"))
-            if jb.filter == "step":
-                quantities.update(step_ladder(problem, jb, outputs))
+            quantities = ladder(problem, jb, outputs)
         rows += [
             [args.axis, fmt(value), token, fmt(quantities.get(token)), converged, fmt(measured)]
             for token in outputs
@@ -243,6 +202,12 @@ def cmd_sweep(args) -> int:
     header = ["axis_name", "axis_value", "quantity", "value", "converged", "measured_rate"]
     write_csv(args.out, header, rows)
     return EXIT_OK
+
+
+def verdict(ok: bool, text: str) -> int:
+    """Print a PASS or FAIL line; 1 for a failure."""
+    print(f"{'PASS' if ok else 'FAIL'} {text}")
+    return int(not ok)
 
 
 def cmd_check(args) -> int:
@@ -255,46 +220,34 @@ def cmd_check(args) -> int:
     jb = assemble_jacobian(bundle, l_prime)
     if args.corrupt_jacobian:
         jb.j_p = jb.j_p + 1e-3 * np.eye(jb.m)
-    step = jb.filter == "step"
-
-    failures = 0
 
     fd = jacobian_fd(problem, bundle.p_star, filter=bundle.filter, beta=bundle.beta)
     fd_err = max_column_relative_error(jb.j_p, fd)
-    ok = fd_err <= 1e-6
-    failures += not ok
-    print(f"{'PASS' if ok else 'FAIL'} finite-difference oracle: max column error {fd_err:.3e}")
+    failures = verdict(fd_err <= 1e-6, f"finite-difference oracle: max column error {fd_err:.3e}")
 
     rng = np.random.default_rng(args.seed)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=problem.n))
     rotated = assemble_jacobian(replace(bundle, x=bundle.x * phases[None, :]), l_prime).j_p
     phase_err = float(np.abs(rotated - jb.j_p).max())
     ok = phase_err <= 1e-12 * max(1.0, float(np.abs(jb.j_p).max()))
-    failures += not ok
-    print(f"{'PASS' if ok else 'FAIL'} phase invariance: residual {phase_err:.3e}")
+    failures += verdict(ok, f"phase invariance: residual {phase_err:.3e}")
 
-    if not step:
+    if jb.filter != "step":
         print("INFO cyclic-permutation spectral radii: skipped, a step-filter identity")
-    elif problem.n <= 20:
+    elif problem.n > 20:
+        print("INFO cyclic-permutation spectral radii: skipped, n > 20")
+    else:
         radii = cyclic_spectral_radii(jb)
         spread = max(radii) - min(radii)
         ok = spread <= 1e-10 * max(1.0, max(radii))
-        failures += not ok
-        print(f"{'PASS' if ok else 'FAIL'} cyclic-permutation spectral radii: spread {spread:.3e}")
+        failures += verdict(ok, f"cyclic-permutation spectral radii: spread {spread:.3e}")
 
     c = jb.c
-    ladder = {"c2": jb.c2}
-    if step:
-        gaps = gap_structure(bundle.lambdas, problem.p)
-        ladder.update(zip(("c2a", "c2b"), bound_cyclic(jb)))
-        ladder.update((f"gap:{q}", val) for q, val in enumerate(bound_gap_all(jb, gaps)))
-    violations = [name for name, val in ladder.items() if c > val + 1e-10]
-    ok = not violations
-    failures += not ok
-    print(
-        f"{'PASS' if ok else 'FAIL'} bound chain: c={c:.6e}"
-        + (f", violated {violations}" if violations else "")
-    )
+    gap_tokens = [f"gap:{q}" for q in range(problem.p * (problem.n - problem.p) + 1)]
+    chain = ladder(problem, jb, ["c2", "c2a", "c2b", *gap_tokens])
+    violations = [name for name, val in chain.items() if val is not None and c > val + 1e-10]
+    violated = f", violated {violations}" if violations else ""
+    failures += verdict(not violations, f"bound chain: c={c:.6e}{violated}")
 
     j_real = realified_jacobian_fd(problem, bundle.p_star, filter=bundle.filter, beta=bundle.beta)
     rho_real = convergence_factor(j_real)
@@ -335,10 +288,11 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--grid", nargs=3, metavar=("LO", "HI", "COUNT"), default=None)
     p_sweep.add_argument("--grid-scale", choices=["linear", "log"], default="linear")
     p_sweep.add_argument("--values", default=None, help="explicit comma-separated grid")
+    table = (name if low is None else f"{name}:N (N >= {low})" for name, low in LADDER.items())
     p_sweep.add_argument(
         "--outputs",
         default="c,c2,c2a,c2b,naive",
-        help="comma list from c,c2,c2a,c2b,naive,liu,gap:Q,tilde:K",
+        help="comma list from the ladder table: " + ", ".join(table),
     )
     p_sweep.add_argument("--out", default=None, help="sweep CSV path (default stdout)")
     p_sweep.set_defaults(func=cmd_sweep)

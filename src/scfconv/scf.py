@@ -86,10 +86,6 @@ class FixedPointBundle:
     def iterations(self) -> int:
         return len(self.history)
 
-    @property
-    def step_errors(self) -> np.ndarray:
-        return np.array([rec.step_err for rec in self.history])
-
 
 def scf_step(problem: Problem, density, filter: str = "step", beta: float | None = None):
     """One application of the fixed-point map: P -> filter density of A0 + L(P).

@@ -11,7 +11,6 @@ from scfconv import (
     assemble_jacobian,
     bound_c2,
     bound_cyclic,
-    bound_gap,
     bound_gap_all,
     bound_liu,
     bound_naive,
@@ -167,7 +166,7 @@ def test_bound_gap_zero_equals_naive():
     bundle, _, jb = solved(problem)
     gaps = gap_structure(bundle.lambdas, problem.p)
     naive = bound_naive(jb.l_prime, gaps.delta(1))
-    assert bound_gap(jb, gaps, 0) == pytest.approx(naive, rel=1e-14)
+    assert bound_gap_all(jb, gaps)[0] == pytest.approx(naive, rel=1e-14)
 
 
 def test_bound_gap_explicit_formula():
@@ -187,12 +186,12 @@ def test_bound_gap_explicit_formula():
 
     norm_lp = np.linalg.norm(jb.l_prime, 2)
     expected_q1 = norm_lp / gaps.delta(2) + pair_term(0, 1, gaps.delta(1))
-    assert bound_gap(jb, gaps, 1) == pytest.approx(expected_q1, rel=1e-12)
+    assert bound_gap_all(jb, gaps)[1] == pytest.approx(expected_q1, rel=1e-12)
     # full q: no leading term, both pair contributions
     expected_q2 = pair_term(0, 1, gaps.delta(1)) + pair_term(0, 2, gaps.delta(2))
-    assert bound_gap(jb, gaps, 2) == pytest.approx(expected_q2, rel=1e-12)
+    assert bound_gap_all(jb, gaps)[2] == pytest.approx(expected_q2, rel=1e-12)
     with pytest.raises(ValueError):
-        bound_gap(jb, gaps, 3)
+        bound_gap_all(jb, gaps, q_max=3)
 
 
 def test_bound_gap_family_is_cumulative():
@@ -360,7 +359,7 @@ def test_analyze_problem_report_consistency():
     assert len(payload["deltas"]) == 2
     assert payload["c_tilde"][-1][0] == 2
     assert payload["c_tilde"][-1][1] == pytest.approx(report.c2, rel=1e-12)
-    assert payload["omega"][1] == [[2, 1], [1, 2]]
+    assert payload["pairs"][:1] == [[1, 2]]
     assert payload["c_liu"] is None
 
 
@@ -411,4 +410,4 @@ def test_analyze_under_fermi_reports_the_fermi_map_only():
     assert report.c == jb.c and report.c2 == jb.c2
     for name in ("c2a", "c2b", "c_naive", "c_gap", "c_liu", "c_tilde"):
         assert getattr(report, name) is None
-    assert report.to_dict()["omega"] is None
+    assert report.to_dict()["pairs"] is None

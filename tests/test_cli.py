@@ -2,12 +2,27 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scfconv import HadamardMask, Problem, save_problem
-from scfconv.cli import main
+from scfconv import (
+    LADDER,
+    GeneralVec,
+    HadamardMask,
+    Problem,
+    ScfOptions,
+    analyze_problem,
+    ladder,
+    load_problem,
+    save_problem,
+)
+from scfconv import cli
+from scfconv.cli import main, parse_outputs
 
 
 def read_csv(path):
@@ -111,7 +126,7 @@ def test_analyze_laplacian_omega_listing(tmp_path):
     )
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["omega"][3] == [[4, 3], [3, 4], [4, 2], [2, 4], [5, 3], [3, 5]]
+    assert payload["pairs"][:3] == [[3, 4], [2, 4], [3, 5]]
     assert payload["c_liu"] is not None
     assert payload["fd_check"] is None
 
@@ -316,24 +331,139 @@ def test_unread_flags_are_rejected(argv):
         main(argv)
 
 
-def test_sweep_quantities_match_analyze(tmp_path):
-    common = ["--family", "laplacian-real", "--n", "7", "--p", "3", "--alpha", "10"]
-    report_path, sweep_path = tmp_path / "report.json", tmp_path / "sweep.csv"
+def general_vec_file(tmp_path) -> str:
+    """A saved problem with a dense GeneralVec operator, L(P) = sum_k B_k P B_k^H."""
+    rng = np.random.default_rng(7)
+    n = 5
+    matrix = np.zeros((n * n, n * n), dtype=complex)
+    for _ in range(3):
+        b = 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(n)
+        matrix += np.kron(b.conj(), b)
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a0 = 0.15 * (h + h.conj().T) + np.diag(2.0 * np.arange(n))
+    path = tmp_path / "general_vec.json"
+    save_problem(Problem(a0=a0, op=GeneralVec(matrix=matrix), p=2), path)
+    return str(path)
+
+
+# problem arguments and the sweep axis that reproduces them; None: no sweep
+# reads a file, so that case evaluates the table directly.  The illustrative
+# family has no coupling alpha, so its liu cell is empty, as analyze's null.
+LADDER_CASES = {
+    "illustrative": (
+        ["--family", "illustrative", "--eps", "0.1"],
+        ["--axis", "eps", "--values", "0.1"],
+    ),
+    "laplacian-real": (
+        ["--family", "laplacian-real", "--n", "7", "--p", "3", "--alpha", "10"],
+        ["--axis", "alpha", "--values", "10"],
+    ),
+    "general-vec": (None, None),
+}
+TABLE_TOKENS = "c,c2,c2a,c2b,naive,liu,gap:0,gap:2,gap:99,tilde:1,tilde:3,tilde:99".split(",")
+
+
+def report_value(report, token):
+    """The field of an ``analyze`` report that a ladder token names."""
+    name, _, index = token.partition(":")
+    if not index:
+        return report["c_naive" if name == "naive" else "c_liu" if name == "liu" else name]
+    family = report["c_gap"] if name == "gap" else report["c_tilde"]
+    if family is None:
+        return None
+    family = dict(family) if name == "tilde" else family
+    return family[min(int(index), report["p"] * (report["n"] - report["p"]))]
+
+
+@pytest.mark.parametrize("filter_args", [[], ["--filter", "fermi", "--beta", "20"]],
+                         ids=["step", "fermi"])
+@pytest.mark.parametrize("case", list(LADDER_CASES))
+def test_sweep_quantities_match_analyze(tmp_path, monkeypatch, capsys, case, filter_args):
+    problem_args, sweep_args = LADDER_CASES[case]
+    if problem_args is None:
+        problem_args = ["--file", general_vec_file(tmp_path)]
+    common = [*problem_args, *filter_args]
+    report_path = tmp_path / "report.json"
     assert main(["analyze", *common, "--out", str(report_path)]) == 0
-    outputs = "c,c2,c2a,c2b,naive,liu,gap:0,gap:2,gap:99,tilde:1,tilde:3,tilde:99"
-    args = ["sweep", *common, "--axis", "alpha", "--values", "10", "--outputs", outputs]
-    assert main(args + ["--out", str(sweep_path)]) == 0
     report = json.loads(report_path.read_text())
-    _, rows = read_csv(sweep_path)
-    got = {row[2]: float(row[3]) for row in rows}
-    tilde = dict(report["c_tilde"])
-    expected = {
-        "c": report["c"], "c2": report["c2"], "c2a": report["c2a"], "c2b": report["c2b"],
-        "naive": report["c_naive"], "liu": report["c_liu"],
-        "gap:0": report["c_gap"][0], "gap:2": report["c_gap"][2], "gap:99": report["c_gap"][12],
-        "tilde:1": tilde[1], "tilde:3": tilde[3], "tilde:99": tilde[12],
-    }
-    assert got == pytest.approx(expected, rel=1e-12)
+    expected = {t: report_value(report, t) for t in TABLE_TOKENS}
+    step_only = [t for t in TABLE_TOKENS if t not in ("c", "c2", "liu")]
+    assert all((expected[t] is None) == bool(filter_args) for t in step_only)
+
+    if sweep_args is None:
+        problem = load_problem(problem_args[1])
+        opts = ScfOptions(filter="fermi", beta=20.0) if filter_args else None
+        _, _, jb = analyze_problem(problem, opts)
+        got = ladder(problem, jb, TABLE_TOKENS)
+    else:
+        sweep_path = tmp_path / "sweep.csv"
+        args = ["sweep", *common, *sweep_args, "--outputs", ",".join(TABLE_TOKENS)]
+        assert main(args + ["--out", str(sweep_path)]) == 0
+        _, rows = read_csv(sweep_path)
+        got = {row[2]: float(row[3]) if row[3] else None for row in rows}
+    assert got.keys() == expected.keys()
+    for token, value in expected.items():
+        assert (got[token] is None) == (value is None), token
+        if value is not None:
+            assert got[token] == pytest.approx(value, rel=1e-12), token
+
+    # check's bound chain reads the same table
+    chains = []
+
+    def spy(problem, jb, tokens):
+        chains.append(ladder(problem, jb, tokens))
+        return chains[-1]
+
+    monkeypatch.setattr(cli, "ladder", spy)
+    assert main(["check", *common]) == 0
+    assert f"PASS bound chain: c={report['c']:.6e}" in capsys.readouterr().out
+    (chain,) = chains
+    assert list(chain)[:3] == ["c2", "c2a", "c2b"]
+    assert len(chain) == 3 + report["p"] * (report["n"] - report["p"]) + 1
+    for token, value in chain.items():
+        want = report_value(report, token)
+        assert (value is None) == (want is None), token
+        if want is not None:
+            assert value == pytest.approx(want, rel=1e-12), token
+
+
+def test_parse_outputs_accepts_exactly_the_ladder_table():
+    tokens = [name if low is None else f"{name}:{low}" for name, low in LADDER.items()]
+    assert parse_outputs(" , ".join(tokens)) == tokens
+    assert parse_outputs("gap:7,tilde:99") == ["gap:7", "tilde:99"]
+    for bad in ["c:1", "liu:0", "gap", "gap:", "gap:x", "tilde:0", "gap:-1", "c_naive", "omega"]:
+        with pytest.raises(SystemExit):
+            parse_outputs(bad)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--family", "laplacian-real", "--n", "5", "--p", "5"],
+        ["sweep", "--family", "laplacian-real", "--n", "6", "--p", "0", "--axis", "alpha",
+         "--values", "10"],
+        ["check", "--family", "illustrative", "--filter", "fermi"],
+        ["solve", "--family", "illustrative", "--damping", "0"],
+        ["analyze", "--file", "no-such-problem.json"],
+    ],
+    ids=["p-ge-n", "p-zero", "fermi-without-beta", "damping-zero", "missing-file"],
+)
+def test_bad_input_is_one_line_on_stderr(tmp_path, argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "scfconv.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert done.stdout == ""
+
+
+def test_check_says_it_skips_the_cyclic_radii_past_n20(capsys):
+    code = main(["check", "--family", "laplacian-real", "--n", "22", "--p", "5", "--alpha", "10"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "INFO cyclic-permutation spectral radii: skipped, n > 20" in out.splitlines()
 
 
 def test_check_passes_under_fermi(capsys):
