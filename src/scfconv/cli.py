@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -129,6 +130,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.q_max is not None and args.q_max < 0:
+        raise SystemExit(f"--q-max must be >= 0, got {args.q_max}")
     problem = build_problem(args)
     report, _, _ = analyze_problem(
         problem, opts=build_opts(args), q_max=args.q_max, fd_check=args.fd_check
@@ -158,13 +161,16 @@ def parse_outputs(spec: str):
 
 
 def sweep_grid(args):
-    if args.values:
-        return [float(v) for v in args.values.split(",")]
-    if args.grid:
-        lo, hi, count = float(args.grid[0]), float(args.grid[1]), int(args.grid[2])
-        if args.grid_scale == "log":
-            return list(np.geomspace(lo, hi, count))
-        return list(np.linspace(lo, hi, count))
+    try:
+        if args.values:
+            return [float(v) for v in args.values.split(",")]
+        if args.grid:
+            lo, hi, count = float(args.grid[0]), float(args.grid[1]), int(args.grid[2])
+            if args.grid_scale == "log":
+                return list(np.geomspace(lo, hi, count))
+            return list(np.linspace(lo, hi, count))
+    except ValueError as exc:
+        raise SystemExit(f"bad sweep grid: {exc}") from None
     raise SystemExit("sweep needs --values or --grid LO HI COUNT")
 
 
@@ -309,6 +315,9 @@ def main(argv=None) -> int:
     p_check.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)
+    out_dir = os.path.dirname(getattr(args, "out", None) or "")
+    if out_dir and not os.path.isdir(out_dir):
+        raise SystemExit(f"output directory {out_dir!r} does not exist")
     return args.func(args)
 
 

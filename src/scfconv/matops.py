@@ -121,13 +121,14 @@ def _check_cross_gap(lam: np.ndarray, p: int, tol: float = GAP_TOL) -> float:
     return gap
 
 
-def spectral_filter_density(b, p: int, return_eig: bool = False):
+def spectral_filter_density(b, p: int, return_eig: bool = False, name: str = "matrix"):
     """Orthogonal projector onto the invariant subspace of the p smallest eigenvalues.
 
     Returns ``P = X1 @ X1^H`` with P Hermitian, P^2 = P, trace(P) = p.  With
     ``return_eig`` the full ascending eigendecomposition is returned as well.
+    ``name`` labels ``b`` in the Hermiticity error.
     """
-    b = require_hermitian(b)
+    b = require_hermitian(b, name=name)
     n = b.shape[0]
     if not 1 <= p < n:
         raise ValueError(f"occupation p={p} must satisfy 1 <= p < n={n}")

@@ -215,18 +215,29 @@ def _encode_complex_matrix(a: np.ndarray) -> list:
 
 
 def _decode_matrix(data, name: str) -> np.ndarray:
-    def decode_entry(entry):
-        if isinstance(entry, (int, float)):
-            return complex(entry)
-        if isinstance(entry, (list, tuple)) and len(entry) == 2:
-            return complex(entry[0], entry[1])
-        raise ValueError(f"{name}: entries must be numbers or [re, im] pairs")
-
-    a = np.array([[decode_entry(entry) for entry in row] for row in data])
-    if a.ndim != 2:
+    """The matrix of JSON rows of numbers or [re, im] pairs; real when no entry
+    has a nonzero imaginary part."""
+    try:
+        raw = np.asarray(data)
+    except ValueError:
+        # Rows that mix numbers with pairs (or rows of unequal length).
+        try:
+            raw = np.asarray(
+                [[e if isinstance(e, (list, tuple)) else (e, 0.0) for e in row] for row in data]
+            )
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} must be a matrix") from None
+    if raw.ndim < 2:
         raise ValueError(f"{name} must be a matrix")
-    if np.all(a.imag == 0):
-        return a.real
+    if raw.dtype.kind not in "biuf" or raw.shape[2:] not in ((), (2,)):
+        raise ValueError(f"{name}: entries must be numbers or [re, im] pairs")
+    if raw.ndim == 2:
+        return raw.astype(float)
+    if not raw[..., 1].any():
+        return raw[..., 0].astype(float)
+    a = np.empty(raw.shape[:2], dtype=complex)
+    a.real = raw[..., 0]
+    a.imag = raw[..., 1]
     return a
 
 

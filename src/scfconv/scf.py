@@ -17,6 +17,16 @@ from .problems import Problem
 
 RATE_FLOOR = 100.0 * np.finfo(float).eps
 
+# A run inside locate_fixed_point ends once its step error has stopped
+# changing: its last STALL_STEPS step errors agree to within a relative
+# STALL_SPREAD.  Such a run sits on a cycle of the map, not on its way to a
+# fixed point: a geometric run whose step shrinks that slowly needs about 1e9
+# steps to shrink it 1e12-fold.  A run whose step error shrinks, grows
+# or wanders, including one that drifts away from its start for a long time
+# before it converges, is left alone.
+STALL_STEPS = 50
+STALL_SPREAD = 1e-6
+
 
 class RateEstimationError(RuntimeError):
     """Too few usable tail points; rerun with a smaller tol or more iterations."""
@@ -94,26 +104,36 @@ def scf_step(problem: Problem, density, filter: str = "step", beta: float | None
     of A(P) for diagnostics.
     """
     density = require_hermitian(density, name="P")
-    a = require_hermitian(problem.apply(density), tol=1e-10, name="A(P)")
+    a = problem.apply(density)
     if filter == "step":
-        return spectral_filter_density(a, problem.p, return_eig=True)
+        return spectral_filter_density(a, problem.p, return_eig=True, name="A(P)")
     if filter == "fermi":
         if beta is None or beta <= 0:
             raise ValueError("fermi filter requires beta > 0")
-        lam, x = np.linalg.eigh(a)
+        lam, x = np.linalg.eigh(require_hermitian(a, name="A(P)"))
         mu = fermi_chemical_potential(lam, beta, problem.p)
         f = fermi_occupations(lam, beta, mu)
         return (x * f) @ x.conj().T, lam, x
     raise ValueError(f"unknown filter {filter!r}")
 
 
-def scf_solve(problem: Problem, p0=None, opts: ScfOptions | None = None) -> FixedPointBundle:
+def scf_solve(
+    problem: Problem,
+    p0=None,
+    opts: ScfOptions | None = None,
+    *,
+    stall_steps: int | None = None,
+) -> FixedPointBundle:
     """Iterate P_{k+1} = (1-theta) P_k + theta Psi(P_k) until the step is below tol.
 
     Non-convergence is not an exception: the returned bundle carries the full
     history with ``converged=False`` so parameter sweeps over diverging ranges
     still emit data.  A zero cross gap at some iterate raises ZeroGapError
     identifying the iterate index.
+
+    By default the run goes on to ``opts.max_iter``.  With ``stall_steps`` it
+    also ends, unconverged, once the last ``stall_steps`` step errors agree to
+    within ``STALL_SPREAD``; only ``locate_fixed_point`` sets it.
     """
     opts = opts or ScfOptions()
     if p0 is None:
@@ -149,6 +169,10 @@ def scf_solve(problem: Problem, p0=None, opts: ScfOptions | None = None) -> Fixe
         if step_err <= opts.tol:
             converged = True
             break
+        if stall_steps and len(history) >= stall_steps:
+            window = [rec.step_err for rec in history[-stall_steps:]]
+            if max(window) <= (1.0 + STALL_SPREAD) * min(window):
+                break
     p_star = density
     a_star = problem.apply(p_star)
     lam, x = np.linalg.eigh(require_hermitian(a_star, tol=1e-10, name="A(P*)"))
@@ -183,14 +207,22 @@ def locate_fixed_point(
     (the one rate measurements may use) and bundle is the first converged run.
     Needed to evaluate divergent cases (c > 1), where plain SCF never settles
     but the damped iteration shares the same fixed points.
+
+    Every run here (the plain one and each damped fallback) ends once its
+    step error has stopped changing (``STALL_STEPS``, ``STALL_SPREAD``), so a
+    plain run caught in a cycle hands over to damping long before
+    ``max_iter``.  ``scf_solve`` alone, as ``solve`` runs it, keeps going to
+    ``max_iter``.
     """
     opts = opts or ScfOptions()
-    plain = scf_solve(problem, opts=replace(opts, damping=1.0))
+    plain = scf_solve(problem, opts=replace(opts, damping=1.0), stall_steps=STALL_STEPS)
     if plain.converged:
         return plain, plain
     for theta in fallback_dampings:
         damped = scf_solve(
-            problem, opts=replace(opts, damping=theta, max_iter=fallback_max_iter)
+            problem,
+            opts=replace(opts, damping=theta, max_iter=fallback_max_iter),
+            stall_steps=STALL_STEPS,
         )
         if damped.converged:
             return damped, plain

@@ -445,8 +445,17 @@ def test_parse_outputs_accepts_exactly_the_ladder_table():
         ["check", "--family", "illustrative", "--filter", "fermi"],
         ["solve", "--family", "illustrative", "--damping", "0"],
         ["analyze", "--file", "no-such-problem.json"],
+        ["sweep", "--family", "illustrative", "--axis", "eps", "--values", "0.1,x"],
+        ["sweep", "--family", "illustrative", "--axis", "eps", "--grid", "0.1", "0.2", "x"],
+        ["analyze", "--family", "illustrative", "--q-max", "-1"],
+        ["analyze", "--family", "illustrative", "--out", "no-such-dir/report.json"],
+        ["solve", "--family", "illustrative", "--out", "no-such-dir/history.csv"],
+        ["sweep", "--family", "illustrative", "--axis", "eps", "--values", "0.1",
+         "--out", "no-such-dir/sweep.csv"],
     ],
-    ids=["p-ge-n", "p-zero", "fermi-without-beta", "damping-zero", "missing-file"],
+    ids=["p-ge-n", "p-zero", "fermi-without-beta", "damping-zero", "missing-file",
+         "sweep-bad-value", "sweep-bad-count", "negative-q-max", "analyze-out-missing-dir",
+         "solve-out-missing-dir", "sweep-out-missing-dir"],
 )
 def test_bad_input_is_one_line_on_stderr(tmp_path, argv):
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -20,6 +20,7 @@ from scfconv import (
     vech_inv,
 )
 from scfconv.matops import symmetrize_S
+from scfconv.problems import _decode_matrix
 
 from conftest import random_hermitian
 
@@ -204,6 +205,79 @@ def test_json_rejects_invalid(tmp_path):
     path.write_text(json.dumps(unknown))
     with pytest.raises(ValueError):
         load_problem(path)
+
+
+def decode_matrix_per_entry(data, name):
+    """The entry-by-entry JSON matrix decoder that ``_decode_matrix`` replaced."""
+    def decode_entry(entry):
+        if isinstance(entry, (int, float)):
+            return complex(entry)
+        if isinstance(entry, (list, tuple)) and len(entry) == 2:
+            return complex(entry[0], entry[1])
+        raise ValueError(f"{name}: entries must be numbers or [re, im] pairs")
+
+    a = np.array([[decode_entry(entry) for entry in row] for row in data])
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a matrix")
+    if np.all(a.imag == 0):
+        return a.real
+    return a
+
+
+DECODER_INPUTS = {
+    "real": [[1.0, -2.5], [3, 4e-300]],
+    "complex": [[[1.0, 0.0], [2.0, -1.5]], [[2.0, 1.5], [-3.0, 0.0]]],
+    "pairs-with-zero-imag": [[[1.0, 0.0], [2.0, -0.0]], [[2.0, 0.0], [3.0, 0.0]]],
+    "mixed": [[1.0, [2.0, -1.5]], [[2.0, 1.5], 3]],
+    "mixed-real": [[1.0, [2.0, 0.0]], [[2.0, 0.0], 3]],
+    "signed-zero-real": [[-0.0, 0.0], [0.0, -0.0]],
+    "signed-zero-complex": [[[-0.0, -0.0], [0.0, -0.0]], [[-0.0, 1.0], [0.0, 0.0]]],
+}
+
+
+@pytest.mark.parametrize("data", DECODER_INPUTS.values(), ids=DECODER_INPUTS.keys())
+def test_decode_matrix_matches_the_per_entry_decoder(data):
+    got = _decode_matrix(data, "A0")
+    want = decode_matrix_per_entry(data, "A0")
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [["1.0", 2.0], [2.0, 3.0]],
+        [[[1.0, 2.0, 3.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]],
+        [[[1.0, 2.0, 3.0], [1.0, 0.0, 0.0]], [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]],
+        [[1.0, [2.0, 3.0, 4.0]], [[2.0, 1.0], 3.0]],
+        [[None, 1.0], [1.0, 0.0]],
+        [[1.0, 2.0], [3.0]],
+        [1.0, 2.0],
+    ],
+    ids=["string", "triple-mixed", "triples", "mixed-triple", "null", "ragged", "vector"],
+)
+def test_decode_matrix_rejects_malformed_entries(data):
+    with pytest.raises(ValueError, match="A0"):
+        _decode_matrix(data, "A0")
+
+
+def test_load_problem_reads_a_file_that_mixes_numbers_and_pairs(tmp_path):
+    import json
+
+    path = tmp_path / "mixed.json"
+    payload = {
+        "n": 2,
+        "p": 1,
+        "A0": [[0.0, [1.0, -0.5]], [[1.0, 0.5], 2]],
+        "operator": {"kind": "hadamard", "mask": [[1.0, [0.0, 0.0]], [0.0, 1.0]]},
+    }
+    path.write_text(json.dumps(payload))
+    problem = load_problem(path)
+    assert np.array_equal(problem.a0, [[0.0, 1.0 - 0.5j], [1.0 + 0.5j, 2.0]])
+    assert not np.iscomplexobj(problem.op.mask)
+    assert np.array_equal(problem.op.mask, np.eye(2))
 
 
 def lprime_by_basis_loop(op, n):

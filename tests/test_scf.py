@@ -1,7 +1,12 @@
 """Unit tests for the fixed-point iteration and rate estimation."""
 
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scfconv import (
     HadamardMask,
@@ -16,7 +21,8 @@ from scfconv import (
     scf_step,
     spectral_filter_density,
 )
-from scfconv.scf import RateEstimationError
+from scfconv.cli import main
+from scfconv.scf import STALL_SPREAD, STALL_STEPS, RateEstimationError, measured_rate
 
 from conftest import random_hermitian
 
@@ -151,3 +157,126 @@ def test_estimate_rate_ignores_floor_noise():
 def test_estimate_rate_too_short():
     with pytest.raises(RateEstimationError):
         estimate_rate([1.0, 0.5, 0.25])
+
+
+# The sweep grids of the benchmark: Laplacian complex n=30, p=15 over alpha,
+# and the illustrative problem under Fermi (beta=20) over eps.  Plain SCF
+# diverges above alpha ~ 2e5 and below eps ~ 0.1.  The two slowest convergent
+# cells are Fermi eps=0.126 (grid point, 239 steps) and alpha=2.1e5 (151).
+ALPHA_CELLS = [("laplacian", float(a)) for a in np.geomspace(1e4, 5e5, 10)] + [
+    ("laplacian", 2.1e5)
+]
+EPS_CELLS = [("fermi", float(e)) for e in np.geomspace(1e-3, 0.5, 10)]
+
+
+def sweep_cell(kind, value):
+    if kind == "laplacian":
+        return build_laplacian(30, value, 15, variant="complex"), ScfOptions()
+    return build_illustrative(value), ScfOptions(filter="fermi", beta=20.0)
+
+
+def coupled_hadamard_problem(seed, coupling):
+    """Unit-spaced A0 with a Hermitian mask of strength ``coupling``; plain SCF
+    diverges on more than half of them for coupling in [0.3, 8]."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 9))
+    a0 = np.diag(np.arange(n) + rng.uniform(-0.3, 0.3, size=n)) + random_hermitian(rng, n, 0.1)
+    mask = coupling * random_hermitian(rng, n) / np.sqrt(n)
+    return Problem(a0=a0, op=HadamardMask(mask=mask), p=int(rng.integers(1, n)))
+
+
+def full_length_locate(problem, opts, fallback_dampings=(0.5, 0.2, 0.05)):
+    """``locate_fixed_point`` with every run taken to its max_iter."""
+    plain = scf_solve(problem, opts=replace(opts, damping=1.0))
+    if plain.converged:
+        return plain, plain
+    for theta in fallback_dampings:
+        damped = scf_solve(problem, opts=replace(opts, damping=theta, max_iter=5000))
+        if damped.converged:
+            return damped, plain
+    return plain, plain
+
+
+@pytest.mark.parametrize("kind,value", ALPHA_CELLS + EPS_CELLS)
+def test_stopping_stalled_runs_changes_no_result(kind, value):
+    problem, opts = sweep_cell(kind, value)
+    bundle, plain = locate_fixed_point(problem, opts)
+    ref_bundle, ref_plain = full_length_locate(problem, opts)
+    assert plain.converged == ref_plain.converged
+    assert measured_rate(plain) == measured_rate(ref_plain)
+    assert bundle.converged == ref_bundle.converged
+    assert bundle.damping == ref_bundle.damping
+    assert np.array_equal(bundle.p_star, ref_bundle.p_star)
+    if ref_plain.converged:
+        assert plain.iterations == ref_plain.iterations
+
+
+@pytest.mark.parametrize("kind,value", [("laplacian", 5e5), ("fermi", 0.0316)])
+def test_divergent_plain_run_stops_early_and_damping_still_converges(kind, value):
+    problem, opts = sweep_cell(kind, value)
+    bundle, plain = locate_fixed_point(problem, opts)
+    assert not plain.converged
+    assert plain.iterations < opts.max_iter
+    steps = np.array([rec.step_err for rec in plain.history])
+    flat = [
+        steps[k - STALL_STEPS:k].max() <= (1 + STALL_SPREAD) * steps[k - STALL_STEPS:k].min()
+        for k in range(STALL_STEPS, plain.iterations + 1)
+    ]
+    assert flat[-1] and not any(flat[:-1])
+    assert bundle.converged
+    assert bundle.damping < 1.0
+
+
+def test_a_run_that_drifts_for_many_steps_before_it_converges_is_not_stopped():
+    # Plain SCF on this problem moves away from its start, its step error
+    # growing from 0.15 to 1.2, then converges in 113 steps.  Its step error
+    # makes no new smallest value for more than STALL_STEPS steps on the way.
+    problem = coupled_hadamard_problem(1692024465, 5.2966306704797175)
+    full = scf_solve(problem)
+    steps = np.array([rec.step_err for rec in full.history])
+    assert full.converged
+    new_minimum = np.flatnonzero(steps < np.minimum.accumulate(np.r_[np.inf, steps[:-1]]))
+    assert np.diff(new_minimum).max() > STALL_STEPS
+    bundle, plain = locate_fixed_point(problem)
+    assert plain.converged and bundle is plain
+    assert plain.iterations == full.iterations
+    assert np.array_equal(plain.p_star, full.p_star)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    coupling=st.floats(0.3, 8.0),
+)
+def test_stop_keeps_the_converged_flag_on_random_hadamard_problems(seed, coupling):
+    problem = coupled_hadamard_problem(seed, coupling)
+    try:
+        full = scf_solve(problem)
+    except ZeroGapError:
+        return
+    _, plain = locate_fixed_point(problem, fallback_dampings=())
+    assert plain.converged == full.converged
+    if full.converged:
+        assert np.array_equal(plain.p_star, full.p_star)
+
+
+@settings(max_examples=25, deadline=None)
+@given(eps=st.floats(1e-3, 1.0), beta=st.sampled_from([5.0, 20.0, 100.0]))
+def test_stop_keeps_the_converged_flag_on_the_fermi_illustrative_family(eps, beta):
+    problem = build_illustrative(eps)
+    opts = ScfOptions(filter="fermi", beta=beta)
+    full = scf_solve(problem, opts=opts)
+    _, plain = locate_fixed_point(problem, opts, fallback_dampings=())
+    assert plain.converged == full.converged
+    if full.converged:
+        assert np.array_equal(plain.p_star, full.p_star)
+
+
+def test_solve_runs_a_divergent_cell_to_max_iter(tmp_path):
+    out = tmp_path / "history.csv"
+    code = main(["solve", "--family", "illustrative", "--eps", "0.0316", "--filter", "fermi",
+                 "--beta", "20", "--out", str(out)])
+    assert code == 2
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == ScfOptions().max_iter
