@@ -11,7 +11,7 @@ and J is exactly zero outside the columns S.  Every reported number is read
 from small matrices of this core: c = rho(J[S, S]), c2 = ||J[:, S]||_2, c2a
 from the rows of W, c2b and the gap pair terms from L'[:, S] times the
 S-rows of the vech(x_a x_b^H) columns, and the rank-truncated family from
-one prefix pass over the pairs in gap order.  The dense Kronecker form
+one running sum over the pairs in gap order.  The dense Kronecker form
 survives only in ``cyclic_spectral_radii``, the check's oracle.
 
 ``LADDER`` names these quantities, and ``ladder`` is the one evaluator that
@@ -27,6 +27,7 @@ import numpy as np
 
 from .matops import (
     ZeroGapError,
+    _check_cross_gap,
     divided_difference_matrix,
     fermi_chemical_potential,
     vech,
@@ -80,11 +81,7 @@ def gap_structure(lambdas, p: int) -> GapStructure:
     n = lam.shape[0]
     if not 1 <= p < n:
         raise ValueError(f"occupation p={p} must satisfy 1 <= p < n={n}")
-    scale = max(1.0, float(np.abs(lam).max()))
-    if lam[p] - lam[p - 1] <= 1e-12 * scale:
-        raise ZeroGapError(
-            f"zero gap: lambda_p = {lam[p - 1]!r}, lambda_p+1 = {lam[p]!r}"
-        )
+    _check_cross_gap(lam, p)
     occ = np.repeat(np.arange(1, p + 1), n - p)
     virt = np.tile(np.arange(p + 1, n + 1), p)
     cross = np.abs(lam[virt - 1] - lam[occ - 1])
@@ -242,27 +239,21 @@ def fermi_jacobian(
 def jacobian_fd(
     problem: Problem,
     p_star: np.ndarray,
-    step: float | None = None,
     filter: str = "step",
     beta: float | None = None,
-    order: int = 4,
 ) -> np.ndarray:
     """Finite-difference Jacobian: the independent oracle for ``assemble_jacobian``.
 
     Column j is a central difference of vech(Psi(.)) along the real
-    perturbation direction vech_inv(e_j).  The default is the fourth-order
-    five-point stencil with a step of 5e-4 times (1 + ||P*||_F): the
-    second-order stencil at its optimal step leaves an absolute noise floor
-    near 1e-11 from cancellation, which is not small enough to certify
-    Jacobian columns that are several orders below the matrix scale.
+    perturbation direction vech_inv(e_j), by the fourth-order five-point
+    stencil with a step of 5e-4 times (1 + ||P*||_F): the second-order
+    stencil at its optimal step leaves an absolute noise floor near 1e-11
+    from cancellation, which is not small enough to certify Jacobian columns
+    that are several orders below the matrix scale.
     """
     n = p_star.shape[0]
     m = n * (n + 1) // 2
-    if order not in (2, 4):
-        raise ValueError("order must be 2 or 4")
-    if step is None:
-        base = 5e-4 if order == 4 else 1e-5
-        step = base * (1.0 + float(np.linalg.norm(p_star)))
+    step = 5e-4 * (1.0 + float(np.linalg.norm(p_star)))
     out = np.zeros((m, m), dtype=complex)
     ej = np.zeros(m)
     for j in range(m):
@@ -277,14 +268,11 @@ def jacobian_fd(
             return vech(shifted)
 
         try:
-            if order == 2:
-                col = (psi(step) - psi(-step)) / (2.0 * step)
-            else:
-                # differences first, so a column whose psi values are all
-                # equal comes out exactly zero
-                col = (
-                    8.0 * (psi(step) - psi(-step)) - (psi(2.0 * step) - psi(-2.0 * step))
-                ) / (12.0 * step)
+            # differences first, so a column whose psi values are all
+            # equal comes out exactly zero
+            col = (
+                8.0 * (psi(step) - psi(-step)) - (psi(2.0 * step) - psi(-2.0 * step))
+            ) / (12.0 * step)
         except ZeroGapError as exc:
             raise ZeroGapError(f"zero gap while perturbing column j={j + 1}: {exc}") from exc
         out[:, j] = col
@@ -294,7 +282,6 @@ def jacobian_fd(
 def realified_jacobian_fd(
     problem: Problem,
     p_star: np.ndarray,
-    step: float | None = None,
     filter: str = "step",
     beta: float | None = None,
 ) -> np.ndarray:
@@ -308,8 +295,7 @@ def realified_jacobian_fd(
     """
     n = p_star.shape[0]
     m = n * (n + 1) // 2
-    if step is None:
-        step = 1e-5 * (1.0 + float(np.linalg.norm(p_star)))
+    step = 1e-5 * (1.0 + float(np.linalg.norm(p_star)))
     vidx = vech_index(n)
     rows = vidx % n
     cols = vidx // n
@@ -414,8 +400,9 @@ def bound_rank_truncated(jb: JacobianBundle, ks, gaps: GapStructure | None = Non
     columns of A and the rows of B, J_k[:, S] = A[:, :2k] B[:2k].  One QR of
     A and one of B^H give A = Q_A R_A and B = L_B Q_B^H; the R factor of a
     column prefix of A is the matching block of R_A, so ||J_k|| is the norm
-    of R_A[:, :2k] L_B[:2k], a prefix sum of rank-one terms that lies in the
-    leading 2k x 2k block.  One pass serves every k in ``ks``.
+    of R_A[:, :2k] L_B[:2k].  One running sum of these rank-2 terms, each
+    added to the leading 2k x 2k block where it lies, serves every k in
+    ``ks``; the norm is taken only at the k asked for.
     """
     if gaps is None:
         gaps = gap_structure(jb.lambdas, jb.p)
@@ -434,35 +421,16 @@ def bound_rank_truncated(jb: JacobianBundle, ks, gaps: GapStructure | None = Non
         top = 2 * part.max()
         r_a = np.linalg.qr(a[:, :top], mode="r")
         l_b = np.linalg.qr(b[:top].conj().T, mode="r").conj().T
-        out[~full] = _prefix_norms(r_a, l_b, part, budget=jb.m**2)
-    return out
-
-
-def _prefix_norms(r_a: np.ndarray, l_b: np.ndarray, ks: np.ndarray, budget: int) -> np.ndarray:
-    """||sum over t < 2k of r_a[:, t] l_b[t]||_2 for each k in ``ks``.
-
-    r_a is upper and l_b lower trapezoidal, so the k-th sum lies in the leading
-    2k x 2k block.  The sums are taken a run of k at a time, the last carried
-    over; a run's stack holds at most ``budget`` entries (or one block).
-    """
-    k_top = int(ks.max())
-    rows, cols = r_a.shape[0], l_b.shape[1]
-    carry = np.zeros((rows, cols), dtype=complex)
-    out = np.empty(ks.size)
-    lo = 0
-    while lo < k_top:
-        his = np.arange(lo + 1, k_top + 1)
-        sizes = (his - lo) * np.minimum(2 * his, rows) * np.minimum(2 * his, cols)
-        hi = int(his[max(np.searchsorted(sizes, budget, side="right") - 1, 0)])
-        e, f = min(2 * hi, rows), min(2 * hi, cols)
-        left = r_a[:e, 2 * lo : 2 * hi].T.reshape(hi - lo, 2, e).transpose(0, 2, 1)
-        sums = left @ l_b[2 * lo : 2 * hi, :f].reshape(hi - lo, 2, f)
-        sums[0] += carry[:e, :f]
-        np.cumsum(sums, axis=0, out=sums)
-        carry[:e, :f] = sums[-1]
-        here = (ks > lo) & (ks <= hi)
-        out[here] = np.linalg.norm(sums[ks[here] - lo - 1], 2, axis=(1, 2))
-        lo = hi
+        rows, cols = r_a.shape[0], l_b.shape[1]
+        total = np.zeros((rows, cols), dtype=complex)
+        norms = {}
+        wanted = set(part.tolist())
+        for k in range(1, part.max() + 1):
+            e, f = min(2 * k, rows), min(2 * k, cols)
+            total[:e, :f] += r_a[:e, 2 * k - 2 : 2 * k] @ l_b[2 * k - 2 : 2 * k, :f]
+            if k in wanted:
+                norms[k] = np.linalg.norm(total[:e, :f], 2)
+        out[~full] = [norms[k] for k in part.tolist()]
     return out
 
 
@@ -637,18 +605,16 @@ def analyze_problem(
     return report, bundle, jb
 
 
-def max_column_relative_error(
-    j_assembled: np.ndarray, j_reference: np.ndarray, floor_frac: float = 1e-6
-) -> float:
+def max_column_relative_error(j_assembled: np.ndarray, j_reference: np.ndarray) -> float:
     """Largest column-wise relative deviation between two Jacobians.
 
-    Columns whose reference norm is below ``floor_frac`` times the largest
+    Columns whose reference norm is below 1e-6 times the largest
     column norm are compared against that floor instead: a purely relative
     comparison of a numerically zero column is ill-posed (any rounding noise
     would dominate), so such columns only need to be negligible at the floor
     scale.
     """
     ref_norms = np.linalg.norm(j_reference, axis=0)
-    floor = max(floor_frac * float(ref_norms.max(initial=0.0)), 1e-300)
+    floor = max(1e-6 * float(ref_norms.max(initial=0.0)), 1e-300)
     diff = np.linalg.norm(j_assembled - j_reference, axis=0)
     return float((diff / np.maximum(ref_norms, floor)).max())

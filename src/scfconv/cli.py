@@ -29,6 +29,7 @@ from .analysis import (
     max_column_relative_error,
     realified_jacobian_fd,
 )
+from .matops import ChemicalPotentialError, ZeroGapError
 from .problems import (
     Problem,
     assemble_Lprime,
@@ -318,7 +319,10 @@ def main(argv=None) -> int:
     out_dir = os.path.dirname(getattr(args, "out", None) or "")
     if out_dir and not os.path.isdir(out_dir):
         raise SystemExit(f"output directory {out_dir!r} does not exist")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ZeroGapError, ChemicalPotentialError) as exc:
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

@@ -110,12 +110,12 @@ def symmetrize_S(x) -> np.ndarray:
     return lower + np.tril(x, -1).T
 
 
-def _check_cross_gap(lam: np.ndarray, p: int, tol: float = GAP_TOL) -> float:
+def _check_cross_gap(lam: np.ndarray, p: int) -> float:
     gap = lam[p] - lam[p - 1]
     scale = max(1.0, float(np.abs(lam).max()))
-    if gap <= tol * scale:
+    if gap <= GAP_TOL * scale:
         raise ZeroGapError(
-            f"zero gap: lambda_p = {lam[p - 1]!r} and lambda_p+1 = {lam[p]!r} "
+            f"zero gap: lambda_p = {float(lam[p - 1])!r} and lambda_p+1 = {float(lam[p])!r} "
             "are degenerate; the analysis assumes a nonzero gap"
         )
     return gap
@@ -190,9 +190,12 @@ def fermi_chemical_potential(
     )
 
 
-def fermi_density(b, beta: float, p: int, return_eig: bool = False):
-    """Smoothed density P_f = X f(Lambda) X^H with mu solved so trace(P_f) = p."""
-    b = require_hermitian(b)
+def fermi_density(b, beta: float, p: int, return_eig: bool = False, name: str = "matrix"):
+    """Smoothed density P_f = X f(Lambda) X^H with mu solved so trace(P_f) = p.
+
+    ``name`` labels ``b`` in the Hermiticity error.
+    """
+    b = require_hermitian(b, name=name)
     n = b.shape[0]
     if not 1 <= p < n:
         raise ValueError(f"occupation p={p} must satisfy 1 <= p < n={n}")

@@ -9,12 +9,14 @@ import numpy as np
 from .matops import (
     ZeroGapError,
     fermi_chemical_potential,
-    fermi_occupations,
+    fermi_density,
     require_hermitian,
     spectral_filter_density,
 )
 from .problems import Problem
 
+# estimate_rate fits the last RATE_TAIL errors above the round-off floor
+RATE_TAIL = 8
 RATE_FLOOR = 100.0 * np.finfo(float).eps
 
 # A run inside locate_fixed_point ends once its step error has stopped
@@ -26,6 +28,9 @@ RATE_FLOOR = 100.0 * np.finfo(float).eps
 # before it converges, is left alone.
 STALL_STEPS = 50
 STALL_SPREAD = 1e-6
+
+# Iteration cap of each damped run inside locate_fixed_point
+FALLBACK_MAX_ITER = 5000
 
 
 class RateEstimationError(RuntimeError):
@@ -110,10 +115,8 @@ def scf_step(problem: Problem, density, filter: str = "step", beta: float | None
     if filter == "fermi":
         if beta is None or beta <= 0:
             raise ValueError("fermi filter requires beta > 0")
-        lam, x = np.linalg.eigh(require_hermitian(a, name="A(P)"))
-        mu = fermi_chemical_potential(lam, beta, problem.p)
-        f = fermi_occupations(lam, beta, mu)
-        return (x * f) @ x.conj().T, lam, x
+        density, lam, x, _ = fermi_density(a, beta, problem.p, return_eig=True, name="A(P)")
+        return density, lam, x
     raise ValueError(f"unknown filter {filter!r}")
 
 
@@ -199,7 +202,6 @@ def locate_fixed_point(
     problem: Problem,
     opts: ScfOptions | None = None,
     fallback_dampings=(0.5, 0.2, 0.05),
-    fallback_max_iter: int = 5000,
 ) -> tuple[FixedPointBundle, FixedPointBundle | None]:
     """Find a fixed point, falling back to damped iteration when plain SCF fails.
 
@@ -221,7 +223,7 @@ def locate_fixed_point(
     for theta in fallback_dampings:
         damped = scf_solve(
             problem,
-            opts=replace(opts, damping=theta, max_iter=fallback_max_iter),
+            opts=replace(opts, damping=theta, max_iter=FALLBACK_MAX_ITER),
             stall_steps=STALL_STEPS,
         )
         if damped.converged:
@@ -238,21 +240,21 @@ class RateEstimate:
     points_used: int
 
 
-def estimate_rate(errors, tail: int = 8, floor: float = RATE_FLOOR) -> RateEstimate:
+def estimate_rate(errors) -> RateEstimate:
     """Least-squares geometric rate from the tail of an error sequence.
 
-    Uses the last ``tail`` entries that sit above the round-off floor
-    (default 100x machine precision) and fits the slope of log(error)
+    Uses the last ``RATE_TAIL`` entries that sit above the round-off floor
+    ``RATE_FLOOR`` (100x machine precision) and fits the slope of log(error)
     against the iteration index.
     """
     errors = np.asarray(errors, dtype=float)
-    usable = np.flatnonzero(errors > floor)
+    usable = np.flatnonzero(errors > RATE_FLOOR)
     if usable.size < 6:
         raise RateEstimationError(
-            f"only {usable.size} usable tail points above the floor {floor:.2e}; "
+            f"only {usable.size} usable tail points above the floor {RATE_FLOOR:.2e}; "
             "rerun with a smaller tol or more iterations"
         )
-    idx = usable[-tail:]
+    idx = usable[-RATE_TAIL:]
     logs = np.log(errors[idx])
     slope = np.polyfit(idx.astype(float), logs, 1)[0]
     ratios = errors[idx][1:] / errors[idx][:-1]

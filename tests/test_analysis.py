@@ -29,7 +29,7 @@ from scfconv import (
     vech,
 )
 from scfconv.analysis import _pair_terms
-from scfconv.matops import ChemicalPotentialError, selector_T
+from scfconv.matops import ChemicalPotentialError, ZeroGapError, selector_T
 from scfconv.problems import HadamardMask, Problem, apply_L
 from scfconv.matops import symmetrize_S
 
@@ -68,6 +68,11 @@ def test_gap_structure_equally_spaced():
     for q in range(gaps.count + 1):
         assert len(gaps.omega(q)) == 2 * q
     assert set(gaps.omega(2)) >= set(gaps.omega(1))
+
+
+def test_gap_structure_rejects_a_degenerate_spectrum():
+    with pytest.raises(ZeroGapError):
+        gap_structure(np.array([0.0, 1.0, 1.0, 2.0]), 2)
 
 
 def test_gap_structure_laplacian_reference_case():
@@ -274,6 +279,21 @@ def test_bound_rank_truncated_matches_dense_truncation():
     assert bound_rank_truncated(jb, [k], gaps)[0] == pytest.approx(
         np.linalg.norm(dense, 2), rel=1e-11
     )
+
+
+def test_bound_rank_truncated_takes_unsorted_repeated_and_sparse_ks():
+    problem = build_laplacian(8, 10.0, 3, variant="real")
+    bundle, _, jb = solved(problem)
+    gaps = gap_structure(bundle.lambdas, problem.p)
+    # columns a_t = R_ab vech(x_a x_b^H) and rows b_t = W[a, b, S] in omega order
+    pos = {(a + 1, b + 1): t for t, (a, b) in enumerate(zip(jb.pair_a, jb.pair_b))}
+    order = [pos[pair] for pair in gaps.omega(gaps.count)]
+    a = jb.u[:, order] * jb.r[order]
+    b = jb.w[order]
+    ks = [gaps.count - 1, 1, gaps.count, 1, 5]
+    got = bound_rank_truncated(jb, ks, gaps)
+    want = [np.linalg.norm(a[:, : 2 * k] @ b[: 2 * k], 2) for k in ks]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_bound_liu_values():

@@ -452,10 +452,19 @@ def test_parse_outputs_accepts_exactly_the_ladder_table():
         ["solve", "--family", "illustrative", "--out", "no-such-dir/history.csv"],
         ["sweep", "--family", "illustrative", "--axis", "eps", "--values", "0.1",
          "--out", "no-such-dir/sweep.csv"],
+        ["analyze", "--family", "illustrative", "--eps", "0", "--d", "-1"],
+        ["sweep", "--family", "illustrative", "--d", "-1", "--axis", "eps", "--values", "0"],
+        ["check", "--family", "illustrative", "--eps", "0", "--d", "-1"],
+        ["analyze", "--family", "illustrative", "--filter", "fermi", "--beta", "1e-3"],
+        ["sweep", "--family", "illustrative", "--filter", "fermi", "--beta", "1e-3",
+         "--axis", "eps", "--values", "0.1"],
+        ["check", "--family", "illustrative", "--filter", "fermi", "--beta", "1e-3"],
     ],
     ids=["p-ge-n", "p-zero", "fermi-without-beta", "damping-zero", "missing-file",
          "sweep-bad-value", "sweep-bad-count", "negative-q-max", "analyze-out-missing-dir",
-         "solve-out-missing-dir", "sweep-out-missing-dir"],
+         "solve-out-missing-dir", "sweep-out-missing-dir", "analyze-zero-gap", "sweep-zero-gap",
+         "check-zero-gap", "analyze-mu-not-bracketed", "sweep-mu-not-bracketed",
+         "check-mu-not-bracketed"],
 )
 def test_bad_input_is_one_line_on_stderr(tmp_path, argv):
     src = str(Path(__file__).resolve().parent.parent / "src")

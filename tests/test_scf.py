@@ -33,6 +33,14 @@ def zero_nonlinearity_problem(n=5, p=2, seed=0):
     return Problem(a0=a0, op=HadamardMask(mask=np.zeros((n, n))), p=p)
 
 
+@pytest.mark.parametrize("kw", [{}, {"filter": "fermi", "beta": 5.0}], ids=["step", "fermi"])
+def test_scf_step_names_a_non_hermitian_A_of_P(kw):
+    mask = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    problem = Problem(a0=np.diag([0.0, 1.0, 3.0]), op=HadamardMask(mask=mask), p=1)
+    with pytest.raises(ValueError, match=r"A\(P\) is not Hermitian"):
+        scf_step(problem, np.full((3, 3), 1.0 / 3.0), **kw)
+
+
 def test_linear_problem_converges_immediately():
     problem = zero_nonlinearity_problem()
     bundle = scf_solve(problem)
