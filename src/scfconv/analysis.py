@@ -2,17 +2,17 @@
 
 The Jacobian acts on half-vectorized density-matrix coordinates (dimension
 m = n(n+1)/2).  It is built once per fixed point from a factored core on the
-column support S of L' (the columns of L' that are exactly nonzero):
+support S that the operator names, the columns of L' that can be nonzero:
 
     W[a, b, s] = x_a^H L(E_s) x_b,   s in S
     J[:, S]    = sign * sum over R_ab != 0 of R_ab vech(x_a x_b^H) W[a, b, S]
 
-and J is exactly zero outside the columns S.  Every reported number is read
-from small matrices of this core: c = rho(J[S, S]), c2 = ||J[:, S]||_2, c2a
-from the rows of W, c2b and the gap pair terms from L'[:, S] times the
-S-rows of the vech(x_a x_b^H) columns, and the rank-truncated family from
-one running sum over the pairs in gap order.  The dense Kronecker form
-survives only in ``cyclic_spectral_radii``, the check's oracle.
+J is zero outside the columns S, and only L'[:, S] and J[:, S] are kept.
+Every reported number is read from small matrices of this core: c =
+rho(J[S, S]), c2 = ||J[:, S]||_2, c2a from the rows of W, c2b and the gap pair
+terms from L'[:, S] times the S-rows of the vech(x_a x_b^H) columns, and the
+rank-truncated family from one running sum over the pairs in gap order.  The
+dense J (``JacobianBundle.dense``) survives only in the oracles.
 
 ``LADDER`` names these quantities, and ``ladder`` is the one evaluator that
 ``analyze``, ``sweep`` and ``check`` read them from.
@@ -34,7 +34,7 @@ from .matops import (
     vech_index,
     vech_inv,
 )
-from .problems import Problem, assemble_Lprime
+from .problems import OperatorSpec, Problem, assemble_Lprime
 from .scf import FixedPointBundle, ScfOptions, locate_fixed_point, measured_rate, scf_step
 
 
@@ -100,17 +100,17 @@ class JacobianBundle:
 
     ``vec_r`` is the diagonal of D stored as vec of the divided-difference
     matrix R; ``sign`` is the scalar in front of the assembled product.
-    ``support`` is S, the columns of L' that are exactly nonzero; J vanishes
-    outside them.  The core is indexed by the ordered pairs (a, b) of
-    ``pair_a``/``pair_b`` (0-based): every entry where R is nonzero, plus
-    every occupied/virtual cross pair.  Pair t has ``u[:, t] = vech(x_a x_b^H)``
-    and ``w[t] = W[a, b, S]`` with W[a, b, s] = x_a^H L(E_s) x_b, so that
-    J[:, S] = sign * u @ (R_ab * w).
+    ``support`` is S, the columns the operator names; L' and J vanish outside
+    them, and ``l_s`` = L'[:, S] and ``j_s`` = J[:, S] are kept.  The core is
+    indexed by the ordered pairs (a, b) of ``pair_a``/``pair_b`` (0-based):
+    every entry where R is nonzero, plus every occupied/virtual cross pair.
+    Pair t has ``u[:, t] = vech(x_a x_b^H)`` and ``w[t] = W[a, b, S]`` with
+    W[a, b, s] = x_a^H L(E_s) x_b, so that J[:, S] = sign * u @ (R_ab * w).
     """
 
-    j_p: np.ndarray
+    j_s: np.ndarray
     vec_r: np.ndarray
-    l_prime: np.ndarray
+    l_s: np.ndarray
     x: np.ndarray
     lambdas: np.ndarray
     p: int
@@ -128,7 +128,7 @@ class JacobianBundle:
 
     @property
     def m(self) -> int:
-        return self.j_p.shape[0]
+        return self.j_s.shape[0]
 
     @property
     def r(self) -> np.ndarray:
@@ -138,7 +138,7 @@ class JacobianBundle:
     @cached_property
     def lprime_r(self) -> np.ndarray:
         """R of L'[:, S] = QR: every norm of L'[:, S] M equals that of R M."""
-        return np.linalg.qr(self.l_prime[:, self.support], mode="r")
+        return np.linalg.qr(self.l_s, mode="r")
 
     @cached_property
     def lprime_u(self) -> np.ndarray:
@@ -160,55 +160,61 @@ class JacobianBundle:
         """The convergence factor rho(J) = rho(J[S, S]).  J is zero outside the
         columns S, so ordered (S, rest) it is block lower-triangular with a
         zero diagonal block."""
-        return convergence_factor(self.j_p[np.ix_(self.support, self.support)])
+        return convergence_factor(self.j_s[self.support])
 
     @cached_property
     def c2(self) -> float:
         """The spectral-norm bound ||J||_2 = ||J[:, S]||_2."""
-        return bound_c2(self.j_p[:, self.support])
+        return bound_c2(self.j_s)
 
-    def c_naive(self, gaps: GapStructure) -> float:
+    @cached_property
+    def c_naive(self) -> float:
         """||L'||_2 / delta_1."""
-        return self.lprime_norm / gaps.delta(1)
+        return self.lprime_norm / self.gaps.delta(1)
+
+    def dense(self) -> np.ndarray:
+        """The m x m J, zero outside the columns S: for the oracles only."""
+        j = np.zeros((self.m, self.m), dtype=complex)
+        j[:, self.support] = self.j_s
+        return j
 
 
-def _assemble(bundle: FixedPointBundle, r: np.ndarray, l_prime, sign: float, filter: str):
+def _assemble(bundle: FixedPointBundle, r: np.ndarray, op: OperatorSpec, sign: float, filter: str):
     x, p = bundle.x, bundle.p
     n = x.shape[0]
-    m = l_prime.shape[1]
-    support = np.flatnonzero(np.any(l_prime != 0, axis=0))
+    support = op.support()
+    l_s = assemble_Lprime(op, n)
     cross = np.zeros((n, n), dtype=bool)
     cross[:p, p:] = cross[p:, :p] = True
     pair_a, pair_b = np.nonzero((r != 0) | cross)
     vidx = vech_index(n)
     u = x[vidx % n][:, pair_a] * x[vidx // n][:, pair_b].conj()
     # L(E_s) for s in S as a stack of n x n matrices (columns are vec, column-major)
-    l_s = l_prime[:, support].T.reshape(-1, n, n).transpose(0, 2, 1)
-    w = (x.conj().T @ l_s @ x)[:, pair_a, pair_b].T
-    j_p = np.zeros((m, m), dtype=complex)
-    j_p[:, support] = u @ ((sign * r[pair_a, pair_b])[:, None] * w)
+    l_mats = l_s.T.reshape(-1, n, n).transpose(0, 2, 1)
+    w = (x.conj().T @ l_mats @ x)[:, pair_a, pair_b].T
+    j_s = u @ ((sign * r[pair_a, pair_b])[:, None] * w)
     return JacobianBundle(
-        j_p=j_p, vec_r=r.ravel(order="F"), l_prime=l_prime, x=x,
+        j_s=j_s, vec_r=r.ravel(order="F"), l_s=l_s, x=x,
         lambdas=np.asarray(bundle.lambdas, dtype=float), p=p, support=support,
         pair_a=pair_a, pair_b=pair_b, u=u, w=w, sign=sign, filter=filter,
     )
 
 
-def assemble_jacobian(bundle: FixedPointBundle, l_prime: np.ndarray) -> JacobianBundle:
-    """Exact Jacobian of the fixed-point map that produced ``bundle``.
+def assemble_jacobian(bundle: FixedPointBundle, op: OperatorSpec) -> JacobianBundle:
+    """Exact Jacobian of the fixed-point map that produced ``bundle``, L = ``op``.
 
     The step filter by default; a bundle of the Fermi filter gives
     ``fermi_jacobian`` at its own beta and mu.
     """
     if bundle.filter == "fermi":
-        return fermi_jacobian(bundle, l_prime, bundle.beta, bundle.mu)
+        return fermi_jacobian(bundle, op, bundle.beta, bundle.mu)
     r = divided_difference_matrix(bundle.lambdas, bundle.p, kind="step")
-    return _assemble(bundle, r, l_prime, sign=-1.0, filter="step")
+    return _assemble(bundle, r, op, sign=-1.0, filter="step")
 
 
 def fermi_jacobian(
     bundle: FixedPointBundle,
-    l_prime: np.ndarray,
+    op: OperatorSpec,
     beta: float,
     mu: float | None = None,
 ) -> JacobianBundle:
@@ -227,12 +233,12 @@ def fermi_jacobian(
     if mu is None:
         mu = fermi_chemical_potential(bundle.lambdas, beta, bundle.p)
     r_f = divided_difference_matrix(bundle.lambdas, bundle.p, kind="fermi", beta=beta, mu=mu)
-    jb = _assemble(bundle, r_f, l_prime, sign=1.0, filter="fermi")
+    jb = _assemble(bundle, r_f, op, sign=1.0, filter="fermi")
     diag = jb.pair_a == jb.pair_b
     fprime = jb.r[diag]
     total = fprime.sum()
     if total != 0:
-        jb.j_p[:, jb.support] -= np.outer(jb.u[:, diag] @ fprime, (fprime / total) @ jb.w[diag])
+        jb.j_s -= np.outer(jb.u[:, diag] @ fprime, (fprime / total) @ jb.w[diag])
     return jb
 
 
@@ -363,35 +369,36 @@ def bound_cyclic(jb: JacobianBundle) -> tuple[float, float]:
     return c2a, c2b
 
 
-def _omega_pairs(jb: JacobianBundle, gaps: GapStructure) -> np.ndarray:
+def _omega_pairs(jb: JacobianBundle) -> np.ndarray:
     """Core pair positions of (j, i) and (i, j) for each cross pair (i, j),
     in gap order: row q holds the two pairs omega(q + 1) adds."""
     pos = np.full((jb.n, jb.n), -1)
     pos[jb.pair_a, jb.pair_b] = np.arange(jb.pair_a.size)
-    occ, virt = (np.asarray(gaps.pairs, dtype=np.intp).reshape(-1, 2) - 1).T
+    occ, virt = (np.asarray(jb.gaps.pairs, dtype=np.intp).reshape(-1, 2) - 1).T
     return np.stack([pos[virt, occ], pos[occ, virt]], axis=1)
 
 
-def _pair_terms(jb: JacobianBundle, gaps: GapStructure) -> np.ndarray:
+def _pair_terms(jb: JacobianBundle) -> np.ndarray:
     """Per-gap terms (||L(S(x_l x_m^H))||_F + ||L(S(x_m x_l^H))||_F) / gap."""
-    norms = np.linalg.norm(jb.lprime_u, axis=0)[_omega_pairs(jb, gaps)]
-    return norms.sum(axis=1) / gaps.cross_gaps
+    norms = np.linalg.norm(jb.lprime_u, axis=0)[_omega_pairs(jb)]
+    return norms.sum(axis=1) / jb.gaps.cross_gaps
 
 
-def bound_gap_all(jb: JacobianBundle, gaps: GapStructure, q_max: int | None = None) -> np.ndarray:
+def bound_gap_all(jb: JacobianBundle, q_max: int | None = None) -> np.ndarray:
     """The whole family c_gap[q] for q = 0 .. q_max (default p(n-p))."""
+    gaps = jb.gaps
     full = gaps.count
     if q_max is None:
         q_max = full
     if not 0 <= q_max <= full:
         raise ValueError(f"q_max={q_max} out of range [0, {full}]")
-    cum = np.concatenate([[0.0], np.cumsum(_pair_terms(jb, gaps))])
+    cum = np.concatenate([[0.0], np.cumsum(_pair_terms(jb))])
     # delta_{q+1} past the last gap is +inf: the leading term vanishes at q = p(n-p)
     deltas = np.append(gaps.cross_gaps, np.inf)
     return (jb.lprime_norm / deltas + cum)[: q_max + 1]
 
 
-def bound_rank_truncated(jb: JacobianBundle, ks, gaps: GapStructure | None = None) -> np.ndarray:
+def bound_rank_truncated(jb: JacobianBundle, ks) -> np.ndarray:
     """Spectral norms of the Jacobian truncated to the k smallest-gap entries of D.
 
     J_k keeps only the diagonal entries of D indexed by omega(k) (rank <= 2k);
@@ -404,12 +411,11 @@ def bound_rank_truncated(jb: JacobianBundle, ks, gaps: GapStructure | None = Non
     added to the leading 2k x 2k block where it lies, serves every k in
     ``ks``; the norm is taken only at the k asked for.
     """
-    if gaps is None:
-        gaps = gap_structure(jb.lambdas, jb.p)
+    gaps = jb.gaps
     ks = np.asarray(ks, dtype=int).reshape(-1)
     if ks.size and not (1 <= ks.min() and ks.max() <= gaps.count):
         raise ValueError(f"k in {ks.tolist()} out of range [1, {gaps.count}]")
-    order = _omega_pairs(jb, gaps).ravel()
+    order = _omega_pairs(jb).ravel()
     a = jb.u[:, order] * jb.r[order]
     b = jb.w[order]
     out = np.zeros(ks.size)
@@ -452,16 +458,14 @@ def cyclic_spectral_radii(jb: JacobianBundle) -> list:
     n = jb.n
     x = jb.x
     d = jb.vec_r
-    vidx = vech_index(n)
-    m = jb.l_prime.shape[1]
     k1 = np.kron(x.conj(), x)
     k2 = np.kron(x.T, x.conj().T)
-    t_dense = np.zeros((m, n * n))
-    t_dense[np.arange(m), vidx] = 1.0
-    lpt = jb.l_prime @ t_dense
+    # L' T: column vec(i, k) of the lower triangle holds column (i, k) of L'
+    lpt = np.zeros((n * n, n * n), dtype=complex)
+    lpt[:, vech_index(n)[jb.support]] = jb.l_s
     # each reordered product is freed once its radius is taken
     return [
-        convergence_factor(jb.j_p),
+        convergence_factor(jb.dense()),
         convergence_factor(jb.sign * (k1 * d[None, :]) @ (k2 @ lpt)),
         convergence_factor(jb.sign * (d[:, None] * (k2 @ lpt)) @ k1),
         convergence_factor(jb.sign * lpt @ (k1 * d[None, :]) @ k2),
@@ -502,16 +506,16 @@ def ladder(problem: Problem, jb: JacobianBundle, tokens) -> dict:
         if "c2a" in wanted or "c2b" in wanted:
             found["c2a"], found["c2b"] = bound_cyclic(jb)
         if "naive" in wanted:
-            found["naive"] = jb.c_naive(gaps)
+            found["naive"] = jb.c_naive
         if "liu" in wanted and problem.meta.get("alpha") is not None:
             found["liu"] = bound_liu(problem, gaps.delta(1))
         gap = {t: min(i, gaps.count) for t, (name, i) in wanted.items() if name == "gap"}
         tilde = {t: min(i, gaps.count) for t, (name, i) in wanted.items() if name == "tilde"}
         if gap:
-            found.update(zip(gap, bound_gap_all(jb, gaps)[list(gap.values())]))
+            found.update(zip(gap, bound_gap_all(jb)[list(gap.values())]))
         if tilde:
             ks = sorted(set(tilde.values()))
-            family = dict(zip(ks, bound_rank_truncated(jb, ks, gaps)))
+            family = dict(zip(ks, bound_rank_truncated(jb, ks)))
             found.update((t, family[k]) for t, k in tilde.items())
     return {t: None if found.get(t) is None else float(found[t]) for t in wanted}
 
@@ -580,7 +584,7 @@ def analyze_problem(
     bundle, plain = locate_fixed_point(problem, opts)
     if not bundle.converged:
         return ConvergenceReport(n=problem.n, p=problem.p, converged=False), bundle, None
-    jb = assemble_jacobian(bundle, assemble_Lprime(problem.op, problem.n))
+    jb = assemble_jacobian(bundle, problem.op)
     gaps = jb.gaps
     q_top = gaps.count if q_max is None else min(q_max, gaps.count)
     gap_tokens = [f"gap:{q}" for q in range(q_top + 1)]
@@ -601,7 +605,7 @@ def analyze_problem(
     report.measured_rate = measured_rate(plain)
     if fd_check:
         fd = jacobian_fd(problem, bundle.p_star, filter=bundle.filter, beta=bundle.beta)
-        report.fd_check = max_column_relative_error(jb.j_p, fd)
+        report.fd_check = max_column_relative_error(jb.dense(), fd)
     return report, bundle, jb
 
 

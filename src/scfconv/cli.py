@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -30,13 +31,7 @@ from .analysis import (
     realified_jacobian_fd,
 )
 from .matops import ChemicalPotentialError, ZeroGapError
-from .problems import (
-    Problem,
-    assemble_Lprime,
-    build_illustrative,
-    build_laplacian,
-    load_problem,
-)
+from .problems import Problem, build_illustrative, build_laplacian, load_problem
 from .scf import ScfOptions, locate_fixed_point, measured_rate, scf_solve
 
 EXIT_OK = 0
@@ -75,11 +70,17 @@ def add_solver_args(parser: argparse.ArgumentParser) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header and rows to ``path``, or to stdout when path is None."""
+    """Write a header and rows to ``path``, or to stdout when path is None.
+
+    Each row is written as ``rows`` yields it, so a failure keeps the rows
+    before it; nothing is written before the first row is in hand.
+    """
+    rows = iter(rows)
+    head = [header, *itertools.islice(rows, 1)]
     out = open(path, "w", newline="") if path else sys.stdout
     try:
         writer = csv.writer(out)
-        writer.writerow(header)
+        writer.writerows(head)
         writer.writerows(rows)
     finally:
         if path:
@@ -192,22 +193,22 @@ def cmd_sweep(args) -> int:
     outputs = parse_outputs(args.outputs)
     grid = sweep_grid(args)
     opts = build_opts(args)
-    rows = []
-    for value in grid:
-        problem = problem_at(args, value)
-        bundle, plain = locate_fixed_point(problem, opts)
-        measured = measured_rate(plain)
-        converged = 1 if (plain is not None and plain.converged) else 0
-        quantities = {}
-        if bundle.converged:
-            jb = assemble_jacobian(bundle, assemble_Lprime(problem.op, problem.n))
-            quantities = ladder(problem, jb, outputs)
-        rows += [
-            [args.axis, fmt(value), token, fmt(quantities.get(token)), converged, fmt(measured)]
-            for token in outputs
-        ]
+
+    def rows():
+        for value in grid:
+            problem = problem_at(args, value)
+            bundle, plain = locate_fixed_point(problem, opts)
+            measured = measured_rate(plain)
+            converged = 1 if (plain is not None and plain.converged) else 0
+            quantities = {}
+            if bundle.converged:
+                quantities = ladder(problem, assemble_jacobian(bundle, problem.op), outputs)
+            for token in outputs:
+                yield [args.axis, fmt(value), token, fmt(quantities.get(token)), converged,
+                       fmt(measured)]
+
     header = ["axis_name", "axis_value", "quantity", "value", "converged", "measured_rate"]
-    write_csv(args.out, header, rows)
+    write_csv(args.out, header, rows())
     return EXIT_OK
 
 
@@ -223,20 +224,20 @@ def cmd_check(args) -> int:
     if not bundle.converged:
         print("FAIL: no fixed point located")
         return EXIT_NOT_CONVERGED
-    l_prime = assemble_Lprime(problem.op, problem.n)
-    jb = assemble_jacobian(bundle, l_prime)
+    jb = assemble_jacobian(bundle, problem.op)
     if args.corrupt_jacobian:
-        jb.j_p = jb.j_p + 1e-3 * np.eye(jb.m)
+        # the diagonal of J[S, S], the block every check reads
+        jb.j_s[jb.support, np.arange(jb.support.size)] += 1e-3
 
     fd = jacobian_fd(problem, bundle.p_star, filter=bundle.filter, beta=bundle.beta)
-    fd_err = max_column_relative_error(jb.j_p, fd)
+    fd_err = max_column_relative_error(jb.dense(), fd)
     failures = verdict(fd_err <= 1e-6, f"finite-difference oracle: max column error {fd_err:.3e}")
 
     rng = np.random.default_rng(args.seed)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=problem.n))
-    rotated = assemble_jacobian(replace(bundle, x=bundle.x * phases[None, :]), l_prime).j_p
-    phase_err = float(np.abs(rotated - jb.j_p).max())
-    ok = phase_err <= 1e-12 * max(1.0, float(np.abs(jb.j_p).max()))
+    rotated = assemble_jacobian(replace(bundle, x=bundle.x * phases[None, :]), problem.op).j_s
+    phase_err = float(np.abs(rotated - jb.j_s).max(initial=0.0))
+    ok = phase_err <= 1e-12 * max(1.0, float(np.abs(jb.j_s).max(initial=0.0)))
     failures += verdict(ok, f"phase invariance: residual {phase_err:.3e}")
 
     if jb.filter != "step":

@@ -91,16 +91,6 @@ def selector_T(n: int) -> np.ndarray:
     return t
 
 
-def duplication_D(n: int) -> np.ndarray:
-    """The n^2-by-m 0/1 duplication matrix with D @ v = vec(vech_inv(v))."""
-    vidx = _vech_index_cached(n)
-    rows, cols = vidx % n, vidx // n
-    d = np.zeros((n * n, vidx.size))
-    j = np.arange(vidx.size)
-    d[vidx, j] = d[cols + n * rows, j] = 1.0
-    return d
-
-
 def symmetrize_S(x) -> np.ndarray:
     """Map X = L + D + R (triangular split) to L + D + L^T."""
     x = np.asarray(x)

@@ -3,8 +3,9 @@
 The linear part L is kept in one of three representations (Hadamard mask,
 diagonal map, general vectorized matrix) rather than always densified: the
 mask and diagonal forms are O(n^2) to apply, which keeps the Laplacian family
-cheap at n = 60.  Each form also writes its L' (the derivative of L in vech
-coordinates) in closed form, with no loop over basis matrices.
+cheap at n = 60.  Each form also names the support S of its L' (the derivative
+of L in vech coordinates), the columns that can be nonzero, and writes L'[:, S]
+in closed form, with no loop over basis matrices.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .matops import duplication_D, require_hermitian, vech_index
+from .matops import require_hermitian, vech, vech_index
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,20 @@ class HadamardMask:
     def apply(self, p: np.ndarray) -> np.ndarray:
         return self.mask * p
 
+    def support(self) -> np.ndarray:
+        """The vech positions (i, k) where mask[i, k] or mask[k, i] is nonzero."""
+        nonzero = self.mask != 0
+        return np.flatnonzero(vech(nonzero | nonzero.T))
+
     def lprime(self) -> np.ndarray:
-        """L' in closed form: diag(vec mask) times the duplication matrix, so
-        column (i, k) holds mask[i, k] at vec(i, k) and mask[k, i] at vec(k, i)."""
-        mask = self.mask.ravel(order="F")[:, None]
-        return np.asarray(mask * duplication_D(self.n), dtype=complex)
+        """L'[:, S] in closed form: column (i, k) holds mask[i, k] at vec(i, k)
+        and mask[k, i] at vec(k, i)."""
+        n = self.n
+        here = vech_index(n)[self.support()]
+        out = np.zeros((n * n, here.size), dtype=complex)
+        for rows in (here, here // n + n * (here % n)):  # vec(i, k), then vec(k, i)
+            out[rows, np.arange(here.size)] = self.mask.ravel(order="F")[rows]
+        return out
 
 
 @dataclass(frozen=True)
@@ -56,15 +66,16 @@ class DiagonalMap:
     def apply(self, p: np.ndarray) -> np.ndarray:
         return self.alpha * np.diag(self.coeff @ np.diagonal(p))
 
+    def support(self) -> np.ndarray:
+        """The n diagonal positions of vech (vec positions: multiples of n + 1)."""
+        return np.flatnonzero(vech_index(self.n) % (self.n + 1) == 0)
+
     def lprime(self) -> np.ndarray:
-        """L' in closed form: only the n diagonal columns are nonzero, and the
-        one of E_ii holds alpha * coeff[:, i] on the diagonal of vec."""
+        """L'[:, S] in closed form: the column of E_ii holds alpha * coeff[:, i]
+        on the diagonal of vec."""
         n = self.n
-        vidx = vech_index(n)
-        out = np.zeros((n * n, vidx.size), dtype=complex)
-        # the vec positions of the diagonal are the multiples of n + 1
-        diag = np.arange(n) * (n + 1)
-        out[np.ix_(diag, np.flatnonzero(vidx % (n + 1) == 0))] = self.alpha * self.coeff
+        out = np.zeros((n * n, n), dtype=complex)
+        out[np.arange(n) * (n + 1)] = self.alpha * self.coeff
         return out
 
 
@@ -90,9 +101,13 @@ class GeneralVec:
         v = self.matrix @ p.ravel(order="F")
         return v.reshape(n, n, order="F")
 
+    def support(self) -> np.ndarray:
+        """Every vech position: a general matrix may reach them all."""
+        return np.arange(self.n * (self.n + 1) // 2)
+
     def lprime(self) -> np.ndarray:
-        """L' in closed form: column (i, k) is the sum of the matrix columns
-        at vec(i, k) and, off the diagonal, vec(k, i)."""
+        """L' in closed form (S is every column): column (i, k) is the sum of
+        the matrix columns at vec(i, k) and, off the diagonal, vec(k, i)."""
         n = self.n
         if self.matrix.shape != (n * n, n * n):
             raise ValueError(f"operator matrix shape {self.matrix.shape} is not square n^2")
@@ -118,8 +133,8 @@ def apply_L(op: OperatorSpec, p) -> np.ndarray:
 
 
 def assemble_Lprime(op: OperatorSpec, n: int) -> np.ndarray:
-    """The n^2 x m matrix with column j = vec(L(vech_inv(e_j))), from the
-    operator's closed form."""
+    """L'[:, S], S = ``op.support()``: the n^2 x |S| block of the columns
+    vec(L(vech_inv(e_j))), from the operator's closed form."""
     if op.n != n:
         raise ValueError(f"dimension mismatch: operator is n={op.n}, L' asked for n={n}")
     return op.lprime()

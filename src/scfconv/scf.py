@@ -94,10 +94,6 @@ class FixedPointBundle:
     errors_to_fixed: np.ndarray | None = None
 
     @property
-    def n(self) -> int:
-        return self.p_star.shape[0]
-
-    @property
     def iterations(self) -> int:
         return len(self.history)
 
@@ -122,12 +118,12 @@ def scf_step(problem: Problem, density, filter: str = "step", beta: float | None
 
 def scf_solve(
     problem: Problem,
-    p0=None,
     opts: ScfOptions | None = None,
     *,
     stall_steps: int | None = None,
 ) -> FixedPointBundle:
-    """Iterate P_{k+1} = (1-theta) P_k + theta Psi(P_k) until the step is below tol.
+    """Iterate P_{k+1} = (1-theta) P_k + theta Psi(P_k) until the step is below tol,
+    from the filter density P_0 of A0.
 
     Non-convergence is not an exception: the returned bundle carries the full
     history with ``converged=False`` so parameter sweeps over diverging ranges
@@ -139,14 +135,7 @@ def scf_solve(
     within ``STALL_SPREAD``; only ``locate_fixed_point`` sets it.
     """
     opts = opts or ScfOptions()
-    if p0 is None:
-        density = spectral_filter_density(problem.a0, problem.p)
-    else:
-        density = np.asarray(require_hermitian(p0, name="P0"), dtype=complex)
-        if abs(np.trace(density).real - problem.p) > 1e-8 * max(1, problem.p):
-            raise ValueError(
-                f"P0 must have trace p={problem.p}, got {np.trace(density).real!r}"
-            )
+    density = spectral_filter_density(problem.a0, problem.p)
     theta = opts.damping
     history: list[IterationRecord] = []
     iterates: list[np.ndarray] = []

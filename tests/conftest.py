@@ -10,13 +10,29 @@ from scfconv import (
     HadamardMask,
     Problem,
     ScfOptions,
+    apply_L,
     locate_fixed_point,
+    vech_inv,
 )
 
 
 def random_hermitian(rng, n: int, scale: float = 1.0) -> np.ndarray:
     h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return scale * (h + h.conj().T) / 2.0
+
+
+def lprime_by_basis_loop(op, n):
+    """The dense n^2 x m L', column by column, L applied to each vech basis
+    matrix: the oracle of the operators' closed forms and of the dense
+    definitions the tests build."""
+    m = n * (n + 1) // 2
+    out = np.zeros((n * n, m), dtype=complex)
+    ej = np.zeros(m)
+    for j in range(m):
+        ej.flat = 0.0
+        ej[j] = 1.0
+        out[:, j] = apply_L(op, vech_inv(ej)).ravel(order="F")
+    return out
 
 
 def random_hadamard_problem(seed: int, n_max: int = 8, mask_scale: float = 0.2) -> Problem:

@@ -17,7 +17,6 @@ import numpy as np
 from scfconv import (
     ScfOptions,
     analyze_problem,
-    assemble_Lprime,
     assemble_jacobian,
     bound_c2,
     bound_cyclic,
@@ -41,7 +40,7 @@ from scfconv import (
 from scfconv.problems import apply_L
 from scfconv.matops import selector_T, symmetrize_S
 
-from conftest import solved_random_instances
+from conftest import lprime_by_basis_loop, solved_random_instances
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -50,8 +49,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 def solve_and_jacobian(problem, **opts_kw):
     bundle, plain = locate_fixed_point(problem, ScfOptions(**opts_kw))
-    l_prime = assemble_Lprime(problem.op, problem.n)
-    return bundle, plain, assemble_jacobian(bundle, l_prime)
+    return bundle, plain, assemble_jacobian(bundle, problem.op)
 
 
 def test_criterion_01_jacobian_oracle():
@@ -60,11 +58,10 @@ def test_criterion_01_jacobian_oracle():
     for eps in (0.0, 0.05, 0.2):
         problem = build_illustrative(eps)
         bundle, _, jb = solve_and_jacobian(problem)
-        errs.append(max_column_relative_error(jb.j_p, jacobian_fd(problem, bundle.p_star)))
+        errs.append(max_column_relative_error(jb.dense(), jacobian_fd(problem, bundle.p_star)))
     for problem, bundle in solved_random_instances(20):
-        l_prime = assemble_Lprime(problem.op, problem.n)
-        jb = assemble_jacobian(bundle, l_prime)
-        errs.append(max_column_relative_error(jb.j_p, jacobian_fd(problem, bundle.p_star)))
+        jb = assemble_jacobian(bundle, problem.op)
+        errs.append(max_column_relative_error(jb.dense(), jacobian_fd(problem, bundle.p_star)))
     elapsed = time.perf_counter() - t0
     worst = max(errs)
     ok = worst <= 1e-6 and elapsed < 30.0
@@ -86,7 +83,7 @@ def test_criterion_02_rate_prediction():
     for label, problem in cases:
         bundle, plain, jb = solve_and_jacobian(problem)
         assert plain.converged, label
-        rho = convergence_factor(jb.j_p)
+        rho = convergence_factor(jb.dense())
         rate = estimate_rate(plain.errors_to_fixed).rate
         rels.append((label, rho, rate, abs(rate - rho) / rho))
     elapsed = time.perf_counter() - t0
@@ -101,14 +98,13 @@ def test_criterion_02_rate_prediction():
 def test_criterion_03_bound_chain():
     violations = []
     for problem, bundle in solved_random_instances(100):
-        l_prime = assemble_Lprime(problem.op, problem.n)
-        jb = assemble_jacobian(bundle, l_prime)
+        jb = assemble_jacobian(bundle, problem.op)
         gaps = gap_structure(bundle.lambdas, problem.p)
-        c = convergence_factor(jb.j_p)
-        upper = [("c2", bound_c2(jb.j_p))]
+        c = convergence_factor(jb.dense())
+        upper = [("c2", bound_c2(jb.dense()))]
         c2a, c2b = bound_cyclic(jb)
         upper += [("c2a", c2a), ("c2b", c2b)]
-        upper += [(f"gap:{q}", v) for q, v in enumerate(bound_gap_all(jb, gaps))]
+        upper += [(f"gap:{q}", v) for q, v in enumerate(bound_gap_all(jb))]
         for name, val in upper:
             if c > val + 1e-10:
                 violations.append((problem.meta["seed"], name, c, val))
@@ -120,16 +116,15 @@ def test_criterion_03_bound_chain():
 def test_criterion_04_gap0_equals_naive():
     worst = 0.0
     for problem, bundle in solved_random_instances(100):
-        l_prime = assemble_Lprime(problem.op, problem.n)
-        jb = assemble_jacobian(bundle, l_prime)
+        jb = assemble_jacobian(bundle, problem.op)
         gaps = gap_structure(bundle.lambdas, problem.p)
-        naive = bound_naive(l_prime, gaps.delta(1))
-        gap0 = bound_gap_all(jb, gaps, q_max=0)[0]
+        naive = bound_naive(lprime_by_basis_loop(problem.op, problem.n), gaps.delta(1))
+        gap0 = bound_gap_all(jb, q_max=0)[0]
         worst = max(worst, abs(gap0 - naive) / naive)
     problem = build_illustrative(0.0)
     bundle, _, jb = solve_and_jacobian(problem)
     gaps = gap_structure(bundle.lambdas, problem.p)
-    naive0 = bound_naive(jb.l_prime, gaps.delta(1))
+    naive0 = bound_naive(lprime_by_basis_loop(problem.op, problem.n), gaps.delta(1))
     rel625 = abs(naive0 - 625.0) / 625.0
     ok = worst <= 1e-12 and rel625 <= 1e-12
     report(4, ok, f"max |c_gap0 - c_naive| rel {worst:.3e}; eps=0 value {naive0!r} vs 625")
@@ -142,8 +137,8 @@ def test_criterion_05_taylor_slopes():
     cs, c2s = [], []
     for eps in eps_grid:
         bundle, _, jb = solve_and_jacobian(build_illustrative(float(eps)))
-        cs.append(convergence_factor(jb.j_p))
-        c2s.append(bound_c2(jb.j_p))
+        cs.append(convergence_factor(jb.dense()))
+        c2s.append(bound_c2(jb.dense()))
     slope_c = np.polyfit(np.log(eps_grid), np.log(cs), 1)[0]
     slope_c2 = np.polyfit(np.log(eps_grid), np.log(c2s), 1)[0]
     ok = abs(slope_c - 2.0) <= 0.15 and abs(slope_c2 - 1.0) <= 0.1
@@ -183,7 +178,7 @@ def test_criterion_06_jprime_structure():
         analytic = _jprime_analytic(d)
 
         def assembled(eps):
-            return solve_and_jacobian(build_illustrative(eps, d=d))[2].j_p
+            return solve_and_jacobian(build_illustrative(eps, d=d))[2].dense()
 
         def map_fd(eps):
             problem = build_illustrative(eps, d=d)
@@ -222,14 +217,14 @@ def test_criterion_07_laplacian_trends():
     cs_n = []
     for n in (20, 30, 40, 60):
         _, _, jb = solve_and_jacobian(build_laplacian(n, 40.0, 15, variant="complex"))
-        cs_n.append(convergence_factor(jb.j_p))
+        cs_n.append(convergence_factor(jb.dense()))
     decreasing = all(a > b for a, b in zip(cs_n, cs_n[1:]))
 
     alphas = np.array([10.0, 20.0, 30.0, 40.0])
     cs_a = []
     for alpha in alphas:
         _, _, jb = solve_and_jacobian(build_laplacian(30, float(alpha), 15, variant="complex"))
-        cs_a.append(convergence_factor(jb.j_p))
+        cs_a.append(convergence_factor(jb.dense()))
     cs_a = np.array(cs_a)
     slope, intercept = np.polyfit(alphas, cs_a, 1)
     resid = cs_a - (slope * alphas + intercept)
@@ -244,9 +239,9 @@ def test_criterion_08_real_laplacian_ordering():
     problem = build_laplacian(60, 5.0, 25, variant="real")
     bundle, _, jb = solve_and_jacobian(problem)
     gaps = gap_structure(bundle.lambdas, problem.p)
-    c = convergence_factor(jb.j_p)
-    c2 = bound_c2(jb.j_p)
-    naive = bound_naive(jb.l_prime, gaps.delta(1))
+    c = convergence_factor(jb.dense())
+    c2 = bound_c2(jb.dense())
+    naive = bound_naive(jb.l_s, gaps.delta(1))
     liu = bound_liu(problem, gaps.delta(1))
     ok = liu >= naive >= c2 >= c
     report(8, ok, f"c_liu={liu:.4e} >= c_naive={naive:.4e} >= c2={c2:.4e} >= c={c:.4e}")
@@ -259,9 +254,9 @@ def test_criterion_09_structural_invariants():
     rng = np.random.default_rng(7)
     for problem, bundle in instances:
         n = problem.n
-        l_prime = assemble_Lprime(problem.op, n)
-        jb = assemble_jacobian(bundle, l_prime)
-        scale = max(1.0, float(np.abs(jb.j_p).max()))
+        l_prime = lprime_by_basis_loop(problem.op, n)
+        jb = assemble_jacobian(bundle, problem.op)
+        scale = max(1.0, float(np.abs(jb.dense()).max()))
 
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=n))
         rotated = assemble_jacobian(
@@ -273,9 +268,10 @@ def test_criterion_09_structural_invariants():
                 converged=True,
                 p=bundle.p,
             ),
-            l_prime,
+            problem.op,
         )
-        worst["phase"] = max(worst["phase"], float(np.abs(rotated.j_p - jb.j_p).max()) / scale)
+        phase_err = float(np.abs(rotated.dense() - jb.dense()).max())
+        worst["phase"] = max(worst["phase"], phase_err / scale)
 
         radii = cyclic_spectral_radii(jb)
         worst["cyclic"] = max(
@@ -283,7 +279,7 @@ def test_criterion_09_structural_invariants():
         )
 
         x_rand = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        lhs = l_prime @ vech(x_rand)
+        lhs = jb.l_s @ vech(x_rand)[jb.support]
         rhs = apply_L(problem.op, symmetrize_S(x_rand)).ravel(order="F")
         worst["lprime"] = max(
             worst["lprime"],
@@ -332,9 +328,9 @@ def test_criterion_09_structural_invariants():
 def test_criterion_10_fermi_consistency():
     problem = build_illustrative(0.1)
     bundle, _, jb = solve_and_jacobian(problem)
-    rho_step = convergence_factor(jb.j_p)
-    jf = fermi_jacobian(bundle, jb.l_prime, beta=1e3)
-    rho_fermi = convergence_factor(jf.j_p)
+    rho_step = convergence_factor(jb.dense())
+    jf = fermi_jacobian(bundle, problem.op, beta=1e3)
+    rho_fermi = convergence_factor(jf.dense())
     rel = abs(rho_fermi - rho_step) / rho_step
     dens = fermi_density(problem.apply(bundle.p_star), beta=1e3, p=problem.p)
     trace_err = abs(float(np.trace(dens).real) - problem.p)
@@ -356,8 +352,8 @@ def test_criterion_11_rank_truncation_recovers_c2():
     for problem in cases:
         bundle, _, jb = solve_and_jacobian(problem)
         gaps = gap_structure(bundle.lambdas, problem.p)
-        c2 = bound_c2(jb.j_p)
-        (tilde,) = bound_rank_truncated(jb, [gaps.count], gaps)
+        c2 = bound_c2(jb.dense())
+        (tilde,) = bound_rank_truncated(jb, [gaps.count])
         worst = max(worst, abs(tilde - c2) / c2)
     ok = worst <= 1e-12
     report(11, ok, f"max |c_tilde(full) - c2| relative {worst:.3e} over {len(cases)} problems")

@@ -7,7 +7,6 @@ from scfconv import (
     GapStructure,
     ScfOptions,
     analyze_problem,
-    assemble_Lprime,
     assemble_jacobian,
     bound_c2,
     bound_cyclic,
@@ -33,13 +32,12 @@ from scfconv.matops import ChemicalPotentialError, ZeroGapError, selector_T
 from scfconv.problems import HadamardMask, Problem, apply_L
 from scfconv.matops import symmetrize_S
 
-from conftest import solved_random_instances
+from conftest import lprime_by_basis_loop, solved_random_instances
 
 
 def solved(problem, **kw):
     bundle, plain = locate_fixed_point(problem, ScfOptions(**kw))
-    lp = assemble_Lprime(problem.op, problem.n)
-    return bundle, plain, assemble_jacobian(bundle, lp)
+    return bundle, plain, assemble_jacobian(bundle, problem.op)
 
 
 def test_gap_structure_ordering_and_pairs():
@@ -86,14 +84,14 @@ def test_jacobian_matches_fd_illustrative():
     problem = build_illustrative(0.1)
     bundle, _, jb = solved(problem)
     fd = jacobian_fd(problem, bundle.p_star)
-    assert max_column_relative_error(jb.j_p, fd) <= 1e-6
+    assert max_column_relative_error(jb.dense(), fd) <= 1e-6
 
 
 def test_jacobian_matches_fd_random():
     problem, bundle = solved_random_instances(1)[0]
-    jb = assemble_jacobian(bundle, assemble_Lprime(problem.op, problem.n))
+    jb = assemble_jacobian(bundle, problem.op)
     fd = jacobian_fd(problem, bundle.p_star)
-    assert max_column_relative_error(jb.j_p, fd) <= 1e-6
+    assert max_column_relative_error(jb.dense(), fd) <= 1e-6
 
 
 def test_jacobian_zero_for_linear_problem():
@@ -101,20 +99,20 @@ def test_jacobian_zero_for_linear_problem():
     a0 = np.diag(np.arange(n, dtype=float))
     problem = Problem(a0=a0, op=HadamardMask(mask=np.zeros((n, n))), p=p)
     bundle, _, jb = solved(problem)
-    assert np.allclose(jb.j_p, 0.0, atol=1e-14)
-    assert convergence_factor(jb.j_p) == 0.0
+    assert np.allclose(jb.dense(), 0.0, atol=1e-14)
+    assert convergence_factor(jb.dense()) == 0.0
 
 
 def test_dense_and_structured_assembly_agree():
     problem = build_laplacian(9, 5.0, 4, variant="complex")
     bundle, _ = locate_fixed_point(problem)
-    lp = assemble_Lprime(problem.op, problem.n)
-    structured = assemble_jacobian(bundle, lp)
+    lp = lprime_by_basis_loop(problem.op, problem.n)
+    structured = assemble_jacobian(bundle, problem.op)
     x = bundle.x
     k1 = np.kron(x.conj(), x)
     k2 = np.kron(x.T, x.conj().T)
     dense = -selector_T(problem.n) @ (k1 * structured.vec_r[None, :]) @ (k2 @ lp)
-    assert np.allclose(dense, structured.j_p, atol=1e-14)
+    assert np.allclose(dense, structured.dense(), atol=1e-14)
 
 
 def test_phase_invariance():
@@ -131,9 +129,9 @@ def test_phase_invariance():
             converged=True,
             p=bundle.p,
         ),
-        jb.l_prime,
+        problem.op,
     )
-    assert np.allclose(rotated.j_p, jb.j_p, atol=1e-13)
+    assert np.allclose(rotated.dense(), jb.dense(), atol=1e-13)
 
 
 def test_cyclic_spectral_radii_agree():
@@ -146,7 +144,7 @@ def test_cyclic_spectral_radii_agree():
 def test_convergence_factor_matches_measured_rate():
     problem = build_illustrative(0.2)
     bundle, plain, jb = solved(problem)
-    rho = convergence_factor(jb.j_p)
+    rho = convergence_factor(jb.dense())
     rate = estimate_rate(plain.errors_to_fixed).rate
     assert abs(rate - rho) <= 0.05 * rho
 
@@ -154,24 +152,24 @@ def test_convergence_factor_matches_measured_rate():
 def test_bound_c2_dominates_c():
     for eps in (0.05, 0.1, 0.2):
         _, _, jb = solved(build_illustrative(eps))
-        assert convergence_factor(jb.j_p) <= bound_c2(jb.j_p) + 1e-12
+        assert convergence_factor(jb.dense()) <= bound_c2(jb.dense()) + 1e-12
 
 
 def test_bound_naive_reference_value():
     problem = build_illustrative(0.0)
     bundle, _, jb = solved(problem)
     gaps = gap_structure(bundle.lambdas, problem.p)
-    assert bound_naive(jb.l_prime, gaps.delta(1)) == pytest.approx(625.0, rel=1e-12)
+    assert bound_naive(jb.l_s, gaps.delta(1)) == pytest.approx(625.0, rel=1e-12)
     with pytest.raises(ValueError):
-        bound_naive(jb.l_prime, 0.0)
+        bound_naive(jb.l_s, 0.0)
 
 
 def test_bound_gap_zero_equals_naive():
     problem = build_illustrative(0.1)
     bundle, _, jb = solved(problem)
     gaps = gap_structure(bundle.lambdas, problem.p)
-    naive = bound_naive(jb.l_prime, gaps.delta(1))
-    assert bound_gap_all(jb, gaps)[0] == pytest.approx(naive, rel=1e-14)
+    naive = bound_naive(lprime_by_basis_loop(problem.op, problem.n), gaps.delta(1))
+    assert bound_gap_all(jb)[0] == pytest.approx(naive, rel=1e-14)
 
 
 def test_bound_gap_explicit_formula():
@@ -189,23 +187,23 @@ def test_bound_gap_explicit_formula():
         )
         return (a + b) / gap
 
-    norm_lp = np.linalg.norm(jb.l_prime, 2)
+    norm_lp = np.linalg.norm(lprime_by_basis_loop(problem.op, problem.n), 2)
     expected_q1 = norm_lp / gaps.delta(2) + pair_term(0, 1, gaps.delta(1))
-    assert bound_gap_all(jb, gaps)[1] == pytest.approx(expected_q1, rel=1e-12)
+    assert bound_gap_all(jb)[1] == pytest.approx(expected_q1, rel=1e-12)
     # full q: no leading term, both pair contributions
     expected_q2 = pair_term(0, 1, gaps.delta(1)) + pair_term(0, 2, gaps.delta(2))
-    assert bound_gap_all(jb, gaps)[2] == pytest.approx(expected_q2, rel=1e-12)
+    assert bound_gap_all(jb)[2] == pytest.approx(expected_q2, rel=1e-12)
     with pytest.raises(ValueError):
-        bound_gap_all(jb, gaps, q_max=3)
+        bound_gap_all(jb, q_max=3)
 
 
 def test_bound_gap_family_is_cumulative():
     problem, bundle = solved_random_instances(3)[2]
-    jb = assemble_jacobian(bundle, assemble_Lprime(problem.op, problem.n))
+    jb = assemble_jacobian(bundle, problem.op)
     gaps = gap_structure(bundle.lambdas, problem.p)
-    family = bound_gap_all(jb, gaps)
-    terms = _pair_terms(jb, gaps)
-    norm_lp = np.linalg.norm(jb.l_prime, 2)
+    family = bound_gap_all(jb)
+    terms = _pair_terms(jb)
+    norm_lp = np.linalg.norm(lprime_by_basis_loop(problem.op, problem.n), 2)
     for q in range(gaps.count + 1):
         lead = 0.0 if q == gaps.count else norm_lp / gaps.delta(q + 1)
         assert family[q] == pytest.approx(lead + terms[:q].sum(), rel=1e-12)
@@ -214,8 +212,8 @@ def test_bound_gap_family_is_cumulative():
 def test_bound_cyclic_matches_dense_products():
     problem, bundle = solved_random_instances(2)[1]
     n = problem.n
-    lp = assemble_Lprime(problem.op, n)
-    jb = assemble_jacobian(bundle, lp)
+    lp = lprime_by_basis_loop(problem.op, n)
+    jb = assemble_jacobian(bundle, problem.op)
     c2a, c2b = bound_cyclic(jb)
     k1 = np.kron(jb.x.conj(), jb.x)
     k2 = np.kron(jb.x.T, jb.x.conj().T)
@@ -231,7 +229,7 @@ def test_bound_cyclic_column_identity():
     bundle, _, jb = solved(problem)
     n = problem.n
     r = jb.vec_r.reshape(n, n, order="F")
-    lpt = jb.l_prime @ selector_T(n)
+    lpt = lprime_by_basis_loop(problem.op, n) @ selector_T(n)
     k1 = np.kron(jb.x.conj(), jb.x)
     dense_b = lpt @ (k1 * jb.vec_r[None, :])
     for a in range(n):
@@ -254,17 +252,17 @@ def test_bound_rank_truncated_full_recovers_c2():
     problem = build_illustrative(0.2)
     bundle, _, jb = solved(problem)
     gaps = gap_structure(bundle.lambdas, problem.p)
-    c2 = bound_c2(jb.j_p)
-    assert bound_rank_truncated(jb, [gaps.count], gaps)[0] == pytest.approx(c2, rel=1e-12)
+    c2 = bound_c2(jb.dense())
+    assert bound_rank_truncated(jb, [gaps.count])[0] == pytest.approx(c2, rel=1e-12)
     with pytest.raises(ValueError):
-        bound_rank_truncated(jb, [0], gaps)
+        bound_rank_truncated(jb, [0])
 
 
 def test_bound_rank_truncated_matches_dense_truncation():
     problem, bundle = solved_random_instances(4)[3]
     n = problem.n
-    lp = assemble_Lprime(problem.op, n)
-    jb = assemble_jacobian(bundle, lp)
+    lp = lprime_by_basis_loop(problem.op, n)
+    jb = assemble_jacobian(bundle, problem.op)
     gaps = gap_structure(bundle.lambdas, problem.p)
     k = max(1, gaps.count // 2)
     # dense oracle: zero out every entry of D outside omega(k), reassemble
@@ -276,7 +274,7 @@ def test_bound_rank_truncated_matches_dense_truncation():
     k2 = np.kron(jb.x.T, jb.x.conj().T)
     t = selector_T(n)
     dense = t @ (k1 * vec_r_trunc[None, :]) @ (k2 @ lp)
-    assert bound_rank_truncated(jb, [k], gaps)[0] == pytest.approx(
+    assert bound_rank_truncated(jb, [k])[0] == pytest.approx(
         np.linalg.norm(dense, 2), rel=1e-11
     )
 
@@ -291,7 +289,7 @@ def test_bound_rank_truncated_takes_unsorted_repeated_and_sparse_ks():
     a = jb.u[:, order] * jb.r[order]
     b = jb.w[order]
     ks = [gaps.count - 1, 1, gaps.count, 1, 5]
-    got = bound_rank_truncated(jb, ks, gaps)
+    got = bound_rank_truncated(jb, ks)
     want = [np.linalg.norm(a[:, : 2 * k] @ b[: 2 * k], 2) for k in ks]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -313,10 +311,10 @@ def test_bound_liu_values():
 def test_fermi_jacobian_sharp_limit():
     problem = build_illustrative(0.1)
     bundle, _, jb = solved(problem)
-    rho_step = convergence_factor(jb.j_p)
+    rho_step = convergence_factor(jb.dense())
     for beta, rel in ((1e3, 0.02), (1e4, 1e-3)):
-        jf = fermi_jacobian(bundle, jb.l_prime, beta=beta)
-        assert convergence_factor(jf.j_p) == pytest.approx(rho_step, rel=rel)
+        jf = fermi_jacobian(bundle, problem.op, beta=beta)
+        assert convergence_factor(jf.dense()) == pytest.approx(rho_step, rel=rel)
 
 
 def test_fermi_jacobian_vanishes_for_flat_occupations():
@@ -324,23 +322,23 @@ def test_fermi_jacobian_vanishes_for_flat_occupations():
     bundle, _, jb = solved(problem)
     # at vanishing beta the occupations are flat and the Jacobian collapses;
     # mu must be supplied since no chemical potential can meet the trace target
-    jf = fermi_jacobian(bundle, jb.l_prime, beta=1e-8, mu=float(bundle.lambdas.mean()))
-    assert np.abs(jf.j_p).max() < 1e-6
+    jf = fermi_jacobian(bundle, problem.op, beta=1e-8, mu=float(bundle.lambdas.mean()))
+    assert np.abs(jf.dense()).max() < 1e-6
     with pytest.raises(ChemicalPotentialError):
-        fermi_jacobian(bundle, jb.l_prime, beta=1e-8)
+        fermi_jacobian(bundle, problem.op, beta=1e-8)
 
 
 def test_fermi_jacobian_rejects_bad_beta():
     problem = build_illustrative(0.1)
     bundle, _, jb = solved(problem)
     with pytest.raises(ValueError):
-        fermi_jacobian(bundle, jb.l_prime, beta=0.0)
+        fermi_jacobian(bundle, problem.op, beta=0.0)
 
 
 def test_realified_spectral_radius_matches_complex():
     problem = build_laplacian(6, 8.0, 2, variant="complex", h=0.25)
     bundle, _, jb = solved(problem)
-    rho = convergence_factor(jb.j_p)
+    rho = convergence_factor(jb.dense())
     rho_real = convergence_factor(realified_jacobian_fd(problem, bundle.p_star))
     assert rho_real == pytest.approx(rho, rel=1e-5)
 
@@ -354,13 +352,13 @@ def test_realified_jacobian_dimension():
 
 def test_sign_flip_preserves_norm_quantities():
     _, _, jb = solved(build_illustrative(0.2))
-    assert convergence_factor(-jb.j_p) == pytest.approx(convergence_factor(jb.j_p))
-    assert bound_c2(-jb.j_p) == pytest.approx(bound_c2(jb.j_p))
+    assert convergence_factor(-jb.dense()) == pytest.approx(convergence_factor(jb.dense()))
+    assert bound_c2(-jb.dense()) == pytest.approx(bound_c2(jb.dense()))
 
 
 def test_divided_difference_norm_identity():
     problem, bundle = solved_random_instances(1)[0]
-    jb = assemble_jacobian(bundle, assemble_Lprime(problem.op, problem.n))
+    jb = assemble_jacobian(bundle, problem.op)
     gaps = gap_structure(bundle.lambdas, problem.p)
     d_norm = np.abs(jb.vec_r).max()
     assert d_norm * gaps.delta(1) == pytest.approx(1.0, rel=1e-12)
@@ -404,10 +402,10 @@ def test_fermi_jacobian_matches_fd_of_the_fermi_map(beta):
     problem = build_illustrative(0.1)
     bundle, _ = locate_fixed_point(problem, ScfOptions(filter="fermi", beta=beta))
     assert bundle.converged
-    jf = assemble_jacobian(bundle, assemble_Lprime(problem.op, problem.n))
+    jf = assemble_jacobian(bundle, problem.op)
     assert jf.filter == "fermi"
     fd = jacobian_fd(problem, bundle.p_star, filter="fermi", beta=beta)
-    assert max_column_relative_error(jf.j_p, fd) <= 1e-6
+    assert max_column_relative_error(jf.dense(), fd) <= 1e-6
     assert jf.c == pytest.approx(convergence_factor(fd), rel=1e-6)
 
 
@@ -415,12 +413,12 @@ def test_fermi_jacobian_with_every_fprime_underflowed_is_finite():
     problem = build_laplacian(8, 10.0, 3, variant="real")
     bundle, _ = locate_fixed_point(problem, ScfOptions(filter="fermi", beta=5.0))
     assert bundle.converged
-    jf = assemble_jacobian(bundle, assemble_Lprime(problem.op, problem.n))
+    jf = assemble_jacobian(bundle, problem.op)
     diag = jf.pair_a == jf.pair_b
     assert not np.any(jf.r[diag])  # sum of f' is exactly 0: no Fermi-level shift
-    assert np.all(np.isfinite(jf.j_p))
+    assert np.all(np.isfinite(jf.dense()))
     fd = jacobian_fd(problem, bundle.p_star, filter="fermi", beta=5.0)
-    assert max_column_relative_error(jf.j_p, fd) <= 1e-6
+    assert max_column_relative_error(jf.dense(), fd) <= 1e-6
 
 
 def test_analyze_under_fermi_reports_the_fermi_map_only():

@@ -297,12 +297,16 @@ def test_check_passes_on_illustrative(capsys):
 
 
 def test_check_negative_control(capsys):
-    code = main(
-        ["check", "--family", "illustrative", "--eps", "0.1", "--corrupt-jacobian"]
-    )
-    out = capsys.readouterr().out
-    assert code == 1
-    assert "FAIL" in out
+    for problem_args in (
+        ["--family", "illustrative", "--eps", "0.1"],
+        # S is the n diagonal columns, not every column
+        ["--family", "laplacian-real", "--n", "8", "--p", "3", "--alpha", "10"],
+    ):
+        code = main(["check", *problem_args, "--corrupt-jacobian"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert any(line.startswith("FAIL finite-difference oracle") for line in lines)
+        assert any(line.startswith("FAIL phase invariance") for line in lines)
 
 
 @pytest.mark.parametrize("family", ["laplacian-real", "laplacian-complex"])
@@ -475,6 +479,22 @@ def test_bad_input_is_one_line_on_stderr(tmp_path, argv):
     assert "Traceback" not in done.stderr
     assert len(done.stderr.splitlines()) == 1, done.stderr
     assert done.stdout == ""
+
+
+def test_a_failing_sweep_cell_keeps_the_rows_before_it(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["sweep", "--family", "illustrative", "--d", "-1", "--axis", "eps", "--values"]
+    runs = [
+        subprocess.run([sys.executable, "-m", "scfconv.cli", *argv, values], cwd=tmp_path,
+                       env=env, capture_output=True, text=True, timeout=120)
+        for values in ("0.1", "0.1,0")
+    ]
+    assert runs[0].returncode == 0 and runs[0].stdout
+    # the cell at eps = 0 has a zero gap
+    assert runs[1].returncode == 1
+    assert len(runs[1].stderr.splitlines()) == 1, runs[1].stderr
+    assert runs[1].stdout == runs[0].stdout
 
 
 def test_check_says_it_skips_the_cyclic_radii_past_n20(capsys):

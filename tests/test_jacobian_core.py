@@ -1,7 +1,7 @@
 """Every quantity read from the factored Jacobian core against its dense definition.
 
-The definitions are built here from dense Kronecker products and the vech
-selector T, at n <= 8:
+The definitions are built here from dense Kronecker products, the vech
+selector T and the dense L' of the basis loop, at n <= 8:
 
     J      = sign T (conj(X) kron X) diag(vec R) (X^T kron X^H) L'
              (the Fermi filter adds the rank-one Fermi-level shift)
@@ -27,7 +27,6 @@ from scfconv import (
     HadamardMask,
     Problem,
     ScfOptions,
-    assemble_Lprime,
     assemble_jacobian,
     bound_cyclic,
     bound_gap_all,
@@ -43,7 +42,7 @@ from scfconv import (
 )
 from scfconv.matops import selector_T
 
-from conftest import random_hermitian
+from conftest import lprime_by_basis_loop, random_hermitian
 
 REL = 1e-12
 
@@ -141,9 +140,9 @@ def core_ladder(jb, gaps, l_prime):
         "c2": jb.c2,
         "c2a": c2a,
         "c2b": c2b,
-        "c_naive": jb.c_naive(gaps),
-        "c_gap": bound_gap_all(jb, gaps),
-        "c_tilde": bound_rank_truncated(jb, np.arange(1, gaps.count + 1), gaps),
+        "c_naive": jb.c_naive,
+        "c_gap": bound_gap_all(jb),
+        "c_tilde": bound_rank_truncated(jb, np.arange(1, gaps.count + 1)),
     }
 
 
@@ -153,8 +152,8 @@ def case(request):
     problem = make()
     bundle, _ = locate_fixed_point(problem, ScfOptions(max_iter=800))
     assert bundle.converged
-    l_prime = assemble_Lprime(problem.op, problem.n)
-    jb = assemble_jacobian(bundle, l_prime)
+    l_prime = lprime_by_basis_loop(problem.op, problem.n)
+    jb = assemble_jacobian(bundle, problem.op)
     gaps = gap_structure(bundle.lambdas, problem.p)
     return problem, bundle, l_prime, jb, gaps, support_size
 
@@ -165,13 +164,13 @@ def test_support_is_the_nonzero_columns_of_lprime(case):
     nonzero = np.flatnonzero(np.abs(l_prime).sum(axis=0))
     assert np.array_equal(jb.support, nonzero)
     rest = np.setdiff1d(np.arange(jb.m), jb.support)
-    assert not np.any(jb.j_p[:, rest])
+    assert not np.any(jb.dense()[:, rest])
 
 
 def test_jacobian_matches_dense_kronecker(case):
     problem, bundle, l_prime, jb, _, _ = case
     dense = dense_ladder(problem, bundle, l_prime)["j"]
-    assert np.allclose(jb.j_p, dense, rtol=0.0, atol=1e-14 * max(1.0, np.abs(dense).max()))
+    assert np.allclose(jb.dense(), dense, rtol=0.0, atol=1e-14 * max(1.0, np.abs(dense).max()))
 
 
 def dense_fermi_jacobian(bundle, l_prime, beta):
@@ -192,10 +191,10 @@ def dense_fermi_jacobian(bundle, l_prime, beta):
 
 
 def test_fermi_jacobian_matches_dense_kronecker(case):
-    _, bundle, l_prime, _, _, _ = case
-    jf = fermi_jacobian(bundle, l_prime, beta=5.0)
+    problem, bundle, l_prime, _, _, _ = case
+    jf = fermi_jacobian(bundle, problem.op, beta=5.0)
     dense = dense_fermi_jacobian(bundle, l_prime, 5.0)
-    assert np.allclose(jf.j_p, dense, rtol=0.0, atol=1e-14 * max(1.0, np.abs(dense).max()))
+    assert np.allclose(jf.dense(), dense, rtol=0.0, atol=1e-14 * max(1.0, np.abs(dense).max()))
 
 
 @pytest.mark.parametrize("name", ["c", "c2", "c2a", "c2b", "c_naive", "c_gap", "c_tilde"])
@@ -215,18 +214,18 @@ def test_every_k_on_a_dense_support_allocates_no_more_than_a_few_jacobians():
     problem = general_vec_problem(n=12, p=6)
     bundle, _ = locate_fixed_point(problem, ScfOptions(max_iter=800))
     assert bundle.converged
-    jb = assemble_jacobian(bundle, assemble_Lprime(problem.op, problem.n))
+    jb = assemble_jacobian(bundle, problem.op)
     gaps = gap_structure(bundle.lambdas, problem.p)
     assert jb.support.size == jb.m
     ks = np.arange(1, gaps.count + 1)
     jb.lprime_u  # the cached core factors are not part of the pass
     tracemalloc.start()
     try:
-        got = bound_rank_truncated(jb, ks, gaps)
+        got = bound_rank_truncated(jb, ks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * jb.j_p.nbytes, (peak, jb.j_p.nbytes)
+    assert peak < 8 * jb.dense().nbytes, (peak, jb.dense().nbytes)
     order = [
         t
         for i, j in gaps.pairs

@@ -105,20 +105,13 @@ def test_locate_fixed_point_plain_when_convergent():
     assert bundle.damping == 1.0
 
 
-def test_p0_trace_validation():
-    problem = build_illustrative(0.1)
-    with pytest.raises(ValueError):
-        scf_solve(problem, p0=np.eye(3))
-
-
 def test_zero_gap_reports_iterate_index():
     a0 = np.diag([0.0, 2.0, 3.0])
     mask = np.diag([2.0, 0.0, 0.0])
     problem = Problem(a0=a0, op=HadamardMask(mask=mask), p=1)
-    e11 = np.zeros((3, 3))
-    e11[0, 0] = 1.0
+    # the start density of A0 is e11, so A(P_0) = diag(2, 2, 3) has no gap
     with pytest.raises(ZeroGapError, match="iterate 0"):
-        scf_solve(problem, p0=e11)
+        scf_solve(problem)
 
 
 def test_options_validation():
