@@ -4,15 +4,15 @@ The Jacobian acts on half-vectorized density-matrix coordinates (dimension
 m = n(n+1)/2).  It is built once per fixed point from a factored core on the
 support S that the operator names, the columns of L' that can be nonzero:
 
-    W[a, b, s] = x_a^H L(E_s) x_b,   s in S
-    J[:, S]    = sign * sum over R_ab != 0 of R_ab vech(x_a x_b^H) W[a, b, S]
+    W_s     = X^H L(E_s) X                   (n x n, s in S)
+    J[:, s] = sign * vech(X (R o W_s) X^H)
 
 J is zero outside the columns S, and only L'[:, S] and J[:, S] are kept.
-Every reported number is read from small matrices of this core: c =
-rho(J[S, S]), c2 = ||J[:, S]||_2, c2a from the rows of W, c2b and the gap pair
-terms from L'[:, S] times the S-rows of the vech(x_a x_b^H) columns, and the
-rank-truncated family from one running sum over the pairs in gap order.  The
-dense J (``JacobianBundle.dense``) survives only in the oracles.
+Every reported number is read from this core by eigenvector pair (a, b): c =
+rho(J[S, S]), c2 = ||J[:, S]||_2, c2a from W[a, b, S], c2b and the gap pair
+terms from L'[:, S] times the S-rows of vech(x_a x_b^H), and the rank-truncated
+family from one running sum over the pairs in gap order.  The dense J
+(``JacobianBundle.dense``) survives only in the oracles.
 
 ``LADDER`` names these quantities, and ``ladder`` is the one evaluator that
 ``analyze``, ``sweep`` and ``check`` read them from.
@@ -101,11 +101,10 @@ class JacobianBundle:
     ``vec_r`` is the diagonal of D stored as vec of the divided-difference
     matrix R; ``sign`` is the scalar in front of the assembled product.
     ``support`` is S, the columns the operator names; L' and J vanish outside
-    them, and ``l_s`` = L'[:, S] and ``j_s`` = J[:, S] are kept.  The core is
-    indexed by the ordered pairs (a, b) of ``pair_a``/``pair_b`` (0-based):
-    every entry where R is nonzero, plus every occupied/virtual cross pair.
-    Pair t has ``u[:, t] = vech(x_a x_b^H)`` and ``w[t] = W[a, b, S]`` with
-    W[a, b, s] = x_a^H L(E_s) x_b, so that J[:, S] = sign * u @ (R_ab * w).
+    them, and ``l_s`` = L'[:, S] and ``j_s`` = J[:, S] are kept.  ``w`` is the
+    |S| x n x n stack of W_s = X^H L(E_s) X, so that w[s, a, b] = x_a^H
+    L(E_s) x_b, and J[:, s] = sign * vech(X (R o W_s) X^H), plus the
+    Fermi-level shift under the Fermi filter.
     """
 
     j_s: np.ndarray
@@ -115,9 +114,6 @@ class JacobianBundle:
     lambdas: np.ndarray
     p: int
     support: np.ndarray
-    pair_a: np.ndarray
-    pair_b: np.ndarray
-    u: np.ndarray
     w: np.ndarray
     sign: float = -1.0
     filter: str = "step"
@@ -132,8 +128,8 @@ class JacobianBundle:
 
     @property
     def r(self) -> np.ndarray:
-        """R_ab of every core pair."""
-        return self.vec_r[self.pair_a + self.n * self.pair_b]
+        """The n x n divided-difference matrix R."""
+        return self.vec_r.reshape(self.n, self.n, order="F")
 
     @cached_property
     def lprime_r(self) -> np.ndarray:
@@ -142,8 +138,12 @@ class JacobianBundle:
 
     @cached_property
     def lprime_u(self) -> np.ndarray:
-        """Q^H L' vech(x_a x_b^H) of every core pair (the norms of L' U)."""
-        return self.lprime_r @ self.u[self.support]
+        """Q^H L' vech(x_a x_b^H) at [:, a, b] (the norms of L' U), from the
+        S-rows U_S[s, a, b] = x[i_s, a] conj(x[k_s, b]), s = (i_s, k_s)."""
+        n = self.n
+        here = vech_index(n)[self.support]
+        u_s = self.x[here % n][:, :, None] * self.x[here // n].conj()[:, None, :]
+        return (self.lprime_r @ u_s.reshape(-1, n * n)).reshape(-1, n, n)
 
     @cached_property
     def lprime_norm(self) -> float:
@@ -180,23 +180,26 @@ class JacobianBundle:
 
 
 def _assemble(bundle: FixedPointBundle, r: np.ndarray, op: OperatorSpec, sign: float, filter: str):
-    x, p = bundle.x, bundle.p
+    """J[:, S] = sign * vech(X M_s X^H) with M_s = R o W_s, less dmu_s diag(f')
+    when the diagonal f' of R does not vanish (the Fermi-level shift)."""
+    x = bundle.x
     n = x.shape[0]
-    support = op.support()
     l_s = assemble_Lprime(op, n)
-    cross = np.zeros((n, n), dtype=bool)
-    cross[:p, p:] = cross[p:, :p] = True
-    pair_a, pair_b = np.nonzero((r != 0) | cross)
-    vidx = vech_index(n)
-    u = x[vidx % n][:, pair_a] * x[vidx // n][:, pair_b].conj()
     # L(E_s) for s in S as a stack of n x n matrices (columns are vec, column-major)
-    l_mats = l_s.T.reshape(-1, n, n).transpose(0, 2, 1)
-    w = (x.conj().T @ l_mats @ x)[:, pair_a, pair_b].T
-    j_s = u @ ((sign * r[pair_a, pair_b])[:, None] * w)
+    w = x.conj().T @ l_s.T.reshape(-1, n, n).transpose(0, 2, 1) @ x
+    m_s = r * w
+    fprime = np.diagonal(r)
+    total = fprime.sum()
+    if total != 0:
+        dmu = np.diagonal(w, axis1=1, axis2=2) @ (fprime / total)
+        m_s[:, np.arange(n), np.arange(n)] -= dmu[:, None] * fprime
+    np.matmul(x @ m_s, x.conj().T, out=m_s)  # the sandwich X M_s X^H, in place
+    vidx = vech_index(n)
+    j_s = sign * m_s[:, vidx % n, vidx // n].T
     return JacobianBundle(
         j_s=j_s, vec_r=r.ravel(order="F"), l_s=l_s, x=x,
-        lambdas=np.asarray(bundle.lambdas, dtype=float), p=p, support=support,
-        pair_a=pair_a, pair_b=pair_b, u=u, w=w, sign=sign, filter=filter,
+        lambdas=np.asarray(bundle.lambdas, dtype=float), p=bundle.p, support=op.support(),
+        w=w, sign=sign, filter=filter,
     )
 
 
@@ -224,22 +227,16 @@ def fermi_jacobian(
     and the product carries a positive sign (the divided differences of the
     decreasing Fermi function are negative on cross pairs, which recovers the
     step-filter Jacobian in the sharp limit).  mu is solved again for every
-    P, so each column also gains the Fermi-level shift -dmu X f'(Lambda) X^H
-    with dmu = sum_i f'_i W[i, i, s] / sum_i f'_i: a rank-one term on the
-    columns S, and zero when every f'_i underflows.
+    P, so each column also gains the Fermi-level shift -dmu_s X f'(Lambda) X^H
+    with dmu_s = sum_i f'_i W_s[i, i] / sum_i f'_i (a diagonal term of M_s): a
+    rank-one term on the columns S, and zero when every f'_i underflows.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     if mu is None:
         mu = fermi_chemical_potential(bundle.lambdas, beta, bundle.p)
     r_f = divided_difference_matrix(bundle.lambdas, bundle.p, kind="fermi", beta=beta, mu=mu)
-    jb = _assemble(bundle, r_f, op, sign=1.0, filter="fermi")
-    diag = jb.pair_a == jb.pair_b
-    fprime = jb.r[diag]
-    total = fprime.sum()
-    if total != 0:
-        jb.j_s -= np.outer(jb.u[:, diag] @ fprime, (fprime / total) @ jb.w[diag])
-    return jb
+    return _assemble(bundle, r_f, op, sign=1.0, filter="fermi")
 
 
 def jacobian_fd(
@@ -358,30 +355,29 @@ def _norm2(a: np.ndarray) -> float:
 def bound_cyclic(jb: JacobianBundle) -> tuple[float, float]:
     """The two cyclic-permutation spectral-norm bounds (c_2a, c_2b).
 
-    Both matrices have nonzero columns only at the off-diagonal entries of R.
-    The c_2a column of pair (a, b) is |R_ab| L'^H vec(x_a x_b^H), whose
-    entries are conj W[a, b, :]; the c_2b column is |R_ab| L' vech(x_a x_b^H).
+    Both matrices have nonzero columns only at the off-diagonal (a, b) where R
+    is nonzero, and only those are taken.  The c_2a column of pair (a, b) is
+    |R_ab| L'^H vec(x_a x_b^H), whose entries are conj W[a, b, :]; the c_2b
+    column is |R_ab| L' vech(x_a x_b^H).
     """
-    off = jb.pair_a != jb.pair_b
-    scale = np.abs(jb.r[off])
-    c2a = _norm2(scale[:, None] * jb.w[off])
-    c2b = _norm2(jb.lprime_u[:, off] * scale[None, :])
+    a, b = np.nonzero((jb.r != 0) & ~np.eye(jb.n, dtype=bool))
+    scale = np.abs(jb.r[a, b])
+    c2a = _norm2(jb.w[:, a, b] * scale)
+    c2b = _norm2(jb.lprime_u[:, a, b] * scale)
     return c2a, c2b
 
 
-def _omega_pairs(jb: JacobianBundle) -> np.ndarray:
-    """Core pair positions of (j, i) and (i, j) for each cross pair (i, j),
-    in gap order: row q holds the two pairs omega(q + 1) adds."""
-    pos = np.full((jb.n, jb.n), -1)
-    pos[jb.pair_a, jb.pair_b] = np.arange(jb.pair_a.size)
-    occ, virt = (np.asarray(jb.gaps.pairs, dtype=np.intp).reshape(-1, 2) - 1).T
-    return np.stack([pos[virt, occ], pos[occ, virt]], axis=1)
+def _omega_pairs(gaps: GapStructure) -> tuple[np.ndarray, np.ndarray]:
+    """The (a, b) index arrays (0-based) of omega(p(n-p)) in gap order: pairs
+    2q and 2q + 1 are the (j, i) and (i, j) that omega(q + 1) adds."""
+    occ, virt = (np.asarray(gaps.pairs, dtype=np.intp).reshape(-1, 2) - 1).T
+    return np.stack([virt, occ], axis=1).ravel(), np.stack([occ, virt], axis=1).ravel()
 
 
 def _pair_terms(jb: JacobianBundle) -> np.ndarray:
     """Per-gap terms (||L(S(x_l x_m^H))||_F + ||L(S(x_m x_l^H))||_F) / gap."""
-    norms = np.linalg.norm(jb.lprime_u, axis=0)[_omega_pairs(jb)]
-    return norms.sum(axis=1) / jb.gaps.cross_gaps
+    norms = np.linalg.norm(jb.lprime_u, axis=0)[_omega_pairs(jb.gaps)]
+    return norms.reshape(-1, 2).sum(axis=1) / jb.gaps.cross_gaps
 
 
 def bound_gap_all(jb: JacobianBundle, q_max: int | None = None) -> np.ndarray:
@@ -401,11 +397,12 @@ def bound_gap_all(jb: JacobianBundle, q_max: int | None = None) -> np.ndarray:
 def bound_rank_truncated(jb: JacobianBundle, ks) -> np.ndarray:
     """Spectral norms of the Jacobian truncated to the k smallest-gap entries of D.
 
-    J_k keeps only the diagonal entries of D indexed by omega(k) (rank <= 2k);
-    k = p(n-p) leaves D untouched and recovers c_2 exactly.  With the pairs t
-    in gap order, a_t = R_ab vech(x_a x_b^H) and b_t = W[a, b, S] as the
-    columns of A and the rows of B, J_k[:, S] = A[:, :2k] B[:2k].  One QR of
-    A and one of B^H give A = Q_A R_A and B = L_B Q_B^H; the R factor of a
+    J_k keeps only the diagonal entries of D indexed by omega(k) (rank <= 2k).
+    With the pairs t in gap order, a_t = R_ab vech(x_a x_b^H) and b_t =
+    W[a, b, S] as the columns of A and the rows of B, J_k[:, S] = A[:, :2k]
+    B[:2k]; under the step filter J = A B, so k = p(n-p) reads c_2.  A and B
+    are built only for the first 2 max(k) pairs that the other k need.  One QR
+    of A and one of B^H give A = Q_A R_A and B = L_B Q_B^H; the R factor of a
     column prefix of A is the matching block of R_A, so ||J_k|| is the norm
     of R_A[:, :2k] L_B[:2k].  One running sum of these rank-2 terms, each
     added to the leading 2k x 2k block where it lies, serves every k in
@@ -415,18 +412,18 @@ def bound_rank_truncated(jb: JacobianBundle, ks) -> np.ndarray:
     ks = np.asarray(ks, dtype=int).reshape(-1)
     if ks.size and not (1 <= ks.min() and ks.max() <= gaps.count):
         raise ValueError(f"k in {ks.tolist()} out of range [1, {gaps.count}]")
-    order = _omega_pairs(jb).ravel()
-    a = jb.u[:, order] * jb.r[order]
-    b = jb.w[order]
     out = np.zeros(ks.size)
     full = ks == gaps.count
     if full.any():
-        out[full] = _norm2(a @ b)
+        out[full] = jb.c2
     part = ks[~full]
-    if part.size and b.shape[1]:
+    if part.size and jb.support.size:
         top = 2 * part.max()
-        r_a = np.linalg.qr(a[:, :top], mode="r")
-        l_b = np.linalg.qr(b[:top].conj().T, mode="r").conj().T
+        pa, pb = (t[:top] for t in _omega_pairs(gaps))
+        vidx = vech_index(jb.n)
+        a = jb.x[vidx % jb.n][:, pa] * jb.x[vidx // jb.n][:, pb].conj() * jb.r[pa, pb]
+        r_a = np.linalg.qr(a, mode="r")
+        l_b = np.linalg.qr(jb.w[:, pa, pb].conj(), mode="r").conj().T
         rows, cols = r_a.shape[0], l_b.shape[1]
         total = np.zeros((rows, cols), dtype=complex)
         norms = {}

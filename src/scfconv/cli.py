@@ -165,15 +165,19 @@ def parse_outputs(spec: str):
 def sweep_grid(args):
     try:
         if args.values:
-            return [float(v) for v in args.values.split(",")]
-        if args.grid:
+            grid = [float(v) for v in args.values.split(",")]
+        elif args.grid:
             lo, hi, count = float(args.grid[0]), float(args.grid[1]), int(args.grid[2])
-            if args.grid_scale == "log":
-                return list(np.geomspace(lo, hi, count))
-            return list(np.linspace(lo, hi, count))
+            space = np.geomspace if args.grid_scale == "log" else np.linspace
+            with np.errstate(invalid="ignore"):
+                grid = [float(v) for v in space(lo, hi, count)]
+        else:
+            raise SystemExit("sweep needs --values or --grid LO HI COUNT")
     except ValueError as exc:
         raise SystemExit(f"bad sweep grid: {exc}") from None
-    raise SystemExit("sweep needs --values or --grid LO HI COUNT")
+    if not np.all(np.isfinite(grid)):
+        raise SystemExit(f"bad sweep grid: every value must be finite, got {grid}")
+    return grid
 
 
 def problem_at(args, value: float) -> Problem:

@@ -150,6 +150,10 @@ class Problem:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        arrays = {"A0": self.a0, **{f"operator {k}": v for k, v in vars(self.op).items()}}
+        for name, value in arrays.items():
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} has a non-finite entry")
         self.a0 = np.asarray(require_hermitian(self.a0, name="A0"), dtype=complex)
         if not 1 <= self.p < self.n:
             raise ValueError(f"occupation p={self.p} must satisfy 1 <= p < n={self.n}")
@@ -199,6 +203,8 @@ def build_laplacian(
         raise ValueError("n must be at least 2")
     if h is None:
         h = 1.0 / (n + 1)
+    if not 0 < h < np.inf:
+        raise ValueError(f"grid spacing h must be positive and finite, got {h}")
     diag = 2.0 / h**2
     off = -1.0 / h**2
     if variant == "complex":

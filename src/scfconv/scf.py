@@ -55,10 +55,14 @@ class ScfOptions:
     def __post_init__(self):
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.filter not in ("step", "fermi"):
             raise ValueError(f"unknown filter {self.filter!r}")
+        if self.beta is not None and not np.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         if self.filter == "fermi" and (self.beta is None or self.beta <= 0):
             raise ValueError("fermi filter requires beta > 0")
 

@@ -463,14 +463,30 @@ def test_parse_outputs_accepts_exactly_the_ladder_table():
         ["sweep", "--family", "illustrative", "--filter", "fermi", "--beta", "1e-3",
          "--axis", "eps", "--values", "0.1"],
         ["check", "--family", "illustrative", "--filter", "fermi", "--beta", "1e-3"],
+        ["solve", "--family", "illustrative", "--max-iter", "0"],
+        ["analyze", "--family", "laplacian-real", "--n", "6", "--p", "3", "--alpha", "inf"],
+        ["sweep", "--family", "laplacian-real", "--n", "6", "--p", "3", "--axis", "alpha",
+         "--values", "nan"],
+        ["sweep", "--family", "illustrative", "--axis", "eps", "--grid", "-1", "1", "3",
+         "--grid-scale", "log"],
+        ["check", "--family", "laplacian-real", "--h", "0"],
+        ["analyze", "--family", "illustrative", "--tol", "nan"],
+        ["analyze", "--file", "nan-a0.json"],
     ],
     ids=["p-ge-n", "p-zero", "fermi-without-beta", "damping-zero", "missing-file",
          "sweep-bad-value", "sweep-bad-count", "negative-q-max", "analyze-out-missing-dir",
          "solve-out-missing-dir", "sweep-out-missing-dir", "analyze-zero-gap", "sweep-zero-gap",
          "check-zero-gap", "analyze-mu-not-bracketed", "sweep-mu-not-bracketed",
-         "check-mu-not-bracketed"],
+         "check-mu-not-bracketed", "solve-max-iter-zero", "analyze-alpha-inf",
+         "sweep-value-nan", "sweep-log-grid-through-zero", "check-h-zero", "analyze-tol-nan",
+         "analyze-nan-in-a0"],
 )
 def test_bad_input_is_one_line_on_stderr(tmp_path, argv):
+    # the problem file of the NaN case: the illustrative problem with A0[1, 1] = NaN
+    a0 = [[0.0, 0.1, 0.0], [0.1, float("nan"), 0.1], [0.0, 0.1, 10.0]]
+    mask = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 100.0]]
+    (tmp_path / "nan-a0.json").write_text(json.dumps(
+        {"n": 3, "p": 1, "A0": a0, "operator": {"kind": "hadamard", "mask": mask}}))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-m", "scfconv.cli", *argv], cwd=tmp_path, env=env,

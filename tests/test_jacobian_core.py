@@ -38,9 +38,10 @@ from scfconv import (
     fermi_jacobian,
     fermi_occupations,
     gap_structure,
+    ladder,
     locate_fixed_point,
 )
-from scfconv.matops import selector_T
+from scfconv.matops import selector_T, vech
 
 from conftest import lprime_by_basis_loop, random_hermitian
 
@@ -218,7 +219,6 @@ def test_every_k_on_a_dense_support_allocates_no_more_than_a_few_jacobians():
     gaps = gap_structure(bundle.lambdas, problem.p)
     assert jb.support.size == jb.m
     ks = np.arange(1, gaps.count + 1)
-    jb.lprime_u  # the cached core factors are not part of the pass
     tracemalloc.start()
     try:
         got = bound_rank_truncated(jb, ks)
@@ -226,13 +226,36 @@ def test_every_k_on_a_dense_support_allocates_no_more_than_a_few_jacobians():
     finally:
         tracemalloc.stop()
     assert peak < 8 * jb.dense().nbytes, (peak, jb.dense().nbytes)
-    order = [
-        t
-        for i, j in gaps.pairs
-        for t in (np.flatnonzero((jb.pair_a == j - 1) & (jb.pair_b == i - 1))[0],
-                  np.flatnonzero((jb.pair_a == i - 1) & (jb.pair_b == j - 1))[0])
-    ]
-    a = jb.u[:, order] * jb.r[order]
-    b = jb.w[order]
+    pairs = [(a - 1, b - 1) for a, b in gaps.omega(gaps.count)]
+    a = np.stack(
+        [jb.r[i, j] * vech(np.outer(jb.x[:, i], jb.x[:, j].conj())) for i, j in pairs], axis=1
+    )
+    b = np.stack([jb.w[:, i, j] for i, j in pairs])
     expected = [np.linalg.norm(a[:, : 2 * k] @ b[: 2 * k], 2) for k in ks]
     assert np.allclose(got, expected, rtol=REL, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "variant, n, p, opts",
+    [("complex", 60, 25, ScfOptions()), ("real", 40, 20, ScfOptions(filter="fermi", beta=5e-3))],
+    ids=["laplacian-complex-step", "laplacian-real-fermi"],
+)
+def test_assembly_and_ladder_peak_below_eight_cubes(variant, n, p, opts):
+    # the core is n x n per column of S (|S| = n here): nothing of size m x pairs
+    problem = build_laplacian(n, 5.0, p, variant=variant)
+    bundle, _ = locate_fixed_point(problem, opts)
+    assert bundle.converged
+    count = p * (n - p)
+    tokens = ["c", "c2", "c2a", "c2b", "naive", *(f"gap:{q}" for q in range(count + 1)), "tilde:3"]
+    tracemalloc.start()
+    try:
+        jb = assemble_jacobian(bundle, problem.op)
+        values = ladder(problem, jb, tokens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert jb.filter == opts.filter
+    if opts.filter == "fermi":
+        assert np.diagonal(jb.r).sum() != 0  # the Fermi-level shift is in play
+    assert values["c"] <= values["c2"]
+    assert peak < 8 * n**3 * np.dtype(complex).itemsize, peak
