@@ -32,7 +32,6 @@ from .matops import (
     fermi_chemical_potential,
     vech,
     vech_index,
-    vech_inv,
 )
 from .problems import OperatorSpec, Problem, assemble_Lprime
 from .scf import FixedPointBundle, ScfOptions, locate_fixed_point, measured_rate, scf_step
@@ -194,8 +193,7 @@ def _assemble(bundle: FixedPointBundle, r: np.ndarray, op: OperatorSpec, sign: f
         dmu = np.diagonal(w, axis1=1, axis2=2) @ (fprime / total)
         m_s[:, np.arange(n), np.arange(n)] -= dmu[:, None] * fprime
     np.matmul(x @ m_s, x.conj().T, out=m_s)  # the sandwich X M_s X^H, in place
-    vidx = vech_index(n)
-    j_s = sign * m_s[:, vidx % n, vidx // n].T
+    j_s = sign * vech(m_s).T
     return JacobianBundle(
         j_s=j_s, vec_r=r.ravel(order="F"), l_s=l_s, x=x,
         lambdas=np.asarray(bundle.lambdas, dtype=float), p=bundle.p, support=op.support(),
@@ -239,6 +237,31 @@ def fermi_jacobian(
     return _assemble(bundle, r_f, op, sign=1.0, filter="fermi")
 
 
+# The bytes of one chunk's stack of perturbed densities in the FD oracles
+FD_CHUNK_BYTES = 1 << 19
+
+
+def _perturbed_psi(problem, p_star, ts, rows, cols, value, filter, beta, first=0):
+    """Yield (j, vech(Psi(P* + t D_j))) chunk by chunk, the second of shape
+    (len(ts), len(j), m), along D_j = value E_(rows_j, cols_j) + conj(value)
+    E_(cols_j, rows_j).  A chunk's densities go through one stacked
+    ``scf_step``; a zero gap names its column, counted from ``first``."""
+    n = p_star.shape[0]
+    size = max(1, FD_CHUNK_BYTES // (16 * len(ts) * n * n))
+    for lo in range(0, rows.size, size):
+        j = np.arange(lo, min(lo + size, rows.size))
+        d = np.zeros((j.size, n, n), dtype=np.result_type(value))
+        d[j - lo, rows[j], cols[j]] = value
+        d[j - lo, cols[j], rows[j]] = np.conj(value)
+        stack = p_star + np.multiply.outer(ts, d)
+        try:
+            psi, _, _ = scf_step(problem, stack, filter=filter, beta=beta)
+        except ZeroGapError as exc:
+            col = first + lo + exc.member[1] + 1
+            raise ZeroGapError(f"zero gap while perturbing column j={col}: {exc}") from exc
+        yield j, vech(psi)
+
+
 def jacobian_fd(
     problem: Problem,
     p_star: np.ndarray,
@@ -252,33 +275,19 @@ def jacobian_fd(
     stencil with a step of 5e-4 times (1 + ||P*||_F): the second-order
     stencil at its optimal step leaves an absolute noise floor near 1e-11
     from cancellation, which is not small enough to certify Jacobian columns
-    that are several orders below the matrix scale.
+    that are several orders below the matrix scale.  The four perturbed
+    densities of a chunk of columns go through one stacked ``scf_step``.
     """
     n = p_star.shape[0]
     m = n * (n + 1) // 2
     step = 5e-4 * (1.0 + float(np.linalg.norm(p_star)))
-    out = np.zeros((m, m), dtype=complex)
-    ej = np.zeros(m)
-    for j in range(m):
-        ej.flat = 0.0
-        ej[j] = 1.0
-        direction = vech_inv(ej).real
-
-        def psi(t):
-            shifted, _, _ = scf_step(
-                problem, p_star + t * direction, filter=filter, beta=beta
-            )
-            return vech(shifted)
-
-        try:
-            # differences first, so a column whose psi values are all
-            # equal comes out exactly zero
-            col = (
-                8.0 * (psi(step) - psi(-step)) - (psi(2.0 * step) - psi(-2.0 * step))
-            ) / (12.0 * step)
-        except ZeroGapError as exc:
-            raise ZeroGapError(f"zero gap while perturbing column j={j + 1}: {exc}") from exc
-        out[:, j] = col
+    ts = np.array([step, -step, 2.0 * step, -2.0 * step])
+    vidx = vech_index(n)
+    out = np.empty((m, m), dtype=complex)
+    for j, v in _perturbed_psi(problem, p_star, ts, vidx % n, vidx // n, 1.0, filter, beta):
+        # differences first, so a column whose psi values are all equal
+        # comes out exactly zero
+        out[:, j] = ((8.0 * (v[0] - v[1]) - (v[2] - v[3])) / (12.0 * step)).T
     return out
 
 
@@ -287,6 +296,7 @@ def realified_jacobian_fd(
     p_star: np.ndarray,
     filter: str = "step",
     beta: float | None = None,
+    fd: np.ndarray | None = None,
 ) -> np.ndarray:
     """Real Jacobian over the n^2 real coordinates of the Hermitian manifold.
 
@@ -294,37 +304,25 @@ def realified_jacobian_fd(
     strict-lower vech entries (m - n of them).  The imaginary parts of the
     diagonal are identically zero for Hermitian matrices, so the real
     dimension is n^2, not 2m.  Complements the complex m x m Jacobian, whose
-    coordinate map is complex-linear only on symmetric completions.
+    coordinate map is complex-linear only on symmetric completions.  The
+    m real directions are those of ``jacobian_fd``, whose result ``fd`` gives
+    their columns [Re fd; Im fd[strict lower]]; the m - n imaginary ones are
+    central differences with a step of 1e-5 (1 + ||P*||_F).
     """
     n = p_star.shape[0]
     m = n * (n + 1) // 2
+    if fd is None:
+        fd = jacobian_fd(problem, p_star, filter=filter, beta=beta)
     step = 1e-5 * (1.0 + float(np.linalg.norm(p_star)))
     vidx = vech_index(n)
-    rows = vidx % n
-    cols = vidx // n
-    offdiag = np.flatnonzero(rows != cols)
-
-    directions = []
-    for j in range(m):
-        ej = np.zeros(m)
-        ej[j] = 1.0
-        directions.append(vech_inv(ej).real)
-    for j in offdiag:
-        d = np.zeros((n, n), dtype=complex)
-        d[rows[j], cols[j]] = 1j
-        d[cols[j], rows[j]] = -1j
-        directions.append(d)
-
-    def coords(delta):
-        v = vech(delta)
-        return np.concatenate([v.real, v[offdiag].imag])
-
-    dim = m + offdiag.size
-    out = np.zeros((dim, dim))
-    for k, direction in enumerate(directions):
-        plus, _, _ = scf_step(problem, p_star + step * direction, filter=filter, beta=beta)
-        minus, _, _ = scf_step(problem, p_star - step * direction, filter=filter, beta=beta)
-        out[:, k] = coords((plus - minus) / (2.0 * step))
+    offdiag = np.flatnonzero(vidx % n != vidx // n)
+    rows, cols = vidx[offdiag] % n, vidx[offdiag] // n
+    out = np.empty((n * n, n * n))
+    out[:, :m] = np.concatenate([fd.real, fd[offdiag].imag])
+    ts = np.array([step, -step])
+    for j, v in _perturbed_psi(problem, p_star, ts, rows, cols, 1j, filter, beta, first=m):
+        d = (v[0] - v[1]) / (2.0 * step)
+        out[:, m + j] = np.concatenate([d.real, d[:, offdiag].imag], axis=1).T
     return out
 
 
@@ -348,8 +346,12 @@ def bound_naive(l_prime: np.ndarray, delta1: float) -> float:
 
 
 def _norm2(a: np.ndarray) -> float:
-    """Spectral norm, 0 for a matrix with no entries."""
-    return float(np.linalg.norm(a, 2)) if a.size else 0.0
+    """Spectral norm from the top eigenvalue of the smaller Gram matrix, 0 for
+    a matrix with no entries."""
+    if not a.size:
+        return 0.0
+    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def bound_cyclic(jb: JacobianBundle) -> tuple[float, float]:
@@ -447,25 +449,24 @@ def bound_liu(problem: Problem, delta1: float) -> float:
 
 
 def cyclic_spectral_radii(jb: JacobianBundle) -> list:
-    """Spectral radii of the four cyclic reorderings of the Jacobian product.
-
-    Materializes dense Kronecker factors; intended for moderate n (checks and
-    tests), where agreement to round-off is an invariant of the theory.
+    """Spectral radii of the four cyclic reorderings of the Jacobian product
+    sign T (K1 D)(K2 L'T), each on its support, for moderate n (checks and
+    tests).  The first is c: J vanishes outside the columns S.  The second,
+    sign (K1 D)(K2 L'T), vanishes outside the columns vec(S).  The other two
+    stay dense n^2 x n^2: a smaller block would use the identity under test.
     """
-    n = jb.n
-    x = jb.x
-    d = jb.vec_r
-    k1 = np.kron(x.conj(), x)
+    x, d = jb.x, jb.vec_r
+    here = vech_index(jb.n)[jb.support]
+    k1_s = np.kron(x.conj(), x)[here]  # the rows vec(S) of K1
+    k1d_s = k1_s * d[None, :]
     k2 = np.kron(x.T, x.conj().T)
-    # L' T: column vec(i, k) of the lower triangle holds column (i, k) of L'
-    lpt = np.zeros((n * n, n * n), dtype=complex)
-    lpt[:, vech_index(n)[jb.support]] = jb.l_s
+    k2_l = k2 @ jb.l_s  # K2 L'T on its nonzero columns vec(S)
     # each reordered product is freed once its radius is taken
     return [
-        convergence_factor(jb.dense()),
-        convergence_factor(jb.sign * (k1 * d[None, :]) @ (k2 @ lpt)),
-        convergence_factor(jb.sign * (d[:, None] * (k2 @ lpt)) @ k1),
-        convergence_factor(jb.sign * lpt @ (k1 * d[None, :]) @ k2),
+        jb.c,
+        convergence_factor(jb.sign * k1d_s @ k2_l),
+        convergence_factor(jb.sign * d[:, None] * (k2_l @ k1_s)),
+        convergence_factor(jb.sign * jb.l_s @ (k1d_s @ k2)),
     ]
 
 

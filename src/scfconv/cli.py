@@ -261,7 +261,9 @@ def cmd_check(args) -> int:
     violated = f", violated {violations}" if violations else ""
     failures += verdict(not violations, f"bound chain: c={c:.6e}{violated}")
 
-    j_real = realified_jacobian_fd(problem, bundle.p_star, filter=bundle.filter, beta=bundle.beta)
+    j_real = realified_jacobian_fd(
+        problem, bundle.p_star, filter=bundle.filter, beta=bundle.beta, fd=fd
+    )
     rho_real = convergence_factor(j_real)
     rel = abs(rho_real - c) / max(c, 1e-300)
     print(

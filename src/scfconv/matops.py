@@ -21,8 +21,12 @@ class ZeroGapError(ValueError):
     """The occupied/virtual spectrum is degenerate (lambda_p == lambda_{p+1}).
 
     The analysis assumes a nonzero gap; a degenerate cross gap makes the
-    density matrix ill-defined.
+    density matrix ill-defined.  ``member`` indexes the spectrum in a stack.
     """
+
+    def __init__(self, message: str, member: tuple | None = None):
+        super().__init__(message)
+        self.member = member
 
 
 class ChemicalPotentialError(RuntimeError):
@@ -30,12 +34,13 @@ class ChemicalPotentialError(RuntimeError):
 
 
 def require_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
-    """Validate that ``a`` is square and Hermitian within ``tol`` (relative)."""
+    """Validate that ``a``, a matrix or a stack (..., n, n) of them, is square
+    and Hermitian within ``tol`` relative to each matrix's largest entry."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-    if float(np.abs(a - a.conj().T).max()) > tol * scale:
+    err = np.abs(a - a.conj().swapaxes(-2, -1)).max(axis=(-2, -1), initial=0.0)
+    if (err > tol * np.abs(a).max(axis=(-2, -1), initial=1.0)).any():
         raise ValueError(f"{name} is not Hermitian within tolerance {tol}")
     return a
 
@@ -60,11 +65,13 @@ def vech_index(n: int) -> np.ndarray:
 
 
 def vech(w) -> np.ndarray:
-    """Column-stacked lower-triangle vectorization (w11..wn1, w22..wn2, ..., wnn)."""
+    """Column-stacked lower-triangle vectorization (w11..wn1, w22..wn2, ..., wnn),
+    of a matrix or of each matrix of a stack (..., n, n)."""
     w = np.asarray(w)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+    if w.ndim < 2 or w.shape[-1] != w.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {w.shape}")
-    return w.ravel(order="F")[_vech_index_cached(w.shape[0])]
+    idx = _vech_index_cached(w.shape[-1])
+    return w[..., idx % w.shape[-1], idx // w.shape[-1]]
 
 
 def vech_inv(v) -> np.ndarray:
@@ -100,13 +107,18 @@ def symmetrize_S(x) -> np.ndarray:
     return lower + np.tril(x, -1).T
 
 
-def _check_cross_gap(lam: np.ndarray, p: int) -> float:
-    gap = lam[p] - lam[p - 1]
-    scale = max(1.0, float(np.abs(lam).max()))
-    if gap <= GAP_TOL * scale:
+def _check_cross_gap(lam: np.ndarray, p: int):
+    """The cross gap lambda_p+1 - lambda_p of ascending spectra (..., n); a
+    degenerate one raises ZeroGapError, naming its member of a stack."""
+    gap = lam[..., p] - lam[..., p - 1]
+    zero = gap <= GAP_TOL * np.abs(lam).max(axis=-1, initial=1.0)
+    if zero.any():
+        member = tuple(np.argwhere(zero)[0].tolist())
+        at = f" in stack member [{', '.join(map(str, member))}]" if member else ""
         raise ZeroGapError(
-            f"zero gap: lambda_p = {float(lam[p - 1])!r} and lambda_p+1 = {float(lam[p])!r} "
-            "are degenerate; the analysis assumes a nonzero gap"
+            f"zero gap{at}: lambda_p = {float(lam[member + (p - 1,)])!r} and lambda_p+1 = "
+            f"{float(lam[member + (p,)])!r} are degenerate; the analysis assumes a nonzero gap",
+            member=member or None,
         )
     return gap
 
@@ -114,18 +126,19 @@ def _check_cross_gap(lam: np.ndarray, p: int) -> float:
 def spectral_filter_density(b, p: int, return_eig: bool = False, name: str = "matrix"):
     """Orthogonal projector onto the invariant subspace of the p smallest eigenvalues.
 
-    Returns ``P = X1 @ X1^H`` with P Hermitian, P^2 = P, trace(P) = p.  With
-    ``return_eig`` the full ascending eigendecomposition is returned as well.
-    ``name`` labels ``b`` in the Hermiticity error.
+    Returns ``P = X1 @ X1^H`` with P Hermitian, P^2 = P, trace(P) = p (of each
+    matrix of a stack (..., n, n)).  With ``return_eig`` the full ascending
+    eigendecomposition is returned as well.  ``name`` labels ``b`` in the
+    Hermiticity error.
     """
     b = require_hermitian(b, name=name)
-    n = b.shape[0]
+    n = b.shape[-1]
     if not 1 <= p < n:
         raise ValueError(f"occupation p={p} must satisfy 1 <= p < n={n}")
     lam, x = np.linalg.eigh(b)
     _check_cross_gap(lam, p)
-    x1 = x[:, :p]
-    density = x1 @ x1.conj().T
+    x1 = x[..., :p]
+    density = x1 @ x1.conj().swapaxes(-2, -1)
     if return_eig:
         return density, lam, x
     return density
@@ -181,18 +194,18 @@ def fermi_chemical_potential(
 
 
 def fermi_density(b, beta: float, p: int, return_eig: bool = False, name: str = "matrix"):
-    """Smoothed density P_f = X f(Lambda) X^H with mu solved so trace(P_f) = p.
-
-    ``name`` labels ``b`` in the Hermiticity error.
-    """
+    """Smoothed density P_f = X f(Lambda) X^H with mu solved so trace(P_f) = p
+    (each matrix of a stack (..., n, n) with its own mu); ``name`` labels ``b``
+    in the Hermiticity error."""
     b = require_hermitian(b, name=name)
-    n = b.shape[0]
+    n = b.shape[-1]
     if not 1 <= p < n:
         raise ValueError(f"occupation p={p} must satisfy 1 <= p < n={n}")
     lam, x = np.linalg.eigh(b)
-    mu = fermi_chemical_potential(lam, beta, p)
-    f = fermi_occupations(lam, beta, mu)
-    density = (x * f) @ x.conj().T
+    mu = np.reshape([fermi_chemical_potential(row, beta, p) for row in lam.reshape(-1, n)],
+                    lam.shape[:-1])
+    f = fermi_occupations(lam, beta, mu[..., None])
+    density = (x * f[..., None, :]) @ x.conj().swapaxes(-2, -1)
     if return_eig:
         return density, lam, x, mu
     return density

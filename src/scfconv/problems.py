@@ -64,7 +64,8 @@ class DiagonalMap:
         return self.coeff.shape[0]
 
     def apply(self, p: np.ndarray) -> np.ndarray:
-        return self.alpha * np.diag(self.coeff @ np.diagonal(p))
+        v = np.matmul(self.coeff, np.diagonal(p, axis1=-2, axis2=-1)[..., None])
+        return self.alpha * (v * np.eye(self.n))  # Diag(v) of each member
 
     def support(self) -> np.ndarray:
         """The n diagonal positions of vech (vec positions: multiples of n + 1)."""
@@ -93,13 +94,13 @@ class GeneralVec:
         return n
 
     def apply(self, p: np.ndarray) -> np.ndarray:
-        n = p.shape[0]
+        n = p.shape[-1]
         if self.matrix.shape != (n * n, n * n):
             raise ValueError(
                 f"operator matrix shape {self.matrix.shape} does not match n={n}"
             )
-        v = self.matrix @ p.ravel(order="F")
-        return v.reshape(n, n, order="F")
+        vec = p.swapaxes(-2, -1).reshape(*p.shape[:-2], n * n, 1)  # column-major vec
+        return np.matmul(self.matrix, vec).reshape(p.shape).swapaxes(-2, -1)
 
     def support(self) -> np.ndarray:
         """Every vech position: a general matrix may reach them all."""
@@ -123,12 +124,12 @@ OperatorSpec = Union[HadamardMask, DiagonalMap, GeneralVec]
 
 
 def apply_L(op: OperatorSpec, p) -> np.ndarray:
-    """Apply the linear map L to a square matrix, with dimension checks."""
+    """Apply the linear map L to a matrix or a stack (..., n, n), with dimension checks."""
     p = np.asarray(p)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+    if p.ndim < 2 or p.shape[-1] != p.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {p.shape}")
-    if p.shape[0] != op.n:
-        raise ValueError(f"dimension mismatch: operator is n={op.n}, matrix is n={p.shape[0]}")
+    if p.shape[-1] != op.n:
+        raise ValueError(f"dimension mismatch: operator is n={op.n}, matrix is n={p.shape[-1]}")
     return op.apply(p)
 
 
@@ -167,7 +168,7 @@ class Problem:
         return self.a0.shape[0]
 
     def apply(self, density: np.ndarray) -> np.ndarray:
-        """Evaluate A(P) = A0 + L(P)."""
+        """Evaluate A(P) = A0 + L(P), for P a matrix or a stack (..., n, n)."""
         return self.a0 + apply_L(self.op, density)
 
 

@@ -82,7 +82,8 @@ class FixedPointBundle:
     """Converged density matrix with the full eigendecomposition of A(P*).
 
     ``errors_to_fixed`` is filled post hoc from the stored iterates once P*
-    is known; it aligns with ``history`` (entry k is ||P_{k+1} - P*||_F).
+    is known; it aligns with ``history`` (entry k is ||P_{k+1} - P*||_F).  It
+    is None for an unconverged run, whose last iterate is no fixed point.
     """
 
     p_star: np.ndarray
@@ -106,7 +107,8 @@ def scf_step(problem: Problem, density, filter: str = "step", beta: float | None
     """One application of the fixed-point map: P -> filter density of A0 + L(P).
 
     Returns (P_next, lambdas, X) with the full ascending eigendecomposition
-    of A(P) for diagnostics.
+    of A(P) for diagnostics.  On a stack (..., n, n) of densities it maps
+    each one as a single call would; a zero gap names its member.
     """
     density = require_hermitian(density, name="P")
     a = problem.apply(density)
@@ -175,7 +177,9 @@ def scf_solve(
     mu = None
     if opts.filter == "fermi":
         mu = fermi_chemical_potential(lam, opts.beta, problem.p)
-    errors = np.array([float(np.linalg.norm(it - p_star)) for it in iterates])
+    errors = None
+    if converged:
+        errors = np.array([float(np.linalg.norm(it - p_star)) for it in iterates])
     return FixedPointBundle(
         p_star=p_star,
         x=x,

@@ -32,7 +32,18 @@ from scfconv.matops import ChemicalPotentialError, ZeroGapError, selector_T
 from scfconv.problems import HadamardMask, Problem, apply_L
 from scfconv.matops import symmetrize_S
 
-from conftest import lprime_by_basis_loop, solved_random_instances
+from scfconv import analysis
+
+from conftest import (
+    FILTERS,
+    OPERATOR_KINDS,
+    jacobian_fd_loop,
+    lprime_by_basis_loop,
+    operator_problem,
+    random_hermitian,
+    realified_jacobian_fd_loop,
+    solved_random_instances,
+)
 
 
 def solved(problem, **kw):
@@ -134,11 +145,25 @@ def test_phase_invariance():
     assert np.allclose(rotated.dense(), jb.dense(), atol=1e-13)
 
 
+def sparse_mask_problem() -> Problem:
+    """A complex Hermitian mask on the diagonal and the (0, 3) pair only, so
+    S is a proper subset of the vech positions."""
+    rng = np.random.default_rng(4)
+    n = 5
+    mask = np.diag(rng.uniform(0.1, 0.3, size=n)).astype(complex)
+    mask[3, 0] = 0.2 + 0.1j
+    mask[0, 3] = np.conj(mask[3, 0])
+    a0 = random_hermitian(rng, n, scale=0.1) + np.diag(np.arange(n, dtype=float))
+    return Problem(a0=a0, op=HadamardMask(mask=mask), p=2)
+
+
 def test_cyclic_spectral_radii_agree():
-    problem = build_illustrative(0.2)
-    _, _, jb = solved(problem)
-    radii = cyclic_spectral_radii(jb)
-    assert max(radii) - min(radii) <= 1e-10 * max(1.0, max(radii))
+    for problem in (build_illustrative(0.2), sparse_mask_problem()):
+        _, _, jb = solved(problem)
+        assert jb.support.size < jb.m and jb.c > 1e-3
+        radii = cyclic_spectral_radii(jb)
+        assert radii[0] == jb.c
+        assert max(radii) - min(radii) <= 1e-10 * max(1.0, max(radii))
 
 
 def test_convergence_factor_matches_measured_rate():
@@ -342,6 +367,27 @@ def test_realified_spectral_radius_matches_complex():
     rho = convergence_factor(jb.dense())
     rho_real = convergence_factor(realified_jacobian_fd(problem, bundle.p_star))
     assert rho_real == pytest.approx(rho, rel=1e-5)
+
+
+@pytest.mark.parametrize("filter_name", FILTERS)
+@pytest.mark.parametrize("kind", OPERATOR_KINDS)
+def test_fd_oracles_equal_their_reference_loops(monkeypatch, kind, filter_name):
+    problem = operator_problem(kind)
+    kw = FILTERS[filter_name]
+    bundle, _ = locate_fixed_point(problem, ScfOptions(**kw))
+    n = problem.n
+    m = n * (n + 1) // 2
+    # chunks of three columns (six in the realified oracle): several per oracle
+    monkeypatch.setattr(analysis, "FD_CHUNK_BYTES", 16 * 4 * n * n * 3)
+    fd = jacobian_fd(problem, bundle.p_star, **kw)
+    assert np.array_equal(fd, jacobian_fd_loop(problem, bundle.p_star, **kw))
+    j_real = realified_jacobian_fd(problem, bundle.p_star, **kw)
+    loop = realified_jacobian_fd_loop(problem, bundle.p_star, **kw)
+    assert np.array_equal(j_real[:, m:], loop[:, m:])
+    offdiag = np.flatnonzero(vech(~np.eye(n, dtype=bool)))
+    assert np.array_equal(j_real[:, :m], np.concatenate([fd.real, fd[offdiag].imag]))
+    # the real half, now by the five-point stencil, still agrees with the loop's
+    assert np.allclose(j_real[:, :m], loop[:, :m], rtol=0, atol=1e-8)
 
 
 def test_realified_jacobian_dimension():

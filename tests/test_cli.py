@@ -85,6 +85,17 @@ def test_solve_nonconvergent_exit_code(tmp_path):
     assert len(rows) == 3
 
 
+def test_solve_leaves_the_error_to_fixed_point_empty_when_unconverged(tmp_path):
+    # the last iterate of an unconverged run is no fixed point to measure against
+    out = tmp_path / "history.csv"
+    argv = ["solve", "--family", "illustrative", "--eps", "0.6", "--max-iter", "4"]
+    assert main([*argv, "--out", str(out)]) == 2
+    header, rows = read_csv(out)
+    column = header.index("err_to_fixed_point_fro")
+    assert len(rows) == 4
+    assert [row[column] for row in rows] == [""] * 4
+
+
 def test_solve_requires_problem_source():
     with pytest.raises(SystemExit):
         main(["solve"])
@@ -307,6 +318,7 @@ def test_check_negative_control(capsys):
         assert code == 1
         assert any(line.startswith("FAIL finite-difference oracle") for line in lines)
         assert any(line.startswith("FAIL phase invariance") for line in lines)
+        assert any(line.startswith("FAIL cyclic-permutation spectral radii") for line in lines)
 
 
 @pytest.mark.parametrize("family", ["laplacian-real", "laplacian-complex"])

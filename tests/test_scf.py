@@ -24,7 +24,7 @@ from scfconv import (
 from scfconv.cli import main
 from scfconv.scf import STALL_SPREAD, STALL_STEPS, RateEstimationError, measured_rate
 
-from conftest import random_hermitian
+from conftest import FILTERS, OPERATOR_KINDS, operator_problem, random_hermitian
 
 
 def zero_nonlinearity_problem(n=5, p=2, seed=0):
@@ -37,8 +37,38 @@ def zero_nonlinearity_problem(n=5, p=2, seed=0):
 def test_scf_step_names_a_non_hermitian_A_of_P(kw):
     mask = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     problem = Problem(a0=np.diag([0.0, 1.0, 3.0]), op=HadamardMask(mask=mask), p=1)
-    with pytest.raises(ValueError, match=r"A\(P\) is not Hermitian"):
-        scf_step(problem, np.full((3, 3), 1.0 / 3.0), **kw)
+    full = np.full((3, 3), 1.0 / 3.0)
+    # a single P, and a stack whose second member alone gives a non-Hermitian A(P)
+    for density in (full, np.stack([np.diag([1.0, 0.0, 0.0]), full])):
+        with pytest.raises(ValueError, match=r"A\(P\) is not Hermitian"):
+            scf_step(problem, density, **kw)
+
+
+@pytest.mark.parametrize("filter_name", FILTERS)
+@pytest.mark.parametrize("kind", OPERATOR_KINDS)
+def test_scf_step_on_a_stack_equals_single_calls(kind, filter_name):
+    problem = operator_problem(kind)
+    kw = FILTERS[filter_name]
+    start = spectral_filter_density(problem.a0, problem.p)
+    rng = np.random.default_rng(2)
+    stack = np.stack([start + random_hermitian(rng, problem.n, scale=1e-3) for _ in range(3)])
+    stacked = scf_step(problem, stack.reshape(3, 1, problem.n, problem.n), **kw)
+    for k in range(3):
+        single = scf_step(problem, stack[k], **kw)
+        for got, want in zip(stacked, single):
+            assert np.array_equal(got[k, 0], want)
+
+
+def test_scf_step_on_a_stack_names_its_zero_gap_member():
+    # A(P) = diag(P_11, 1, 2): P_11 = 1 closes the gap lambda_2 - lambda_1
+    problem = Problem(
+        a0=np.diag([0.0, 1.0, 2.0]), op=HadamardMask(mask=np.diag([1.0, 0.0, 0.0])), p=1
+    )
+    stack = np.zeros((3, 3, 3))
+    stack[1, 0, 0] = 1.0
+    with pytest.raises(ZeroGapError, match=r"stack member \[1\]") as caught:
+        scf_step(problem, stack)
+    assert caught.value.member == (1,)
 
 
 def test_linear_problem_converges_immediately():
