@@ -32,7 +32,14 @@ from .analysis import (
 )
 from .matops import ChemicalPotentialError, ZeroGapError
 from .problems import Problem, build_illustrative, build_laplacian, load_problem
-from .scf import ScfOptions, locate_fixed_point, measured_rate, scf_solve
+from .scf import (
+    ScfOptions,
+    batch_cells,
+    locate_fixed_point,
+    locate_fixed_points,
+    measured_rate,
+    scf_solve,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -168,6 +175,8 @@ def sweep_grid(args):
             grid = [float(v) for v in args.values.split(",")]
         elif args.grid:
             lo, hi, count = float(args.grid[0]), float(args.grid[1]), int(args.grid[2])
+            if count < 1:
+                raise SystemExit(f"bad sweep grid: COUNT must be >= 1, got {count}")
             space = np.geomspace if args.grid_scale == "log" else np.linspace
             with np.errstate(invalid="ignore"):
                 grid = [float(v) for v in space(lo, hi, count)]
@@ -198,10 +207,9 @@ def cmd_sweep(args) -> int:
     grid = sweep_grid(args)
     opts = build_opts(args)
 
-    def rows():
-        for value in grid:
-            problem = problem_at(args, value)
-            bundle, plain = locate_fixed_point(problem, opts)
+    def solved(batch):
+        located, error = locate_fixed_points([problem for _, problem in batch], opts)
+        for (value, problem), (bundle, plain) in zip(batch, located):
             measured = measured_rate(plain)
             converged = 1 if (plain is not None and plain.converged) else 0
             quantities = {}
@@ -210,6 +218,28 @@ def cmd_sweep(args) -> int:
             for token in outputs:
                 yield [args.axis, fmt(value), token, fmt(quantities.get(token)), converged,
                        fmt(measured)]
+        if error is not None:
+            raise error
+
+    def rows():
+        # Consecutive cells of equal (n, p) are located in lockstep, up to
+        # batch_cells at a time; the first failing cell in grid order ends
+        # the sweep after the rows of the cells before it.
+        batch, unbuilt = [], None
+        for value in grid:
+            try:
+                problem = problem_at(args, value)
+            except SystemExit as exc:
+                unbuilt = exc
+                break
+            if batch and ((batch[0][1].n, batch[0][1].p) != (problem.n, problem.p)
+                          or len(batch) == batch_cells(problem.n, opts.max_iter)):
+                yield from solved(batch)
+                batch = []
+            batch.append((value, problem))
+        yield from solved(batch)
+        if unbuilt is not None:
+            raise unbuilt
 
     header = ["axis_name", "axis_value", "quantity", "value", "converged", "measured_rate"]
     write_csv(args.out, header, rows())

@@ -30,7 +30,14 @@ class ZeroGapError(ValueError):
 
 
 class ChemicalPotentialError(RuntimeError):
-    """The chemical potential search could not meet the trace target."""
+    """The chemical potential search could not meet the trace target.
+
+    ``member`` indexes the spectrum in a stack, as for ``ZeroGapError``.
+    """
+
+    def __init__(self, message: str, member: tuple | None = None):
+        super().__init__(message)
+        self.member = member
 
 
 def require_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
@@ -150,9 +157,7 @@ def fermi_occupations(lam, beta: float, mu: float) -> np.ndarray:
     return 0.5 * (1.0 - np.tanh(0.5 * beta * (lam - mu)))
 
 
-def fermi_chemical_potential(
-    lam, beta: float, p: int, tol: float = 1e-12, max_iter: int = 200
-) -> float:
+def fermi_chemical_potential(lam, beta: float, p: int, tol: float = 1e-12, max_iter: int = 200):
     """Chemical potential mu with sum of occupations equal to p, by safeguarded Newton.
 
     Brackets on [lambda_1 - 1, lambda_n + 1]; the total occupation is strictly
@@ -161,36 +166,62 @@ def fermi_chemical_potential(
     lambda_{p+1}; every evaluation shrinks the bracket by the sign of g, and
     a step that leaves the bracket (or a slope that underflows to 0) is
     replaced by the bracket's midpoint.
+
+    On spectra of shape (..., n) every row runs this search at once and is
+    frozen once it converges, each to the mu a single row would get.  A row
+    that fails raises ChemicalPotentialError with the single-row message,
+    naming its ``member``; the first such row in order is reported.
     """
-    lam = np.sort(np.asarray(lam, dtype=float))
+    lam = np.sort(np.asarray(lam, dtype=float), axis=-1)
     if beta <= 0:
         raise ValueError("beta must be positive")
-    lo, hi = lam[0] - 1.0, lam[-1] + 1.0
-    if fermi_occupations(lam, beta, lo).sum() > p or fermi_occupations(lam, beta, hi).sum() < p:
-        raise ChemicalPotentialError(
-            f"trace target p={p} not bracketed on [{lo}, {hi}] for beta={beta}"
-        )
-    top = min(max(p, 1), lam.size - 1)
-    mu = 0.5 * (lam[top - 1] + lam[top])
-    for _ in range(max_iter):
-        f = fermi_occupations(lam, beta, mu)
-        excess = f.sum() - p
-        if abs(excess) <= tol:
-            return mu
-        if excess < 0:
-            lo = mu
-        else:
-            hi = mu
-        slope = beta * (f * (1.0 - f)).sum()
-        newton = mu - excess / slope if slope > 0 else hi
-        mu = newton if lo < newton < hi else 0.5 * (lo + hi)
-    excess = fermi_occupations(lam, beta, mu).sum() - p
-    if abs(excess) <= tol:
-        return mu
-    raise ChemicalPotentialError(
-        f"mu search did not reach |trace - p| <= {tol} in {max_iter} iterations "
-        f"(residual {excess:.3e})"
+    rows = lam.reshape(-1, lam.shape[-1])
+    lo, hi = rows[:, 0] - 1.0, rows[:, -1] + 1.0
+    unbracketed = (fermi_occupations(rows, beta, lo[:, None]).sum(axis=-1) > p) | (
+        fermi_occupations(rows, beta, hi[:, None]).sum(axis=-1) < p
     )
+    top = min(max(p, 1), rows.shape[-1] - 1)
+    mu = 0.5 * (rows[:, top - 1] + rows[:, top])
+    excess = np.zeros(rows.shape[0])
+    # the rows still searching, each with its spectrum, mu and bracket
+    live = np.flatnonzero(~unbracketed)
+    lam_l, mu_l, lo_l, hi_l = rows[live], mu[live], lo[live], hi[live]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            f = fermi_occupations(lam_l, beta, mu_l[:, None])
+            ex = f.sum(axis=-1) - p
+            going = ~(np.abs(ex) <= tol)  # a NaN trace goes on, as in the scalar search
+            if not going.all():
+                mu[live[~going]] = mu_l[~going]
+                live, lam_l, mu_l, lo_l, hi_l, f, ex = (
+                    a[going] for a in (live, lam_l, mu_l, lo_l, hi_l, f, ex)
+                )
+                if live.size == 0:
+                    break
+            below = ex < 0
+            lo_l = np.where(below, mu_l, lo_l)
+            hi_l = np.where(below, hi_l, mu_l)
+            slope = beta * (f * (1.0 - f)).sum(axis=-1)
+            newton = np.where(slope > 0, mu_l - ex / slope, hi_l)
+            mu_l = np.where((lo_l < newton) & (newton < hi_l), newton, 0.5 * (lo_l + hi_l))
+        else:
+            mu[live] = mu_l
+            excess[live] = fermi_occupations(lam_l, beta, mu_l[:, None]).sum(axis=-1) - p
+    failed = unbracketed | ~(np.abs(excess) <= tol)
+    if failed.any():
+        first = int(np.flatnonzero(failed)[0])
+        member = tuple(int(i) for i in np.unravel_index(first, lam.shape[:-1])) or None
+        if unbracketed[first]:
+            raise ChemicalPotentialError(
+                f"trace target p={p} not bracketed on [{lo[first]}, {hi[first]}] for beta={beta}",
+                member=member,
+            )
+        raise ChemicalPotentialError(
+            f"mu search did not reach |trace - p| <= {tol} in {max_iter} iterations "
+            f"(residual {excess[first]:.3e})",
+            member=member,
+        )
+    return mu.reshape(lam.shape[:-1])[()]
 
 
 def fermi_density(b, beta: float, p: int, return_eig: bool = False, name: str = "matrix"):
@@ -202,8 +233,7 @@ def fermi_density(b, beta: float, p: int, return_eig: bool = False, name: str = 
     if not 1 <= p < n:
         raise ValueError(f"occupation p={p} must satisfy 1 <= p < n={n}")
     lam, x = np.linalg.eigh(b)
-    mu = np.reshape([fermi_chemical_potential(row, beta, p) for row in lam.reshape(-1, n)],
-                    lam.shape[:-1])
+    mu = fermi_chemical_potential(lam, beta, p)
     f = fermi_occupations(lam, beta, mu[..., None])
     density = (x * f[..., None, :]) @ x.conj().swapaxes(-2, -1)
     if return_eig:

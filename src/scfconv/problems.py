@@ -64,8 +64,11 @@ class DiagonalMap:
         return self.coeff.shape[0]
 
     def apply(self, p: np.ndarray) -> np.ndarray:
-        v = np.matmul(self.coeff, np.diagonal(p, axis1=-2, axis2=-1)[..., None])
-        return self.alpha * (v * np.eye(self.n))  # Diag(v) of each member
+        v = np.matmul(self.coeff, np.diagonal(p, axis1=-2, axis2=-1)[..., None])[..., 0]
+        out = np.zeros(p.shape, dtype=np.result_type(v, float))
+        # Diag(v) of each member: every (n + 1)-th entry of the flattened matrix
+        out.reshape(*p.shape[:-2], self.n * self.n)[..., :: self.n + 1] = self.alpha * v
+        return out
 
     def support(self) -> np.ndarray:
         """The n diagonal positions of vech (vec positions: multiples of n + 1)."""

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .matops import (
+    ChemicalPotentialError,
     ZeroGapError,
     fermi_chemical_potential,
     fermi_density,
@@ -31,6 +32,11 @@ STALL_SPREAD = 1e-6
 
 # Iteration cap of each damped run inside locate_fixed_point
 FALLBACK_MAX_ITER = 5000
+
+# A lockstep batch keeps every member's iterates (16 n^2 bytes each, up to
+# its iteration cap) until the member converges; it holds as many members as
+# fit in GRID_BATCH_BYTES that way, and at least one (``batch_cells``).
+GRID_BATCH_BYTES = 64 << 20
 
 
 class RateEstimationError(RuntimeError):
@@ -103,23 +109,164 @@ class FixedPointBundle:
         return len(self.history)
 
 
-def scf_step(problem: Problem, density, filter: str = "step", beta: float | None = None):
+def scf_step(problem, density, filter: str = "step", beta: float | None = None):
     """One application of the fixed-point map: P -> filter density of A0 + L(P).
 
     Returns (P_next, lambdas, X) with the full ascending eigendecomposition
     of A(P) for diagnostics.  On a stack (..., n, n) of densities it maps
     each one as a single call would; a zero gap names its member.
+    ``problem`` may also be a list of problems of equal n and p, one for each
+    member of a stack (k, n, n): each member is then mapped with its own A(P).
+    That is the lockstep iteration's own step, whose densities are filter
+    densities of Hermitian matrices and their mixtures, so only A(P) is
+    checked for Hermiticity there.
     """
-    density = require_hermitian(density, name="P")
-    a = problem.apply(density)
+    if isinstance(problem, Problem):
+        density = require_hermitian(density, name="P")
+        a, p = problem.apply(density), problem.p
+    else:
+        if len(problem) != len(density):
+            raise ValueError(f"{len(problem)} problems for a stack of {len(density)}")
+        a, p = np.stack([one.apply(d) for one, d in zip(problem, density)]), problem[0].p
     if filter == "step":
-        return spectral_filter_density(a, problem.p, return_eig=True, name="A(P)")
+        return spectral_filter_density(a, p, return_eig=True, name="A(P)")
     if filter == "fermi":
         if beta is None or beta <= 0:
             raise ValueError("fermi filter requires beta > 0")
-        density, lam, x, _ = fermi_density(a, beta, problem.p, return_eig=True, name="A(P)")
+        density, lam, x, _ = fermi_density(a, beta, p, return_eig=True, name="A(P)")
         return density, lam, x
     raise ValueError(f"unknown filter {filter!r}")
+
+
+def batch_cells(n: int, max_iter: int) -> int:
+    """How many problems of dimension n one lockstep batch holds when each may
+    store up to ``max_iter`` iterates of 16 n^2 bytes (``GRID_BATCH_BYTES``)."""
+    return max(1, GRID_BATCH_BYTES // (16 * n * n * max_iter))
+
+
+def _own_error(problem: Problem, density, opts: ScfOptions, k: int, stacked: Exception):
+    """The exception that ``scf_solve`` of ``problem`` alone raises at iterate k,
+    whose density is ``density``: ``stacked``, the member's error in a stacked
+    step, with the message of a single call."""
+    try:
+        scf_step(problem, density, filter=opts.filter, beta=opts.beta)
+    except ZeroGapError as exc:
+        return ZeroGapError(f"zero gap at SCF iterate {k}: {exc}")
+    except ChemicalPotentialError as exc:
+        return exc
+    return stacked
+
+
+def _bundle(problem: Problem, opts: ScfOptions, history, iterates, converged: bool):
+    """The FixedPointBundle of a finished run whose last iterate is P*."""
+    p_star = iterates[-1]
+    a_star = problem.apply(p_star)
+    lam, x = np.linalg.eigh(require_hermitian(a_star, tol=1e-10, name="A(P*)"))
+    mu = None
+    if opts.filter == "fermi":
+        mu = fermi_chemical_potential(lam, opts.beta, problem.p)
+    errors = None
+    if converged:
+        errors = np.array([float(np.linalg.norm(it - p_star)) for it in iterates])
+    return FixedPointBundle(
+        p_star=p_star,
+        x=x,
+        lambdas=lam,
+        history=history,
+        converged=converged,
+        p=problem.p,
+        damping=opts.damping,
+        filter=opts.filter,
+        beta=opts.beta,
+        mu=mu,
+        errors_to_fixed=errors,
+    )
+
+
+def _lockstep(problems, opts: ScfOptions, stall_steps: int | None):
+    """``scf_solve`` of each of ``problems`` (all of equal n and p), iterated together.
+
+    Returns (bundles, error): the bundles of the leading problems, and the
+    exception that the next problem's own ``scf_solve`` raises, or None when
+    every problem ran through.  The problems go through in batches of
+    ``batch_cells``.
+    """
+    per = batch_cells(problems[0].n, opts.max_iter) if problems else 1
+    bundles: list[FixedPointBundle] = []
+    for first in range(0, len(problems), per):
+        done, error = _run_batch(problems[first:first + per], opts, stall_steps)
+        bundles += done
+        if error is not None:
+            return bundles, error
+    return bundles, None
+
+
+def _run_batch(batch, opts: ScfOptions, stall_steps: int | None):
+    """``_lockstep`` on one batch.  Each step maps the stack of the live
+    members' densities through one ``scf_step``.  A member leaves the stack
+    once it converges, stalls or reaches ``opts.max_iter``, and its iterates
+    go with it.  A failing member ends the runs of the members after it, whose
+    results no caller reads."""
+    done: list[FixedPointBundle | None] = [None] * len(batch)
+    error = None
+    live, starts = [], []
+    for i, problem in enumerate(batch):
+        try:
+            starts.append(spectral_filter_density(problem.a0, problem.p))
+        except ZeroGapError as exc:
+            error = exc
+            break
+        live.append(i)
+    histories = [[] for _ in live]
+    iterates = [[] for _ in live]
+    density = np.stack(starts) if starts else None
+    p, theta = batch[0].p, opts.damping
+    for k in range(opts.max_iter):
+        while live:
+            try:
+                psi, lam, _ = scf_step([batch[i] for i in live], density,
+                                       filter=opts.filter, beta=opts.beta)
+                break
+            except (ZeroGapError, ChemicalPotentialError) as exc:
+                j = exc.member[0]
+                error = _own_error(batch[live[j]], density[j], opts, k, exc)
+                live, density = live[:j], density[:j]
+        if not live:
+            break
+        nxt = psi if theta == 1.0 else (1.0 - theta) * density + theta * psi
+        diff = nxt - density
+        lows, highs = lam[:, p - 1], lam[:, p]
+        stay = []
+        for j, (i, low, high, gap) in enumerate(
+            zip(live, lows.tolist(), highs.tolist(), (highs - lows).tolist())
+        ):
+            step_err = float(np.linalg.norm(diff[j]))
+            history = histories[i]
+            history.append(IterationRecord(step_err, low, high, gap))
+            iterates[i].append(nxt[j].copy())
+            converged = step_err <= opts.tol
+            if converged or k + 1 == opts.max_iter or _stalled(history, stall_steps):
+                try:
+                    done[i] = _bundle(batch[i], opts, history, iterates[i], converged)
+                except ChemicalPotentialError as exc:
+                    error = exc  # and the members after it leave with it
+                    break
+                iterates[i] = None
+            else:
+                stay.append(j)
+        if len(stay) < len(live):
+            live, nxt = [live[j] for j in stay], nxt[stay]
+        density = nxt
+    ran = next((i for i, bundle in enumerate(done) if bundle is None), len(done))
+    return done[:ran], error
+
+
+def _stalled(history, stall_steps: int | None) -> bool:
+    """The last ``stall_steps`` step errors agree to within ``STALL_SPREAD``."""
+    if not stall_steps or len(history) < stall_steps:
+        return False
+    window = [rec.step_err for rec in history[-stall_steps:]]
+    return max(window) <= (1.0 + STALL_SPREAD) * min(window)
 
 
 def scf_solve(
@@ -138,61 +285,45 @@ def scf_solve(
 
     By default the run goes on to ``opts.max_iter``.  With ``stall_steps`` it
     also ends, unconverged, once the last ``stall_steps`` step errors agree to
-    within ``STALL_SPREAD``; only ``locate_fixed_point`` sets it.
+    within ``STALL_SPREAD``; only ``locate_fixed_point`` sets it.  This is the
+    lockstep iteration of ``locate_fixed_points`` on a batch of one.
+    """
+    bundles, error = _lockstep([problem], opts or ScfOptions(), stall_steps)
+    if error is not None:
+        raise error
+    return bundles[0]
+
+
+def locate_fixed_points(problems, opts: ScfOptions | None = None,
+                        fallback_dampings=(0.5, 0.2, 0.05)):
+    """``locate_fixed_point`` of each of ``problems`` (all of equal n and p), in lockstep.
+
+    Returns (located, error): the (bundle, plain_bundle) pairs of the leading
+    problems, and the exception that the next problem's own
+    ``locate_fixed_point`` raises, or None when every problem ran through.
+    Every pair equals that of ``locate_fixed_point`` on its problem alone.
+    The plain runs go together, then each damping in turn over the problems
+    that are still unconverged.
     """
     opts = opts or ScfOptions()
-    density = spectral_filter_density(problem.a0, problem.p)
-    theta = opts.damping
-    history: list[IterationRecord] = []
-    iterates: list[np.ndarray] = []
-    converged = False
-    for k in range(opts.max_iter):
-        try:
-            psi, lam, _ = scf_step(problem, density, filter=opts.filter, beta=opts.beta)
-        except ZeroGapError as exc:
-            raise ZeroGapError(f"zero gap at SCF iterate {k}: {exc}") from exc
-        nxt = psi if theta == 1.0 else (1.0 - theta) * density + theta * psi
-        step_err = float(np.linalg.norm(nxt - density))
-        p = problem.p
-        history.append(
-            IterationRecord(
-                step_err=step_err,
-                lambda_p=float(lam[p - 1]),
-                lambda_p1=float(lam[p]),
-                gap=float(lam[p] - lam[p - 1]),
-            )
-        )
-        density = nxt
-        iterates.append(density)
-        if step_err <= opts.tol:
-            converged = True
+    plain, error = _lockstep(problems, replace(opts, damping=1.0), STALL_STEPS)
+    found = [run if run.converged else None for run in plain]
+    for theta in fallback_dampings:
+        todo = [i for i, run in enumerate(found) if run is None]
+        if not todo:
             break
-        if stall_steps and len(history) >= stall_steps:
-            window = [rec.step_err for rec in history[-stall_steps:]]
-            if max(window) <= (1.0 + STALL_SPREAD) * min(window):
-                break
-    p_star = density
-    a_star = problem.apply(p_star)
-    lam, x = np.linalg.eigh(require_hermitian(a_star, tol=1e-10, name="A(P*)"))
-    mu = None
-    if opts.filter == "fermi":
-        mu = fermi_chemical_potential(lam, opts.beta, problem.p)
-    errors = None
-    if converged:
-        errors = np.array([float(np.linalg.norm(it - p_star)) for it in iterates])
-    return FixedPointBundle(
-        p_star=p_star,
-        x=x,
-        lambdas=lam,
-        history=history,
-        converged=converged,
-        p=problem.p,
-        damping=theta,
-        filter=opts.filter,
-        beta=opts.beta,
-        mu=mu,
-        errors_to_fixed=errors,
-    )
+        damped, failed = _lockstep(
+            [problems[i] for i in todo],
+            replace(opts, damping=theta, max_iter=FALLBACK_MAX_ITER),
+            STALL_STEPS,
+        )
+        for i, run in zip(todo, damped):
+            if run.converged:
+                found[i] = run
+        if failed is not None:
+            cut = todo[len(damped)]
+            plain, found, error = plain[:cut], found[:cut], failed
+    return [(first if run is None else run, first) for run, first in zip(found, plain)], error
 
 
 def locate_fixed_point(
@@ -211,21 +342,13 @@ def locate_fixed_point(
     step error has stopped changing (``STALL_STEPS``, ``STALL_SPREAD``), so a
     plain run caught in a cycle hands over to damping long before
     ``max_iter``.  ``scf_solve`` alone, as ``solve`` runs it, keeps going to
-    ``max_iter``.
+    ``max_iter``.  This is ``locate_fixed_points`` on a batch of one, the
+    same lockstep iteration that ``sweep`` runs over its grid.
     """
-    opts = opts or ScfOptions()
-    plain = scf_solve(problem, opts=replace(opts, damping=1.0), stall_steps=STALL_STEPS)
-    if plain.converged:
-        return plain, plain
-    for theta in fallback_dampings:
-        damped = scf_solve(
-            problem,
-            opts=replace(opts, damping=theta, max_iter=FALLBACK_MAX_ITER),
-            stall_steps=STALL_STEPS,
-        )
-        if damped.converged:
-            return damped, plain
-    return plain, plain
+    located, error = locate_fixed_points([problem], opts, fallback_dampings)
+    if error is not None:
+        raise error
+    return located[0]
 
 
 @dataclass

@@ -2,22 +2,35 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
 from scfconv import (
+    ChemicalPotentialError,
     GeneralVec,
     HadamardMask,
     Problem,
     ScfOptions,
+    ZeroGapError,
     apply_L,
     build_laplacian,
+    fermi_occupations,
     locate_fixed_point,
+    require_hermitian,
     scf_step,
+    spectral_filter_density,
     vech,
     vech_index,
     vech_inv,
+)
+from scfconv.scf import (
+    FALLBACK_MAX_ITER,
+    STALL_SPREAD,
+    STALL_STEPS,
+    FixedPointBundle,
+    IterationRecord,
 )
 
 
@@ -119,6 +132,93 @@ def realified_jacobian_fd_loop(problem, p_star, filter="step", beta=None):
         minus, _, _ = scf_step(problem, p_star - step * direction, filter=filter, beta=beta)
         out[:, k] = coords((plus - minus) / (2.0 * step))
     return out
+
+
+def fermi_chemical_potential_loop(lam, beta, p, tol=1e-12, max_iter=200):
+    """The safeguarded Newton search for mu on one spectrum, a scalar at a
+    time: the reference of ``fermi_chemical_potential`` on stacks, which must
+    equal it row by row exactly."""
+    lam = np.sort(np.asarray(lam, dtype=float))
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    lo, hi = lam[0] - 1.0, lam[-1] + 1.0
+    if fermi_occupations(lam, beta, lo).sum() > p or fermi_occupations(lam, beta, hi).sum() < p:
+        raise ChemicalPotentialError(
+            f"trace target p={p} not bracketed on [{lo}, {hi}] for beta={beta}"
+        )
+    top = min(max(p, 1), lam.size - 1)
+    mu = 0.5 * (lam[top - 1] + lam[top])
+    for _ in range(max_iter):
+        f = fermi_occupations(lam, beta, mu)
+        excess = f.sum() - p
+        if abs(excess) <= tol:
+            return mu
+        if excess < 0:
+            lo = mu
+        else:
+            hi = mu
+        slope = beta * (f * (1.0 - f)).sum()
+        newton = mu - excess / slope if slope > 0 else hi
+        mu = newton if lo < newton < hi else 0.5 * (lo + hi)
+    excess = fermi_occupations(lam, beta, mu).sum() - p
+    if abs(excess) <= tol:
+        return mu
+    raise ChemicalPotentialError(
+        f"mu search did not reach |trace - p| <= {tol} in {max_iter} iterations "
+        f"(residual {excess:.3e})"
+    )
+
+
+def scf_solve_loop(problem, opts, stall_steps=None):
+    """``scf_solve`` one problem and one ``scf_step`` call at a time: the
+    reference of the lockstep iteration, which must equal it exactly."""
+    density = spectral_filter_density(problem.a0, problem.p)
+    theta = opts.damping
+    history, iterates = [], []
+    converged = False
+    for k in range(opts.max_iter):
+        try:
+            psi, lam, _ = scf_step(problem, density, filter=opts.filter, beta=opts.beta)
+        except ZeroGapError as exc:
+            raise ZeroGapError(f"zero gap at SCF iterate {k}: {exc}") from exc
+        nxt = psi if theta == 1.0 else (1.0 - theta) * density + theta * psi
+        step_err = float(np.linalg.norm(nxt - density))
+        p = problem.p
+        history.append(IterationRecord(step_err, float(lam[p - 1]), float(lam[p]),
+                                       float(lam[p] - lam[p - 1])))
+        density = nxt
+        iterates.append(density)
+        if step_err <= opts.tol:
+            converged = True
+            break
+        if stall_steps and len(history) >= stall_steps:
+            window = [rec.step_err for rec in history[-stall_steps:]]
+            if max(window) <= (1.0 + STALL_SPREAD) * min(window):
+                break
+    lam, x = np.linalg.eigh(require_hermitian(problem.apply(density), tol=1e-10, name="A(P*)"))
+    mu = None
+    if opts.filter == "fermi":
+        mu = fermi_chemical_potential_loop(lam, opts.beta, problem.p)
+    errors = None
+    if converged:
+        errors = np.array([float(np.linalg.norm(it - density)) for it in iterates])
+    return FixedPointBundle(p_star=density, x=x, lambdas=lam, history=history,
+                            converged=converged, p=problem.p, damping=theta,
+                            filter=opts.filter, beta=opts.beta, mu=mu, errors_to_fixed=errors)
+
+
+def locate_fixed_point_loop(problem, opts, fallback_dampings=(0.5, 0.2, 0.05)):
+    """``locate_fixed_point`` by ``scf_solve_loop``: one run of one problem at a time."""
+    plain = scf_solve_loop(problem, replace(opts, damping=1.0), stall_steps=STALL_STEPS)
+    if plain.converged:
+        return plain, plain
+    for theta in fallback_dampings:
+        damped = scf_solve_loop(
+            problem, replace(opts, damping=theta, max_iter=FALLBACK_MAX_ITER), STALL_STEPS
+        )
+        if damped.converged:
+            return damped, plain
+    return plain, plain
 
 
 def random_hadamard_problem(seed: int, n_max: int = 8, mask_scale: float = 0.2) -> Problem:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from scfconv import (
     load_problem,
     save_problem,
 )
-from scfconv import cli
+from scfconv import cli, scf
 from scfconv.cli import main, parse_outputs
 
 
@@ -463,6 +464,8 @@ def test_parse_outputs_accepts_exactly_the_ladder_table():
         ["analyze", "--file", "no-such-problem.json"],
         ["sweep", "--family", "illustrative", "--axis", "eps", "--values", "0.1,x"],
         ["sweep", "--family", "illustrative", "--axis", "eps", "--grid", "0.1", "0.2", "x"],
+        ["sweep", "--family", "illustrative", "--axis", "eps", "--grid", "0.1", "0.2", "0"],
+        ["sweep", "--family", "illustrative", "--axis", "eps", "--grid", "0.1", "0.2", "-1"],
         ["analyze", "--family", "illustrative", "--q-max", "-1"],
         ["analyze", "--family", "illustrative", "--out", "no-such-dir/report.json"],
         ["solve", "--family", "illustrative", "--out", "no-such-dir/history.csv"],
@@ -486,7 +489,8 @@ def test_parse_outputs_accepts_exactly_the_ladder_table():
         ["analyze", "--file", "nan-a0.json"],
     ],
     ids=["p-ge-n", "p-zero", "fermi-without-beta", "damping-zero", "missing-file",
-         "sweep-bad-value", "sweep-bad-count", "negative-q-max", "analyze-out-missing-dir",
+         "sweep-bad-value", "sweep-bad-count", "sweep-count-zero", "sweep-count-negative",
+         "negative-q-max", "analyze-out-missing-dir",
          "solve-out-missing-dir", "sweep-out-missing-dir", "analyze-zero-gap", "sweep-zero-gap",
          "check-zero-gap", "analyze-mu-not-bracketed", "sweep-mu-not-bracketed",
          "check-mu-not-bracketed", "solve-max-iter-zero", "analyze-alpha-inf",
@@ -523,6 +527,67 @@ def test_a_failing_sweep_cell_keeps_the_rows_before_it(tmp_path):
     assert runs[1].returncode == 1
     assert len(runs[1].stderr.splitlines()) == 1, runs[1].stderr
     assert runs[1].stdout == runs[0].stdout
+
+
+@pytest.mark.parametrize(
+    "argv,before,failing",
+    [
+        (["--family", "illustrative", "--d", "-1", "--axis", "eps"], "0.1", "0"),
+        (["--family", "laplacian-complex", "--p", "3", "--axis", "n"], "6", "3"),
+        (["--family", "illustrative", "--filter", "fermi", "--beta", "1e-3", "--axis", "eps"],
+         "", "0.1"),
+    ],
+    ids=["zero-gap", "unbuildable-problem", "mu-not-bracketed"],
+)
+def test_the_first_failing_cell_ends_a_lockstep_sweep_as_it_ends_one_cell(
+    capsys, argv, before, failing
+):
+    # The grid is the cell ``before`` the failing one (if any), the failing
+    # one, and one after it; under beta = 1e-3 no cell can bracket mu.
+    def sweep(values):
+        try:
+            code = main(["sweep", *argv, "--values", values])
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    after = {"eps": "0.2", "n": "8"}[argv[argv.index("--axis") + 1]]
+    code, rows_before = sweep(before) if before else (0, "")
+    assert code == 0
+    alone = sweep(failing)
+    assert isinstance(alone[0], str) and alone[1] == ""  # a one-line message, no rows
+    grid = ",".join(v for v in (before, failing, after) if v)
+    assert sweep(grid) == (alone[0], rows_before)
+
+
+def test_a_sweep_holds_one_batch_of_iterates_at_a_time(monkeypatch):
+    # Eight convergent cells of 75-111 plain steps under a cap of 150: with
+    # room for two cells' capped iterates, the grid goes through in batches
+    # of two, and its traced peak stays below that room.
+    n, cap = 30, 150
+    room = 2 * 16 * n * n * cap
+    argv = ["sweep", "--family", "laplacian-complex", "--n", str(n), "--p", "15",
+            "--axis", "alpha", "--grid", "1.6e5", "1.9e5", "8", "--max-iter", str(cap),
+            "--outputs", "c", "--out", os.devnull]
+    sizes = []
+
+    def spy(problems, opts):
+        sizes.append(len(problems))
+        return locate(problems, opts)
+
+    locate = cli.locate_fixed_points
+    monkeypatch.setattr(cli, "locate_fixed_points", spy)
+    peaks = {}
+    for budget in (room, 64 * room):
+        monkeypatch.setattr(scf, "GRID_BATCH_BYTES", budget)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[budget] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sizes == [2, 2, 2, 2, 8]
+    assert peaks[room] < room < peaks[64 * room]
 
 
 def test_check_says_it_skips_the_cyclic_radii_past_n20(capsys):

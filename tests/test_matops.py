@@ -22,7 +22,7 @@ from scfconv.matops import (
     vech_inv,
 )
 
-from conftest import random_hermitian
+from conftest import fermi_chemical_potential_loop, random_hermitian
 
 
 def test_vech_small_examples():
@@ -291,3 +291,59 @@ def test_newton_chemical_potential_contract_at_the_edges():
     # a flat gap (every f' underflows) falls back to bisection
     mu = fermi_chemical_potential(np.array([0.0, 1e4]), 1e5, 1)
     assert 0.0 < mu < 1e4
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+    n=st.integers(2, 12),
+    p_frac=st.floats(0.0, 1.0),
+    beta=st.sampled_from([5.0, 20.0, 100.0]),
+    log_scale=st.floats(-2.0, 2.0),
+    clustered=st.booleans(),
+)
+def test_chemical_potential_of_a_stack_equals_its_rows_one_at_a_time(
+    seed, shape, n, p_frac, beta, log_scale, clustered
+):
+    rng = np.random.default_rng(seed)
+    lam = rng.normal(size=(*shape, n)) * 10.0**log_scale
+    if clustered:  # near-degenerate levels around the Fermi level
+        lam = np.round(lam, 1)
+    p = min(1 + int(p_frac * (n - 1)), n - 1)
+    mu = fermi_chemical_potential(lam, beta, p)
+    assert mu.shape == tuple(shape)
+    for member in np.ndindex(*shape):
+        want = fermi_chemical_potential_loop(lam[member], beta, p)
+        assert mu[member] == want
+        assert fermi_chemical_potential(lam[member], beta, p) == want
+
+
+def test_a_failing_row_of_a_stack_is_named_with_its_single_row_message():
+    # at beta = 0.5 a flat spectrum cannot hold p = 1 on its bracket; a wide one can
+    wide, flat = np.array([0.0, 10.0, 20.0, 30.0]), np.zeros(4)
+    stack = np.stack([[wide, wide, flat], [flat, wide, wide]])
+    with pytest.raises(ChemicalPotentialError) as single:
+        fermi_chemical_potential_loop(flat, 0.5, 1)
+    with pytest.raises(ChemicalPotentialError) as caught:
+        fermi_chemical_potential(stack, 0.5, 1)
+    assert str(caught.value) == str(single.value)
+    assert "not bracketed" in str(caught.value)
+    assert caught.value.member == (0, 2)
+    with pytest.raises(ChemicalPotentialError) as caught:
+        fermi_density(np.stack([np.diag(wide), np.diag(flat)]), 0.5, 1)
+    assert caught.value.member == (1,)
+    # a row that runs out of steps is named the same way
+    with pytest.raises(ChemicalPotentialError, match="did not reach") as caught:
+        fermi_chemical_potential(np.stack([wide, wide]), 1.0, 1, tol=1e-15, max_iter=0)
+    assert caught.value.member == (0,)
+    with pytest.raises(ChemicalPotentialError) as caught:
+        fermi_chemical_potential(flat, 0.5, 1)
+    assert caught.value.member is None
+    # a spectrum with a NaN never meets the target, as in the scalar search
+    broken = np.array([0.0, 1.0, np.nan, 3.0])
+    with pytest.raises(ChemicalPotentialError) as single:
+        fermi_chemical_potential_loop(broken, 5.0, 1)
+    with pytest.raises(ChemicalPotentialError) as caught:
+        fermi_chemical_potential(np.stack([wide, broken]), 5.0, 1)
+    assert str(caught.value) == str(single.value) and caught.value.member == (1,)

@@ -45,6 +45,22 @@ def test_diagonal_map_matches_general_vec():
     assert np.allclose(apply_L(op, p), apply_L(dense, p), atol=1e-13)
 
 
+@pytest.mark.parametrize("coeff_dtype", [float, complex])
+def test_diagonal_map_writes_its_diagonal_as_the_eye_product_did(coeff_dtype):
+    rng = np.random.default_rng(3)
+    coeff = rng.normal(size=(5, 5)).astype(coeff_dtype)
+    if coeff_dtype is complex:
+        coeff = coeff + 1j * rng.normal(size=(5, 5))
+    op = DiagonalMap(coeff=coeff, alpha=-1.7)
+    for p in (random_hermitian(rng, 5), np.stack([random_hermitian(rng, 5) for _ in range(6)])
+              .reshape(2, 3, 5, 5), rng.normal(size=(5, 5))):
+        v = np.matmul(coeff, np.diagonal(p, axis1=-2, axis2=-1)[..., None])
+        want = op.alpha * (v * np.eye(5))
+        got = apply_L(op, p)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_apply_L_is_complex_linear():
     rng = np.random.default_rng(1)
     op = HadamardMask(mask=rng.normal(size=(3, 3)))

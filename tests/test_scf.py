@@ -17,6 +17,7 @@ from scfconv import (
     build_laplacian,
     estimate_rate,
     locate_fixed_point,
+    locate_fixed_points,
     scf_solve,
     scf_step,
     spectral_filter_density,
@@ -24,7 +25,13 @@ from scfconv import (
 from scfconv.cli import main
 from scfconv.scf import STALL_SPREAD, STALL_STEPS, RateEstimationError, measured_rate
 
-from conftest import FILTERS, OPERATOR_KINDS, operator_problem, random_hermitian
+from conftest import (
+    FILTERS,
+    OPERATOR_KINDS,
+    locate_fixed_point_loop,
+    operator_problem,
+    random_hermitian,
+)
 
 
 def zero_nonlinearity_problem(n=5, p=2, seed=0):
@@ -240,6 +247,49 @@ def test_stopping_stalled_runs_changes_no_result(kind, value):
     assert np.array_equal(bundle.p_star, ref_bundle.p_star)
     if ref_plain.converged:
         assert plain.iterations == ref_plain.iterations
+
+
+def assert_same_bundle(got, want):
+    """Every field of two FixedPointBundles, bit for bit."""
+    assert got.history == want.history
+    for name in ("p_star", "x", "lambdas"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert (got.converged, got.damping, got.mu) == (want.converged, want.damping, want.mu)
+    if want.errors_to_fixed is None:
+        assert got.errors_to_fixed is None
+    else:
+        assert np.array_equal(got.errors_to_fixed, want.errors_to_fixed)
+
+
+@pytest.mark.parametrize("cells", [ALPHA_CELLS, EPS_CELLS], ids=["alpha", "eps-fermi"])
+def test_locating_a_grid_in_lockstep_equals_each_cell_alone(cells):
+    problems, opts = zip(*(sweep_cell(kind, value) for kind, value in cells))
+    located, error = locate_fixed_points(list(problems), opts[0])
+    assert error is None and len(located) == len(cells)
+    assert any(bundle.damping < 1.0 for bundle, _ in located)  # fallbacks ran too
+    for problem, (bundle, plain) in zip(problems, located):
+        want_bundle, want_plain = locate_fixed_point_loop(problem, opts[0])
+        assert_same_bundle(bundle, want_bundle)
+        assert_same_bundle(plain, want_plain)
+        assert (bundle is plain) == (want_bundle is want_plain)
+        alone_bundle, alone_plain = locate_fixed_point(problem, opts[0])
+        assert_same_bundle(alone_bundle, want_bundle)
+        assert_same_bundle(alone_plain, want_plain)
+
+
+def test_lockstep_stops_at_the_first_failing_problem_with_its_own_error():
+    # A(P) = diag(P_11, 1, 2) + A0: the middle problem's start closes the gap
+    def problem(shift):
+        return Problem(a0=np.diag([shift, 1.0, 2.0]),
+                       op=HadamardMask(mask=np.diag([1.0, 0.0, 0.0])), p=1)
+
+    good, bad = problem(-0.5), problem(0.0)
+    with pytest.raises(ZeroGapError) as alone:
+        locate_fixed_point(bad)
+    located, error = locate_fixed_points([good, bad, good])
+    assert len(located) == 1 and str(error) == str(alone.value)
+    assert str(alone.value).startswith("zero gap at SCF iterate 0: zero gap: lambda_p")
+    assert_same_bundle(located[0][0], locate_fixed_point(good)[0])
 
 
 @pytest.mark.parametrize("kind,value", [("laplacian", 5e5), ("fermi", 0.0316)])
