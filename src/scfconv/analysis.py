@@ -347,11 +347,15 @@ def bound_naive(l_prime: np.ndarray, delta1: float) -> float:
 
 def _norm2(a: np.ndarray) -> float:
     """Spectral norm from the top eigenvalue of the smaller Gram matrix, 0 for
-    a matrix with no entries."""
+    a matrix with no entries.  The matrix is first scaled by a power of two
+    (exact) to a largest entry in [1/2, 1), so the Gram matrix cannot leave
+    the double range."""
     if not a.size:
         return 0.0
+    _, e = np.frexp(np.abs(a).max())
+    a = np.ldexp(a.real, -e) + (1j * np.ldexp(a.imag, -e) if np.iscomplexobj(a) else 0.0)
     gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+    return float(np.ldexp(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)), e))
 
 
 def bound_cyclic(jb: JacobianBundle) -> tuple[float, float]:

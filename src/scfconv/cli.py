@@ -32,14 +32,7 @@ from .analysis import (
 )
 from .matops import ChemicalPotentialError, ZeroGapError
 from .problems import Problem, build_illustrative, build_laplacian, load_problem
-from .scf import (
-    ScfOptions,
-    batch_cells,
-    locate_fixed_point,
-    locate_fixed_points,
-    measured_rate,
-    scf_solve,
-)
+from .scf import ScfOptions, locate_fixed_point, locate_fixed_points, measured_rate, scf_solve
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -71,7 +64,6 @@ def add_problem_args(parser: argparse.ArgumentParser) -> None:
 def add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-12)
     parser.add_argument("--max-iter", type=int, default=500)
-    parser.add_argument("--damping", type=float, default=1.0)
     parser.add_argument("--filter", choices=["step", "fermi"], default="step")
     parser.add_argument("--beta", type=float, default=None, help="Fermi smearing parameter")
 
@@ -98,7 +90,9 @@ def build_problem(args) -> Problem:
     """The problem the arguments name; bad input exits with a one-line message."""
     try:
         if args.file:
-            return load_problem(args.file)
+            problem = load_problem(args.file)
+            problem.op.require_hermitian_preserving()  # so that every A(P) is Hermitian
+            return problem
         if args.family == "illustrative":
             return build_illustrative(args.eps, d=args.d)
         if args.family in ("laplacian-complex", "laplacian-real"):
@@ -111,8 +105,8 @@ def build_problem(args) -> Problem:
 
 def build_opts(args) -> ScfOptions:
     try:
-        return ScfOptions(tol=args.tol, max_iter=args.max_iter, damping=args.damping,
-                          filter=args.filter, beta=args.beta)
+        return ScfOptions(tol=args.tol, max_iter=args.max_iter, filter=args.filter,
+                          beta=args.beta, damping=getattr(args, "damping", 1.0))
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
 
@@ -206,38 +200,28 @@ def cmd_sweep(args) -> int:
     outputs = parse_outputs(args.outputs)
     grid = sweep_grid(args)
     opts = build_opts(args)
+    problems, unbuilt = [], None
+    for value in grid:
+        try:
+            problems.append(problem_at(args, value))
+        except SystemExit as exc:
+            unbuilt = exc
+            break
 
-    def solved(batch):
-        located, error = locate_fixed_points([problem for _, problem in batch], opts)
-        for (value, problem), (bundle, plain) in zip(batch, located):
+    def rows():
+        # The first failing cell in grid order ends the sweep after the rows before it
+        for value, problem, run in zip(grid, problems, locate_fixed_points(problems, opts)):
+            if isinstance(run, Exception):
+                raise run
+            bundle, plain = run
             measured = measured_rate(plain)
-            converged = 1 if (plain is not None and plain.converged) else 0
+            converged = int(plain.converged)
             quantities = {}
             if bundle.converged:
                 quantities = ladder(problem, assemble_jacobian(bundle, problem.op), outputs)
             for token in outputs:
                 yield [args.axis, fmt(value), token, fmt(quantities.get(token)), converged,
                        fmt(measured)]
-        if error is not None:
-            raise error
-
-    def rows():
-        # Consecutive cells of equal (n, p) are located in lockstep, up to
-        # batch_cells at a time; the first failing cell in grid order ends
-        # the sweep after the rows of the cells before it.
-        batch, unbuilt = [], None
-        for value in grid:
-            try:
-                problem = problem_at(args, value)
-            except SystemExit as exc:
-                unbuilt = exc
-                break
-            if batch and ((batch[0][1].n, batch[0][1].p) != (problem.n, problem.p)
-                          or len(batch) == batch_cells(problem.n, opts.max_iter)):
-                yield from solved(batch)
-                batch = []
-            batch.append((value, problem))
-        yield from solved(batch)
         if unbuilt is not None:
             raise unbuilt
 
@@ -253,6 +237,8 @@ def verdict(ok: bool, text: str) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.seed < 0:
+        raise SystemExit(f"--seed must be >= 0, got {args.seed}")
     problem = build_problem(args)
     bundle, _ = locate_fixed_point(problem, build_opts(args))
     if not bundle.converged:
@@ -314,6 +300,7 @@ def main(argv=None) -> int:
     p_solve = sub.add_parser("solve", help="run the SCF iteration, emit history CSV")
     add_problem_args(p_solve)
     add_solver_args(p_solve)
+    p_solve.add_argument("--damping", type=float, default=1.0, help="mixing weight theta")
     p_solve.add_argument("--out", default=None, help="history CSV path (default stdout)")
     p_solve.set_defaults(func=cmd_solve)
 

@@ -49,6 +49,11 @@ class HadamardMask:
             out[rows, np.arange(here.size)] = self.mask.ravel(order="F")[rows]
         return out
 
+    def require_hermitian_preserving(self) -> None:
+        """Raise ValueError unless L(P) is Hermitian for every Hermitian P: the
+        mask must be Hermitian (within ``require_hermitian``'s tolerance)."""
+        require_hermitian(self.mask, name="operator mask")
+
 
 @dataclass(frozen=True)
 class DiagonalMap:
@@ -81,6 +86,10 @@ class DiagonalMap:
         out = np.zeros((n * n, n), dtype=complex)
         out[np.arange(n) * (n + 1)] = self.alpha * self.coeff
         return out
+
+    def require_hermitian_preserving(self) -> None:
+        """Nothing to check: L(P) is diagonal, and real for Hermitian P and the
+        real ``coeff`` that ``load_problem`` gives."""
 
 
 @dataclass(frozen=True)
@@ -121,6 +130,15 @@ class GeneralVec:
         off = np.flatnonzero(rows != cols)
         out[:, off] += self.matrix[:, cols[off] + n * rows[off]]
         return out
+
+    def require_hermitian_preserving(self) -> None:
+        """Raise ValueError unless L(P) is Hermitian for every Hermitian P: the
+        matrix regrouped by (i, k), (j, l) must be Hermitian (within
+        ``require_hermitian``'s tolerance), i.e. M.reshape(n, n, n, n) must
+        equal its .transpose(1, 0, 3, 2).conj()."""
+        n = self.n
+        regrouped = self.matrix.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+        require_hermitian(regrouped, name="operator matrix regrouped by (i, k), (j, l)")
 
 
 OperatorSpec = Union[HadamardMask, DiagonalMap, GeneralVec]

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +31,9 @@ RATE_FLOOR = 100.0 * np.finfo(float).eps
 STALL_STEPS = 50
 STALL_SPREAD = 1e-6
 
-# Iteration cap of each damped run inside locate_fixed_point
+# The dampings locate_fixed_point falls back to, in turn, and the iteration
+# cap of each damped run
+FALLBACK_DAMPINGS = (0.5, 0.2, 0.05)
 FALLBACK_MAX_ITER = 5000
 
 # A lockstep batch keeps every member's iterates (16 n^2 bytes each, up to
@@ -144,6 +147,14 @@ def batch_cells(n: int, max_iter: int) -> int:
     return max(1, GRID_BATCH_BYTES // (16 * n * n * max_iter))
 
 
+def _batches(problems, max_iter: int):
+    """The runs of consecutive problems of equal (n, p), cut to at most
+    ``batch_cells(n, max_iter)`` problems each."""
+    for (n, _), run in itertools.groupby(problems, key=lambda one: (one.n, one.p)):
+        run, per = list(run), batch_cells(n, max_iter)
+        yield from (run[first:first + per] for first in range(0, len(run), per))
+
+
 def _own_error(problem: Problem, density, opts: ScfOptions, k: int, stacked: Exception):
     """The exception that ``scf_solve`` of ``problem`` alone raises at iterate k,
     whose density is ``density``: ``stacked``, the member's error in a stacked
@@ -183,42 +194,22 @@ def _bundle(problem: Problem, opts: ScfOptions, history, iterates, converged: bo
     )
 
 
-def _lockstep(problems, opts: ScfOptions, stall_steps: int | None):
-    """``scf_solve`` of each of ``problems`` (all of equal n and p), iterated together.
-
-    Returns (bundles, error): the bundles of the leading problems, and the
-    exception that the next problem's own ``scf_solve`` raises, or None when
-    every problem ran through.  The problems go through in batches of
-    ``batch_cells``.
-    """
-    per = batch_cells(problems[0].n, opts.max_iter) if problems else 1
-    bundles: list[FixedPointBundle] = []
-    for first in range(0, len(problems), per):
-        done, error = _run_batch(problems[first:first + per], opts, stall_steps)
-        bundles += done
-        if error is not None:
-            return bundles, error
-    return bundles, None
-
-
-def _run_batch(batch, opts: ScfOptions, stall_steps: int | None):
-    """``_lockstep`` on one batch.  Each step maps the stack of the live
-    members' densities through one ``scf_step``.  A member leaves the stack
-    once it converges, stalls or reaches ``opts.max_iter``, and its iterates
-    go with it.  A failing member ends the runs of the members after it, whose
-    results no caller reads."""
-    done: list[FixedPointBundle | None] = [None] * len(batch)
-    error = None
+def _run_batch(batch, opts: ScfOptions, stall: bool):
+    """``scf_solve`` of each problem of ``batch`` (all of equal n and p), iterated
+    together: the bundle of each, or the exception it raises alone.  Each step
+    maps the live members' densities through one ``scf_step``.  A member leaves
+    the stack, with its iterates, once it fails, converges, reaches
+    ``opts.max_iter`` or, with ``stall``, stalls (``_stalled``)."""
+    runs: list[FixedPointBundle | Exception | None] = [None] * len(batch)
     live, starts = [], []
     for i, problem in enumerate(batch):
         try:
             starts.append(spectral_filter_density(problem.a0, problem.p))
+            live.append(i)
         except ZeroGapError as exc:
-            error = exc
-            break
-        live.append(i)
-    histories = [[] for _ in live]
-    iterates = [[] for _ in live]
+            runs[i] = exc
+    histories = [[] for _ in batch]
+    iterates = [[] for _ in batch]
     density = np.stack(starts) if starts else None
     p, theta = batch[0].p, opts.damping
     for k in range(opts.max_iter):
@@ -229,8 +220,9 @@ def _run_batch(batch, opts: ScfOptions, stall_steps: int | None):
                 break
             except (ZeroGapError, ChemicalPotentialError) as exc:
                 j = exc.member[0]
-                error = _own_error(batch[live[j]], density[j], opts, k, exc)
-                live, density = live[:j], density[:j]
+                i = live.pop(j)
+                runs[i] = _own_error(batch[i], density[j], opts, k, exc)
+                density = np.delete(density, j, axis=0)
         if not live:
             break
         nxt = psi if theta == 1.0 else (1.0 - theta) * density + theta * psi
@@ -245,36 +237,29 @@ def _run_batch(batch, opts: ScfOptions, stall_steps: int | None):
             history.append(IterationRecord(step_err, low, high, gap))
             iterates[i].append(nxt[j].copy())
             converged = step_err <= opts.tol
-            if converged or k + 1 == opts.max_iter or _stalled(history, stall_steps):
+            if converged or k + 1 == opts.max_iter or (stall and _stalled(history)):
                 try:
-                    done[i] = _bundle(batch[i], opts, history, iterates[i], converged)
+                    runs[i] = _bundle(batch[i], opts, history, iterates[i], converged)
                 except ChemicalPotentialError as exc:
-                    error = exc  # and the members after it leave with it
-                    break
+                    runs[i] = exc
                 iterates[i] = None
             else:
                 stay.append(j)
         if len(stay) < len(live):
             live, nxt = [live[j] for j in stay], nxt[stay]
         density = nxt
-    ran = next((i for i, bundle in enumerate(done) if bundle is None), len(done))
-    return done[:ran], error
+    return runs
 
 
-def _stalled(history, stall_steps: int | None) -> bool:
-    """The last ``stall_steps`` step errors agree to within ``STALL_SPREAD``."""
-    if not stall_steps or len(history) < stall_steps:
+def _stalled(history) -> bool:
+    """The last ``STALL_STEPS`` step errors agree to within ``STALL_SPREAD``."""
+    if len(history) < STALL_STEPS:
         return False
-    window = [rec.step_err for rec in history[-stall_steps:]]
+    window = [rec.step_err for rec in history[-STALL_STEPS:]]
     return max(window) <= (1.0 + STALL_SPREAD) * min(window)
 
 
-def scf_solve(
-    problem: Problem,
-    opts: ScfOptions | None = None,
-    *,
-    stall_steps: int | None = None,
-) -> FixedPointBundle:
+def scf_solve(problem: Problem, opts: ScfOptions | None = None) -> FixedPointBundle:
     """Iterate P_{k+1} = (1-theta) P_k + theta Psi(P_k) until the step is below tol,
     from the filter density P_0 of A0.
 
@@ -283,60 +268,57 @@ def scf_solve(
     still emit data.  A zero cross gap at some iterate raises ZeroGapError
     identifying the iterate index.
 
-    By default the run goes on to ``opts.max_iter``.  With ``stall_steps`` it
-    also ends, unconverged, once the last ``stall_steps`` step errors agree to
-    within ``STALL_SPREAD``; only ``locate_fixed_point`` sets it.  This is the
-    lockstep iteration of ``locate_fixed_points`` on a batch of one.
+    The run goes on to ``opts.max_iter``; only ``locate_fixed_point`` stops
+    stalled runs.  This is the lockstep iteration on a batch of one.
     """
-    bundles, error = _lockstep([problem], opts or ScfOptions(), stall_steps)
-    if error is not None:
-        raise error
-    return bundles[0]
+    (run,) = _run_batch([problem], opts or ScfOptions(), stall=False)
+    if isinstance(run, Exception):
+        raise run
+    return run
 
 
-def locate_fixed_points(problems, opts: ScfOptions | None = None,
-                        fallback_dampings=(0.5, 0.2, 0.05)):
-    """``locate_fixed_point`` of each of ``problems`` (all of equal n and p), in lockstep.
+def _locate_batch(batch, opts: ScfOptions) -> list:
+    """The entries of ``locate_fixed_points`` for one batch, as a list."""
+    plain = _run_batch(batch, replace(opts, damping=1.0), stall=True)
+    found = list(plain)
+    for theta in FALLBACK_DAMPINGS:
+        todo = [i for i, run in enumerate(found)
+                if isinstance(run, FixedPointBundle) and not run.converged]
+        damped = replace(opts, damping=theta, max_iter=FALLBACK_MAX_ITER)
+        runs = (run for chunk in _batches([batch[i] for i in todo], FALLBACK_MAX_ITER)
+                for run in _run_batch(chunk, damped, stall=True))
+        for i, run in zip(todo, runs):
+            if isinstance(run, Exception) or run.converged:
+                found[i] = run
+    return [run if isinstance(run, Exception) else (run, first)
+            for run, first in zip(found, plain)]
 
-    Returns (located, error): the (bundle, plain_bundle) pairs of the leading
-    problems, and the exception that the next problem's own
-    ``locate_fixed_point`` raises, or None when every problem ran through.
-    Every pair equals that of ``locate_fixed_point`` on its problem alone.
-    The plain runs go together, then each damping in turn over the problems
-    that are still unconverged.
+
+def locate_fixed_points(problems, opts: ScfOptions | None = None):
+    """``locate_fixed_point`` of each of ``problems``, in lockstep.
+
+    Yields one entry per problem, in order: the (bundle, plain_bundle) pair
+    of ``locate_fixed_point`` on it alone, or the exception that raises.  A
+    failing problem leaves the stack; the others go on.  Consecutive problems
+    of equal (n, p) go in batches of at most ``batch_cells(n, opts.max_iter)``,
+    and a batch's entries are yielded once it is done.  Within a batch the
+    plain runs go together, then each of ``FALLBACK_DAMPINGS`` in turn over
+    the problems still unconverged, batched again by ``FALLBACK_MAX_ITER``.
     """
     opts = opts or ScfOptions()
-    plain, error = _lockstep(problems, replace(opts, damping=1.0), STALL_STEPS)
-    found = [run if run.converged else None for run in plain]
-    for theta in fallback_dampings:
-        todo = [i for i, run in enumerate(found) if run is None]
-        if not todo:
-            break
-        damped, failed = _lockstep(
-            [problems[i] for i in todo],
-            replace(opts, damping=theta, max_iter=FALLBACK_MAX_ITER),
-            STALL_STEPS,
-        )
-        for i, run in zip(todo, damped):
-            if run.converged:
-                found[i] = run
-        if failed is not None:
-            cut = todo[len(damped)]
-            plain, found, error = plain[:cut], found[:cut], failed
-    return [(first if run is None else run, first) for run, first in zip(found, plain)], error
+    for batch in _batches(problems, opts.max_iter):
+        yield from _locate_batch(batch, opts)
 
 
-def locate_fixed_point(
-    problem: Problem,
-    opts: ScfOptions | None = None,
-    fallback_dampings=(0.5, 0.2, 0.05),
-) -> tuple[FixedPointBundle, FixedPointBundle | None]:
+def locate_fixed_point(problem: Problem, opts: ScfOptions | None = None
+                       ) -> tuple[FixedPointBundle, FixedPointBundle | None]:
     """Find a fixed point, falling back to damped iteration when plain SCF fails.
 
     Returns (bundle, plain_bundle) where plain_bundle is the theta = 1 run
-    (the one rate measurements may use) and bundle is the first converged run.
-    Needed to evaluate divergent cases (c > 1), where plain SCF never settles
-    but the damped iteration shares the same fixed points.
+    (the one rate measurements may use) and bundle is the first converged run,
+    trying ``FALLBACK_DAMPINGS`` in turn.  Needed to evaluate divergent cases
+    (c > 1), where plain SCF never settles but the damped iteration shares the
+    same fixed points.
 
     Every run here (the plain one and each damped fallback) ends once its
     step error has stopped changing (``STALL_STEPS``, ``STALL_SPREAD``), so a
@@ -345,10 +327,10 @@ def locate_fixed_point(
     ``max_iter``.  This is ``locate_fixed_points`` on a batch of one, the
     same lockstep iteration that ``sweep`` runs over its grid.
     """
-    located, error = locate_fixed_points([problem], opts, fallback_dampings)
-    if error is not None:
-        raise error
-    return located[0]
+    (run,) = locate_fixed_points([problem], opts)
+    if isinstance(run, Exception):
+        raise run
+    return run
 
 
 @dataclass

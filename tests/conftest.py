@@ -26,6 +26,7 @@ from scfconv import (
     vech_inv,
 )
 from scfconv.scf import (
+    FALLBACK_DAMPINGS,
     FALLBACK_MAX_ITER,
     STALL_SPREAD,
     STALL_STEPS,
@@ -207,12 +208,12 @@ def scf_solve_loop(problem, opts, stall_steps=None):
                             filter=opts.filter, beta=opts.beta, mu=mu, errors_to_fixed=errors)
 
 
-def locate_fixed_point_loop(problem, opts, fallback_dampings=(0.5, 0.2, 0.05)):
+def locate_fixed_point_loop(problem, opts):
     """``locate_fixed_point`` by ``scf_solve_loop``: one run of one problem at a time."""
     plain = scf_solve_loop(problem, replace(opts, damping=1.0), stall_steps=STALL_STEPS)
     if plain.converged:
         return plain, plain
-    for theta in fallback_dampings:
+    for theta in FALLBACK_DAMPINGS:
         damped = scf_solve_loop(
             problem, replace(opts, damping=theta, max_iter=FALLBACK_MAX_ITER), STALL_STEPS
         )

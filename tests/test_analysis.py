@@ -180,6 +180,18 @@ def test_bound_c2_dominates_c():
         assert convergence_factor(jb.dense()) <= bound_c2(jb.dense()) + 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_bound_c2_scales_with_its_matrix_across_the_double_range(scale, kind):
+    # the Gram matrix of the unscaled entries would under- or overflow
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((9, 5))
+    if kind == "complex":
+        a = a + 1j * rng.standard_normal((9, 5))
+    for m in (a, a.T):
+        assert bound_c2(scale * m) == pytest.approx(scale * np.linalg.norm(m, 2), rel=1e-14)
+
+
 def test_bound_naive_reference_value():
     problem = build_illustrative(0.0)
     bundle, _, jb = solved(problem)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,11 @@ from scfconv import (
     Problem,
     ScfOptions,
     analyze_problem,
+    build_illustrative,
     ladder,
     load_problem,
     save_problem,
+    scf_solve,
 )
 from scfconv import cli, scf
 from scfconv.cli import main, parse_outputs
@@ -102,6 +105,30 @@ def test_solve_requires_problem_source():
         main(["solve"])
 
 
+def test_solve_runs_damped_under_damping(tmp_path):
+    out = tmp_path / "history.csv"
+    assert main(["solve", "--family", "illustrative", "--damping", "0.5", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    damped = scf_solve(build_illustrative(0.1), ScfOptions(damping=0.5))
+    assert damped.history != scf_solve(build_illustrative(0.1)).history
+    assert [float(row[1]) for row in rows] == [rec.step_err for rec in damped.history]
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep", "check"])
+def test_damping_is_a_solve_flag_only(capsys, command):
+    # rejected as argparse rejects any unknown flag: usage, exit status 2
+    argv = [command, "--family", "illustrative", "--axis", "eps", "--values", "0.1"]
+    argv = argv if command == "sweep" else argv[:3]
+    errors = []
+    for flag in (["--damping", "0.5"], ["--no-such-flag", "0.5"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flag])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err.replace(flag[0], "FLAG"))
+    assert errors[0] == errors[1]
+    assert "unrecognized arguments: FLAG 0.5" in errors[0]
+
+
 def test_analyze_illustrative_naive_value(tmp_path):
     out = tmp_path / "report.json"
     code = main(
@@ -115,6 +142,13 @@ def test_analyze_illustrative_naive_value(tmp_path):
     assert payload["deltas"] == sorted(payload["deltas"])
     assert payload["c_liu"] is None
     assert payload["c_tilde"][-1][1] == pytest.approx(payload["c2"], rel=1e-12)
+
+
+def test_analyze_keeps_c_below_c2_at_a_coupling_of_1e300(capsys):
+    # c is about 2e-299, so the squared entries of J underflowed in c2
+    assert main(["analyze", "--family", "illustrative", "--eps", "1e300"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert 0 < report["c"] <= report["c2"]
 
 
 def test_analyze_laplacian_omega_listing(tmp_path):
@@ -487,6 +521,13 @@ def test_parse_outputs_accepts_exactly_the_ladder_table():
         ["check", "--family", "laplacian-real", "--h", "0"],
         ["analyze", "--family", "illustrative", "--tol", "nan"],
         ["analyze", "--file", "nan-a0.json"],
+        ["check", "--family", "illustrative", "--seed", "-1"],
+        ["solve", "--file", "non-hermitian-mask.json"],
+        ["analyze", "--file", "non-hermitian-mask.json"],
+        ["check", "--file", "non-hermitian-mask.json"],
+        ["solve", "--file", "non-hermitian-general-vec.json"],
+        ["analyze", "--file", "non-hermitian-general-vec.json"],
+        ["check", "--file", "non-hermitian-general-vec.json"],
     ],
     ids=["p-ge-n", "p-zero", "fermi-without-beta", "damping-zero", "missing-file",
          "sweep-bad-value", "sweep-bad-count", "sweep-count-zero", "sweep-count-negative",
@@ -495,7 +536,10 @@ def test_parse_outputs_accepts_exactly_the_ladder_table():
          "check-zero-gap", "analyze-mu-not-bracketed", "sweep-mu-not-bracketed",
          "check-mu-not-bracketed", "solve-max-iter-zero", "analyze-alpha-inf",
          "sweep-value-nan", "sweep-log-grid-through-zero", "check-h-zero", "analyze-tol-nan",
-         "analyze-nan-in-a0"],
+         "analyze-nan-in-a0", "check-negative-seed", "solve-non-hermitian-mask",
+         "analyze-non-hermitian-mask", "check-non-hermitian-mask",
+         "solve-non-hermitian-general-vec", "analyze-non-hermitian-general-vec",
+         "check-non-hermitian-general-vec"],
 )
 def test_bad_input_is_one_line_on_stderr(tmp_path, argv):
     # the problem file of the NaN case: the illustrative problem with A0[1, 1] = NaN
@@ -503,6 +547,16 @@ def test_bad_input_is_one_line_on_stderr(tmp_path, argv):
     mask = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 100.0]]
     (tmp_path / "nan-a0.json").write_text(json.dumps(
         {"n": 3, "p": 1, "A0": a0, "operator": {"kind": "hadamard", "mask": mask}}))
+    # two operators that do not keep A(P) Hermitian: a mask with mask[0, 1] !=
+    # conj(mask[1, 0]), and L(P) = B P with B not a multiple of the identity
+    illustrative = build_illustrative(0.1)
+    skewed = np.array(illustrative.op.mask)
+    skewed[0, 1] = 1.0
+    save_problem(replace(illustrative, op=HadamardMask(mask=skewed)),
+                 tmp_path / "non-hermitian-mask.json")
+    b = np.diag([1.0, 2.0, 3.0]) + np.triu(np.ones((3, 3)), 1)
+    save_problem(replace(illustrative, op=GeneralVec(matrix=np.kron(np.eye(3), b))),
+                 tmp_path / "non-hermitian-general-vec.json")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-m", "scfconv.cli", *argv], cwd=tmp_path, env=env,
@@ -571,12 +625,12 @@ def test_a_sweep_holds_one_batch_of_iterates_at_a_time(monkeypatch):
             "--outputs", "c", "--out", os.devnull]
     sizes = []
 
-    def spy(problems, opts):
-        sizes.append(len(problems))
-        return locate(problems, opts)
+    def spy(batch, opts, stall):
+        sizes.append(len(batch))
+        return run_batch(batch, opts, stall)
 
-    locate = cli.locate_fixed_points
-    monkeypatch.setattr(cli, "locate_fixed_points", spy)
+    run_batch = scf._run_batch
+    monkeypatch.setattr(scf, "_run_batch", spy)
     peaks = {}
     for budget in (room, 64 * room):
         monkeypatch.setattr(scf, "GRID_BATCH_BYTES", budget)

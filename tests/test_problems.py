@@ -21,7 +21,7 @@ from scfconv import (
 from scfconv.matops import symmetrize_S
 from scfconv.problems import _decode_matrix
 
-from conftest import lprime_by_basis_loop, random_hermitian
+from conftest import OPERATOR_KINDS, lprime_by_basis_loop, operator_problem, random_hermitian
 
 
 def test_hadamard_apply():
@@ -102,6 +102,29 @@ def test_assemble_Lprime_identity_on_random_inputs():
         lhs = lp @ vech(x)[op.support()]
         rhs = apply_L(op, symmetrize_S(x)).ravel(order="F")
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", OPERATOR_KINDS)
+def test_an_operator_that_keeps_P_hermitian_passes_and_a_bent_one_is_named(kind):
+    op = operator_problem(kind).op
+    n = op.n
+    op.require_hermitian_preserving()
+    rng = np.random.default_rng(11)
+    transpose = np.zeros((n * n, n * n))  # vec(P^T) = K vec(P): keeps P Hermitian too
+    transpose[np.arange(n * n), (np.arange(n * n) % n) * n + np.arange(n * n) // n] = 1.0
+    GeneralVec(matrix=transpose).require_hermitian_preserving()
+    if kind == "diagonal_map":
+        return
+    if kind == "hadamard":
+        bent = HadamardMask(mask=op.mask + 1e-3 * np.triu(rng.normal(size=(n, n)), 1))
+    else:  # adds L(P) = 1e-3 B P
+        bent = GeneralVec(matrix=op.matrix + 1e-3 * np.kron(np.eye(n), rng.normal(size=(n, n))))
+    density = random_hermitian(rng, n)
+    for each in (op, bent):
+        image = apply_L(each, density)
+        assert np.allclose(image, image.conj().T) == (each is op)
+    with pytest.raises(ValueError, match="is not Hermitian"):
+        bent.require_hermitian_preserving()
 
 
 def test_problem_validation():

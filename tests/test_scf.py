@@ -23,7 +23,16 @@ from scfconv import (
     spectral_filter_density,
 )
 from scfconv.cli import main
-from scfconv.scf import STALL_SPREAD, STALL_STEPS, RateEstimationError, measured_rate
+from scfconv import scf
+from scfconv.matops import ChemicalPotentialError
+from scfconv.scf import (
+    FALLBACK_DAMPINGS,
+    FALLBACK_MAX_ITER,
+    STALL_SPREAD,
+    STALL_STEPS,
+    RateEstimationError,
+    measured_rate,
+)
 
 from conftest import (
     FILTERS,
@@ -223,13 +232,13 @@ def coupled_hadamard_problem(seed, coupling):
     return Problem(a0=a0, op=HadamardMask(mask=mask), p=int(rng.integers(1, n)))
 
 
-def full_length_locate(problem, opts, fallback_dampings=(0.5, 0.2, 0.05)):
+def full_length_locate(problem, opts):
     """``locate_fixed_point`` with every run taken to its max_iter."""
     plain = scf_solve(problem, opts=replace(opts, damping=1.0))
     if plain.converged:
         return plain, plain
-    for theta in fallback_dampings:
-        damped = scf_solve(problem, opts=replace(opts, damping=theta, max_iter=5000))
+    for theta in FALLBACK_DAMPINGS:
+        damped = scf_solve(problem, opts=replace(opts, damping=theta, max_iter=FALLBACK_MAX_ITER))
         if damped.converged:
             return damped, plain
     return plain, plain
@@ -264,8 +273,8 @@ def assert_same_bundle(got, want):
 @pytest.mark.parametrize("cells", [ALPHA_CELLS, EPS_CELLS], ids=["alpha", "eps-fermi"])
 def test_locating_a_grid_in_lockstep_equals_each_cell_alone(cells):
     problems, opts = zip(*(sweep_cell(kind, value) for kind, value in cells))
-    located, error = locate_fixed_points(list(problems), opts[0])
-    assert error is None and len(located) == len(cells)
+    located = list(locate_fixed_points(list(problems), opts[0]))
+    assert len(located) == len(cells)
     assert any(bundle.damping < 1.0 for bundle, _ in located)  # fallbacks ran too
     for problem, (bundle, plain) in zip(problems, located):
         want_bundle, want_plain = locate_fixed_point_loop(problem, opts[0])
@@ -277,19 +286,58 @@ def test_locating_a_grid_in_lockstep_equals_each_cell_alone(cells):
         assert_same_bundle(alone_plain, want_plain)
 
 
+def assert_each_entry_as_alone(problems, opts=None):
+    """Each entry of ``locate_fixed_points(problems)`` is what ``locate_fixed_point``
+    gives on its problem alone: the same pair, or an error of the same type and
+    message.  Returns the entries."""
+    located = list(locate_fixed_points(problems, opts))
+    assert len(located) == len(problems)
+    for problem, entry in zip(problems, located):
+        try:
+            want = locate_fixed_point(problem, opts)
+        except Exception as exc:
+            assert type(entry) is type(exc) and str(entry) == str(exc)
+            continue
+        assert_same_bundle(entry[0], want[0])
+        assert_same_bundle(entry[1], want[1])
+    return located
+
+
 def test_lockstep_stops_at_the_first_failing_problem_with_its_own_error():
-    # A(P) = diag(P_11, 1, 2) + A0: the middle problem's start closes the gap
+    # A(P) = diag(P_11, 1, 2) + A0: the middle problem's start closes the gap.
+    # It leaves the stack with the error it raises alone; the others go on.
     def problem(shift):
         return Problem(a0=np.diag([shift, 1.0, 2.0]),
                        op=HadamardMask(mask=np.diag([1.0, 0.0, 0.0])), p=1)
 
-    good, bad = problem(-0.5), problem(0.0)
-    with pytest.raises(ZeroGapError) as alone:
-        locate_fixed_point(bad)
-    located, error = locate_fixed_points([good, bad, good])
-    assert len(located) == 1 and str(error) == str(alone.value)
-    assert str(alone.value).startswith("zero gap at SCF iterate 0: zero gap: lambda_p")
-    assert_same_bundle(located[0][0], locate_fixed_point(good)[0])
+    # A0 of the problem at shift 1 has a zero gap of its own, at the start.
+    good, bad, other = problem(-0.5), problem(0.0), problem(-0.25)
+    first, middle, at_start, last = assert_each_entry_as_alone([good, bad, problem(1.0), other])
+    assert isinstance(middle, ZeroGapError) and isinstance(at_start, ZeroGapError)
+    assert str(middle).startswith("zero gap at SCF iterate 0: zero gap: lambda_p")
+    assert str(at_start).startswith("zero gap: lambda_p")
+    assert first[0].converged and last[0].converged
+
+
+def test_a_member_whose_final_mu_fails_leaves_the_others_as_alone(monkeypatch):
+    # The mu search of the middle cell's A(P*) fails; its steps all pass.  The
+    # plain runs converge in 93, 136 and 392 steps: the last cell is still
+    # in the stack when the middle one fails.
+    problems = [build_illustrative(eps) for eps in (0.3, 0.2, 0.1)]
+    opts = ScfOptions(filter="fermi", beta=20.0)
+    final = locate_fixed_point(problems[1], opts)[0].lambdas
+    search = scf.fermi_chemical_potential
+
+    def failing_at_final(lam, beta, p):
+        if np.array_equal(lam, final):
+            raise ChemicalPotentialError("mu search failed at the final A(P*)")
+        return search(lam, beta, p)
+
+    monkeypatch.setattr(scf, "fermi_chemical_potential", failing_at_final)
+    first, middle, last = assert_each_entry_as_alone(problems, opts)
+    assert isinstance(middle, ChemicalPotentialError)
+    assert str(middle) == "mu search failed at the final A(P*)"
+    assert first[0].converged and last[0].converged
 
 
 @pytest.mark.parametrize("kind,value", [("laplacian", 5e5), ("fermi", 0.0316)])
@@ -335,7 +383,9 @@ def test_stop_keeps_the_converged_flag_on_random_hadamard_problems(seed, couplin
         full = scf_solve(problem)
     except ZeroGapError:
         return
-    _, plain = locate_fixed_point(problem, fallback_dampings=())
+    with pytest.MonkeyPatch.context() as patch:  # hypothesis takes no function fixture
+        patch.setattr(scf, "FALLBACK_DAMPINGS", ())
+        _, plain = locate_fixed_point(problem)
     assert plain.converged == full.converged
     if full.converged:
         assert np.array_equal(plain.p_star, full.p_star)
@@ -347,7 +397,9 @@ def test_stop_keeps_the_converged_flag_on_the_fermi_illustrative_family(eps, bet
     problem = build_illustrative(eps)
     opts = ScfOptions(filter="fermi", beta=beta)
     full = scf_solve(problem, opts=opts)
-    _, plain = locate_fixed_point(problem, opts, fallback_dampings=())
+    with pytest.MonkeyPatch.context() as patch:  # hypothesis takes no function fixture
+        patch.setattr(scf, "FALLBACK_DAMPINGS", ())
+        _, plain = locate_fixed_point(problem, opts)
     assert plain.converged == full.converged
     if full.converged:
         assert np.array_equal(plain.p_star, full.p_star)
