@@ -5,9 +5,11 @@ m = n(n+1)/2).  It is built once per fixed point from a factored core on the
 support S that the operator names, the columns of L' that can be nonzero:
 
     W_s     = X^H L(E_s) X                   (n x n, s in S)
-    J[:, s] = sign * vech(X (R o W_s) X^H)
+    J[:, s] = vech(X (R o W_s) X^H)          (plus the Fermi-level shift)
 
-J is zero outside the columns S, and only L'[:, S] and J[:, S] are kept.
+R is the divided-difference matrix of the map's own occupations, so one
+formula serves both filters.  J is zero outside the columns S, and only
+L'[:, S] and J[:, S] are kept.
 Every reported number is read from this core by eigenvector pair (a, b): c =
 rho(J[S, S]), c2 = ||J[:, S]||_2, c2a from W[a, b, S], c2b and the gap pair
 terms from L'[:, S] times the S-rows of vech(x_a x_b^H), and the rank-truncated
@@ -29,7 +31,6 @@ from .matops import (
     ZeroGapError,
     _check_cross_gap,
     divided_difference_matrix,
-    fermi_chemical_potential,
     vech,
     vech_index,
 )
@@ -97,24 +98,22 @@ def gap_structure(lambdas, p: int) -> GapStructure:
 class JacobianBundle:
     """The assembled Jacobian with the factored core every bound is read from.
 
-    ``vec_r`` is the diagonal of D stored as vec of the divided-difference
-    matrix R; ``sign`` is the scalar in front of the assembled product.
-    ``support`` is S, the columns the operator names; L' and J vanish outside
-    them, and ``l_s`` = L'[:, S] and ``j_s`` = J[:, S] are kept.  ``w`` is the
-    |S| x n x n stack of W_s = X^H L(E_s) X, so that w[s, a, b] = x_a^H
-    L(E_s) x_b, and J[:, s] = sign * vech(X (R o W_s) X^H), plus the
-    Fermi-level shift under the Fermi filter.
+    ``r`` is the n x n divided-difference matrix R of the map's occupations,
+    D = diag(vec R).  ``support`` is S, the columns the operator names; L'
+    and J vanish outside them, and ``l_s`` = L'[:, S] and ``j_s`` = J[:, S]
+    are kept.  ``w`` is the |S| x n x n stack of W_s = X^H L(E_s) X, so that
+    w[s, a, b] = x_a^H L(E_s) x_b, and J[:, s] = vech(X (R o W_s) X^H), plus
+    the Fermi-level shift under the Fermi filter.
     """
 
     j_s: np.ndarray
-    vec_r: np.ndarray
+    r: np.ndarray
     l_s: np.ndarray
     x: np.ndarray
     lambdas: np.ndarray
     p: int
     support: np.ndarray
     w: np.ndarray
-    sign: float = -1.0
     filter: str = "step"
 
     @property
@@ -124,11 +123,6 @@ class JacobianBundle:
     @property
     def m(self) -> int:
         return self.j_s.shape[0]
-
-    @property
-    def r(self) -> np.ndarray:
-        """The n x n divided-difference matrix R."""
-        return self.vec_r.reshape(self.n, self.n, order="F")
 
     @cached_property
     def lprime_r(self) -> np.ndarray:
@@ -178,11 +172,20 @@ class JacobianBundle:
         return j
 
 
-def _assemble(bundle: FixedPointBundle, r: np.ndarray, op: OperatorSpec, sign: float, filter: str):
-    """J[:, S] = sign * vech(X M_s X^H) with M_s = R o W_s, less dmu_s diag(f')
-    when the diagonal f' of R does not vanish (the Fermi-level shift)."""
+def assemble_jacobian(bundle: FixedPointBundle, op: OperatorSpec) -> JacobianBundle:
+    """Exact Jacobian of the fixed-point map that produced ``bundle``, L = ``op``.
+
+    R is the divided-difference matrix of the map's own occupations: of the
+    step filter, or of the Fermi function at ``bundle.beta`` and
+    ``bundle.mu`` (solved for trace p when None).  J[:, S] = vech(X M_s X^H)
+    with M_s = R o W_s - dmu_s diag(f'): mu is solved again for every P, so
+    dmu_s = sum_i f'_i W_s[i, i] / sum_i f'_i is the Fermi-level shift, left
+    out when f' sums to 0 (the step filter, or every f'_i underflowed).
+    """
     x = bundle.x
     n = x.shape[0]
+    beta = bundle.beta if bundle.filter == "fermi" else None
+    r = divided_difference_matrix(bundle.lambdas, bundle.p, beta=beta, mu=bundle.mu)
     l_s = assemble_Lprime(op, n)
     # L(E_s) for s in S as a stack of n x n matrices (columns are vec, column-major)
     w = x.conj().T @ l_s.T.reshape(-1, n, n).transpose(0, 2, 1) @ x
@@ -193,48 +196,10 @@ def _assemble(bundle: FixedPointBundle, r: np.ndarray, op: OperatorSpec, sign: f
         dmu = np.diagonal(w, axis1=1, axis2=2) @ (fprime / total)
         m_s[:, np.arange(n), np.arange(n)] -= dmu[:, None] * fprime
     np.matmul(x @ m_s, x.conj().T, out=m_s)  # the sandwich X M_s X^H, in place
-    j_s = sign * vech(m_s).T
     return JacobianBundle(
-        j_s=j_s, vec_r=r.ravel(order="F"), l_s=l_s, x=x,
-        lambdas=np.asarray(bundle.lambdas, dtype=float), p=bundle.p, support=op.support(),
-        w=w, sign=sign, filter=filter,
+        j_s=vech(m_s).T, r=r, l_s=l_s, x=x, lambdas=np.asarray(bundle.lambdas, dtype=float),
+        p=bundle.p, support=op.support(), w=w, filter=bundle.filter,
     )
-
-
-def assemble_jacobian(bundle: FixedPointBundle, op: OperatorSpec) -> JacobianBundle:
-    """Exact Jacobian of the fixed-point map that produced ``bundle``, L = ``op``.
-
-    The step filter by default; a bundle of the Fermi filter gives
-    ``fermi_jacobian`` at its own beta and mu.
-    """
-    if bundle.filter == "fermi":
-        return fermi_jacobian(bundle, op, bundle.beta, bundle.mu)
-    r = divided_difference_matrix(bundle.lambdas, bundle.p, kind="step")
-    return _assemble(bundle, r, op, sign=-1.0, filter="step")
-
-
-def fermi_jacobian(
-    bundle: FixedPointBundle,
-    op: OperatorSpec,
-    beta: float,
-    mu: float | None = None,
-) -> JacobianBundle:
-    """Jacobian of the Fermi-filter map, chemical potential included.
-
-    The divided-difference matrix of the Fermi function takes the place of R
-    and the product carries a positive sign (the divided differences of the
-    decreasing Fermi function are negative on cross pairs, which recovers the
-    step-filter Jacobian in the sharp limit).  mu is solved again for every
-    P, so each column also gains the Fermi-level shift -dmu_s X f'(Lambda) X^H
-    with dmu_s = sum_i f'_i W_s[i, i] / sum_i f'_i (a diagonal term of M_s): a
-    rank-one term on the columns S, and zero when every f'_i underflows.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if mu is None:
-        mu = fermi_chemical_potential(bundle.lambdas, beta, bundle.p)
-    r_f = divided_difference_matrix(bundle.lambdas, bundle.p, kind="fermi", beta=beta, mu=mu)
-    return _assemble(bundle, r_f, op, sign=1.0, filter="fermi")
 
 
 # The bytes of one chunk's stack of perturbed densities in the FD oracles
@@ -443,23 +408,27 @@ def bound_rank_truncated(jb: JacobianBundle, ks) -> np.ndarray:
     return out
 
 
-def bound_liu(problem: Problem, delta1: float) -> float:
-    """Reference diagonal-nonlinearity bound 2 alpha sqrt(n) ||A0^-1||_2 / delta_1."""
+def bound_liu(problem: Problem, delta1: float) -> float | None:
+    """Reference diagonal-nonlinearity bound 2 alpha sqrt(n) ||A0^-1||_2 / delta_1,
+    None for a singular A0 (no finite bound)."""
     alpha = problem.meta.get("alpha")
     if alpha is None:
         raise ValueError("problem metadata does not carry the coupling alpha")
-    norm_inv = float(np.linalg.norm(np.linalg.inv(problem.a0), 2))
+    try:
+        norm_inv = float(np.linalg.norm(np.linalg.inv(problem.a0), 2))
+    except np.linalg.LinAlgError:
+        return None
     return 2.0 * float(alpha) * np.sqrt(problem.n) * norm_inv / delta1
 
 
 def cyclic_spectral_radii(jb: JacobianBundle) -> list:
     """Spectral radii of the four cyclic reorderings of the Jacobian product
-    sign T (K1 D)(K2 L'T), each on its support, for moderate n (checks and
-    tests).  The first is c: J vanishes outside the columns S.  The second,
-    sign (K1 D)(K2 L'T), vanishes outside the columns vec(S).  The other two
-    stay dense n^2 x n^2: a smaller block would use the identity under test.
+    T (K1 D)(K2 L'T), each on its support, for moderate n (checks and tests).
+    The first is c: J vanishes outside the columns S.  The second, (K1 D)(K2
+    L'T), vanishes outside the columns vec(S).  The other two stay dense n^2
+    x n^2: a smaller block would use the identity under test.
     """
-    x, d = jb.x, jb.vec_r
+    x, d = jb.x, jb.r.ravel(order="F")
     here = vech_index(jb.n)[jb.support]
     k1_s = np.kron(x.conj(), x)[here]  # the rows vec(S) of K1
     k1d_s = k1_s * d[None, :]
@@ -468,9 +437,9 @@ def cyclic_spectral_radii(jb: JacobianBundle) -> list:
     # each reordered product is freed once its radius is taken
     return [
         jb.c,
-        convergence_factor(jb.sign * k1d_s @ k2_l),
-        convergence_factor(jb.sign * d[:, None] * (k2_l @ k1_s)),
-        convergence_factor(jb.sign * jb.l_s @ (k1d_s @ k2)),
+        convergence_factor(k1d_s @ k2_l),
+        convergence_factor(d[:, None] * (k2_l @ k1_s)),
+        convergence_factor(jb.l_s @ (k1d_s @ k2)),
     ]
 
 
@@ -499,7 +468,8 @@ def ladder(problem: Problem, jb: JacobianBundle, tokens) -> dict:
     gap:Q and tilde:K past p(n-p) read the last member of their family, and
     each family is evaluated once per call.  Above c2 the ladder is
     step-filter theory: those values are None under the Fermi filter, and
-    liu is None for a problem whose metadata carries no coupling alpha.
+    liu is None for a problem whose metadata carries no coupling alpha or
+    whose A0 is singular.
     """
     wanted = {token: ladder_token(token) for token in tokens}
     found = {name: getattr(jb, name) for name in ("c", "c2") if name in wanted}

@@ -242,14 +242,15 @@ def fermi_density(b, beta: float, p: int, return_eig: bool = False, name: str = 
 
 
 def divided_difference_matrix(
-    lambdas, p: int, kind: str = "step", beta: float | None = None, mu: float | None = None
+    lambdas, p: int, beta: float | None = None, mu: float | None = None
 ) -> np.ndarray:
-    """Divided-difference matrix of the occupation filter on the given spectrum.
+    """R_ab = (f_a - f_b) / (lambda_a - lambda_b) of the occupations f on the
+    given spectrum, with f'(lambda_a) on the diagonal.
 
-    For the step filter this is the reciprocal-gap matrix: 1/(lambda_j -
-    lambda_i) on occupied/virtual cross pairs, zero elsewhere.  For the Fermi
-    filter all off-diagonal entries are divided differences of f and the
-    diagonal is f'(lambda_i).
+    With no ``beta`` f is the step filter (1 on the p lowest, 0 above): R is
+    1/(lambda_a - lambda_b) on occupied/virtual cross pairs, all negative (the
+    paper's -D), and zero elsewhere.  With ``beta`` f is the Fermi function
+    at ``mu`` (solved for trace p when not given).
     """
     lam = np.asarray(lambdas, dtype=float)
     n = lam.shape[0]
@@ -257,28 +258,21 @@ def divided_difference_matrix(
         raise ValueError(f"occupation p={p} must satisfy 1 <= p < n={n}")
     if np.any(np.diff(lam) < 0):
         raise ValueError("eigenvalues must be in ascending order")
-    if kind == "step":
+    if beta is None:
         _check_cross_gap(lam, p)
         r = np.zeros((n, n))
-        diff = lam[p:][None, :] - lam[:p][:, None]
-        r[:p, p:] = 1.0 / diff
+        r[:p, p:] = 1.0 / (lam[:p][:, None] - lam[p:][None, :])
         r[p:, :p] = r[:p, p:].T
         return r
-    if kind == "fermi":
-        if beta is None:
-            raise ValueError("fermi filter requires beta")
-        if mu is None:
-            mu = fermi_chemical_potential(lam, beta, p)
-        f = fermi_occupations(lam, beta, mu)
-        fprime = -beta * f * (1.0 - f)
-        diff = lam[:, None] - lam[None, :]
-        scale = max(1.0, float(np.abs(lam).max()))
-        near = np.abs(diff) <= 1e-10 * scale
-        safe = np.where(near, 1.0, diff)
-        r = (f[:, None] - f[None, :]) / safe
-        mid = 0.5 * (lam[:, None] + lam[None, :])
-        fm = fermi_occupations(mid, beta, mu)
-        r = np.where(near, -beta * fm * (1.0 - fm), r)
-        np.fill_diagonal(r, fprime)
-        return r
-    raise ValueError(f"unknown filter kind {kind!r}")
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    if mu is None:
+        mu = fermi_chemical_potential(lam, beta, p)
+    f = fermi_occupations(lam, beta, mu)
+    diff = lam[:, None] - lam[None, :]
+    near = np.abs(diff) <= 1e-10 * max(1.0, float(np.abs(lam).max()))
+    r = (f[:, None] - f[None, :]) / np.where(near, 1.0, diff)
+    fm = fermi_occupations(0.5 * (lam[:, None] + lam[None, :]), beta, mu)
+    r = np.where(near, -beta * fm * (1.0 - fm), r)
+    np.fill_diagonal(r, -beta * f * (1.0 - f))
+    return r

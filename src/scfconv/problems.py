@@ -11,6 +11,7 @@ in closed form, with no loop over basis matrices.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -100,17 +101,16 @@ class GeneralVec:
 
     kind = "general_vec"
 
+    def __post_init__(self):
+        if np.ndim(self.matrix) != 2 or self.matrix.shape != (self.n**2, self.n**2):
+            raise ValueError(f"operator matrix shape {np.shape(self.matrix)} is not n^2 x n^2")
+
     @property
     def n(self) -> int:
-        n = int(round(np.sqrt(self.matrix.shape[0])))
-        return n
+        return int(round(np.sqrt(self.matrix.shape[0])))
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         n = p.shape[-1]
-        if self.matrix.shape != (n * n, n * n):
-            raise ValueError(
-                f"operator matrix shape {self.matrix.shape} does not match n={n}"
-            )
         vec = p.swapaxes(-2, -1).reshape(*p.shape[:-2], n * n, 1)  # column-major vec
         return np.matmul(self.matrix, vec).reshape(p.shape).swapaxes(-2, -1)
 
@@ -122,8 +122,6 @@ class GeneralVec:
         """L' in closed form (S is every column): column (i, k) is the sum of
         the matrix columns at vec(i, k) and, off the diagonal, vec(k, i)."""
         n = self.n
-        if self.matrix.shape != (n * n, n * n):
-            raise ValueError(f"operator matrix shape {self.matrix.shape} is not square n^2")
         vidx = vech_index(n)
         rows, cols = vidx % n, vidx // n
         out = self.matrix[:, vidx].astype(complex, copy=False)
@@ -313,11 +311,8 @@ def _decode_operator(data: dict, n: int) -> OperatorSpec:
             raise ValueError(f"coeff shape {coeff.shape} does not match n={n}")
         return DiagonalMap(coeff=coeff, alpha=float(data.get("alpha", 1.0)))
     if kind == "general_vec":
+        # GeneralVec checks that it is n^2 x n^2, and Problem that n is A0's
         matrix = _decode_matrix(data["matrix"], "matrix")
-        if matrix.shape != (n * n, n * n):
-            raise ValueError(
-                f"operator matrix shape {matrix.shape} does not match n^2={n * n}"
-            )
         return GeneralVec(matrix=np.asarray(matrix, dtype=complex))
     raise ValueError(f"unknown operator kind {kind!r}")
 
@@ -336,7 +331,8 @@ def save_problem(problem: Problem, path) -> None:
 
 
 def load_problem(path) -> Problem:
-    """Load a problem from the JSON schema, validating Hermiticity of A0."""
+    """Load a problem from the JSON schema, validating Hermiticity of A0 and
+    that a ``meta.alpha`` other than null is a finite number."""
     with open(path) as fh:
         payload = json.load(fh)
     try:
@@ -348,4 +344,9 @@ def load_problem(path) -> Problem:
     if a0.shape != (n, n):
         raise ValueError(f"A0 shape {a0.shape} does not match n={n}")
     op = _decode_operator(payload.get("operator", {}), n)
-    return Problem(a0=a0, op=op, p=p, meta=dict(payload.get("meta", {})))
+    meta = dict(payload.get("meta", {}))
+    alpha = meta.get("alpha")
+    finite = type(alpha) in (int, float) and abs(alpha) <= sys.float_info.max
+    if alpha is not None and not finite:
+        raise ValueError(f"meta.alpha must be a finite number, got {alpha!r}")
+    return Problem(a0=a0, op=op, p=p, meta=meta)

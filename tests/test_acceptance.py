@@ -11,6 +11,7 @@ against it entrywise, its spectral radius (0), its spectral norm
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from scfconv import (
     cyclic_spectral_radii,
     estimate_rate,
     fermi_density,
-    fermi_jacobian,
     gap_structure,
     jacobian_fd,
     locate_fixed_point,
@@ -286,12 +286,12 @@ def test_criterion_09_structural_invariants():
             float(np.linalg.norm(lhs - rhs)) / max(1.0, float(np.linalg.norm(rhs))),
         )
 
-        r = jb.vec_r.reshape(n, n, order="F")
+        r = jb.r
         a, b = problem.p, 0  # smallest-gap style cross pair (virtual, occupied)
         outer = np.outer(jb.x[:, a], jb.x[:, b].conj())
         dense_col = r[a, b] * (l_prime @ vech(outer))
         k1 = np.kron(jb.x.conj(), jb.x)
-        full = (l_prime @ selector_T(n)) @ (k1 * jb.vec_r[None, :])
+        full = (l_prime @ selector_T(n)) @ (k1 * r.ravel(order="F")[None, :])
         worst["column"] = max(
             worst["column"],
             float(np.linalg.norm(full[:, b * n + a] - dense_col))
@@ -329,7 +329,7 @@ def test_criterion_10_fermi_consistency():
     problem = build_illustrative(0.1)
     bundle, _, jb = solve_and_jacobian(problem)
     rho_step = convergence_factor(jb.dense())
-    jf = fermi_jacobian(bundle, problem.op, beta=1e3)
+    jf = assemble_jacobian(replace(bundle, filter="fermi", beta=1e3), problem.op)
     rho_fermi = convergence_factor(jf.dense())
     rel = abs(rho_fermi - rho_step) / rho_step
     dens = fermi_density(problem.apply(bundle.p_star), beta=1e3, p=problem.p)

@@ -1,5 +1,7 @@
 """Unit tests for Jacobian assembly, the convergence factor and the bound ladder."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from scfconv import (
     convergence_factor,
     cyclic_spectral_radii,
     estimate_rate,
-    fermi_jacobian,
     gap_structure,
     jacobian_fd,
     locate_fixed_point,
@@ -122,7 +123,8 @@ def test_dense_and_structured_assembly_agree():
     x = bundle.x
     k1 = np.kron(x.conj(), x)
     k2 = np.kron(x.T, x.conj().T)
-    dense = -selector_T(problem.n) @ (k1 * structured.vec_r[None, :]) @ (k2 @ lp)
+    vec_r = structured.r.ravel(order="F")
+    dense = selector_T(problem.n) @ (k1 * vec_r[None, :]) @ (k2 @ lp)
     assert np.allclose(dense, structured.dense(), atol=1e-14)
 
 
@@ -255,8 +257,9 @@ def test_bound_cyclic_matches_dense_products():
     k1 = np.kron(jb.x.conj(), jb.x)
     k2 = np.kron(jb.x.T, jb.x.conj().T)
     lpt = lp @ selector_T(n)
-    dense_a = jb.vec_r[:, None] * (k2 @ lpt)
-    dense_b = lpt @ (k1 * jb.vec_r[None, :])
+    vec_r = jb.r.ravel(order="F")
+    dense_a = vec_r[:, None] * (k2 @ lpt)
+    dense_b = lpt @ (k1 * vec_r[None, :])
     assert c2a == pytest.approx(np.linalg.norm(dense_a, 2), rel=1e-12)
     assert c2b == pytest.approx(np.linalg.norm(dense_b, 2), rel=1e-12)
 
@@ -265,10 +268,10 @@ def test_bound_cyclic_column_identity():
     problem = build_illustrative(0.1)
     bundle, _, jb = solved(problem)
     n = problem.n
-    r = jb.vec_r.reshape(n, n, order="F")
+    r = jb.r
     lpt = lprime_by_basis_loop(problem.op, n) @ selector_T(n)
     k1 = np.kron(jb.x.conj(), jb.x)
-    dense_b = lpt @ (k1 * jb.vec_r[None, :])
+    dense_b = lpt @ (k1 * r.ravel(order="F")[None, :])
     for a in range(n):
         for b in range(n):
             col = dense_b[:, b * n + a]
@@ -306,7 +309,7 @@ def test_bound_rank_truncated_matches_dense_truncation():
     keep = np.zeros((n, n))
     for a, b in gaps.omega(k):
         keep[a - 1, b - 1] = 1.0
-    vec_r_trunc = (jb.vec_r.reshape(n, n, order="F") * keep).ravel(order="F")
+    vec_r_trunc = (jb.r * keep).ravel(order="F")
     k1 = np.kron(jb.x.conj(), jb.x)
     k2 = np.kron(jb.x.T, jb.x.conj().T)
     t = selector_T(n)
@@ -351,7 +354,7 @@ def test_fermi_jacobian_sharp_limit():
     bundle, _, jb = solved(problem)
     rho_step = convergence_factor(jb.dense())
     for beta, rel in ((1e3, 0.02), (1e4, 1e-3)):
-        jf = fermi_jacobian(bundle, problem.op, beta=beta)
+        jf = assemble_jacobian(replace(bundle, filter="fermi", beta=beta), problem.op)
         assert convergence_factor(jf.dense()) == pytest.approx(rho_step, rel=rel)
 
 
@@ -360,17 +363,20 @@ def test_fermi_jacobian_vanishes_for_flat_occupations():
     bundle, _, jb = solved(problem)
     # at vanishing beta the occupations are flat and the Jacobian collapses;
     # mu must be supplied since no chemical potential can meet the trace target
-    jf = fermi_jacobian(bundle, problem.op, beta=1e-8, mu=float(bundle.lambdas.mean()))
+    flat = replace(bundle, filter="fermi", beta=1e-8)
+    jf = assemble_jacobian(replace(flat, mu=float(bundle.lambdas.mean())), problem.op)
     assert np.abs(jf.dense()).max() < 1e-6
     with pytest.raises(ChemicalPotentialError):
-        fermi_jacobian(bundle, problem.op, beta=1e-8)
+        assemble_jacobian(flat, problem.op)
 
 
 def test_fermi_jacobian_rejects_bad_beta():
     problem = build_illustrative(0.1)
     bundle, _, jb = solved(problem)
     with pytest.raises(ValueError):
-        fermi_jacobian(bundle, problem.op, beta=0.0)
+        assemble_jacobian(replace(bundle, filter="fermi", beta=0.0), problem.op)
+    with pytest.raises(ValueError):  # also with mu given, where no mu search runs
+        assemble_jacobian(replace(bundle, filter="fermi", beta=-1.0, mu=0.5), problem.op)
 
 
 def test_realified_spectral_radius_matches_complex():
@@ -419,7 +425,7 @@ def test_divided_difference_norm_identity():
     problem, bundle = solved_random_instances(1)[0]
     jb = assemble_jacobian(bundle, problem.op)
     gaps = gap_structure(bundle.lambdas, problem.p)
-    d_norm = np.abs(jb.vec_r).max()
+    d_norm = np.abs(jb.r).max()
     assert d_norm * gaps.delta(1) == pytest.approx(1.0, rel=1e-12)
 
 

@@ -151,6 +151,18 @@ def test_analyze_keeps_c_below_c2_at_a_coupling_of_1e300(capsys):
     assert 0 < report["c"] <= report["c2"]
 
 
+def test_analyze_reports_liu_as_none_for_a_singular_a0(tmp_path, capsys):
+    # ||A0^-1|| is unbounded: the reference bound has no value, the rest stands
+    path = tmp_path / "singular-a0.json"
+    save_problem(Problem(a0=np.diag([0.0, 1.0, 2.0]), op=HadamardMask(mask=0.1 * np.eye(3)),
+                         p=1, meta={"alpha": 1.0}), path)
+    assert main(["analyze", "--file", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["c_liu"] is None
+    # A(P*) = diag(0.1, 1, 2): ||L'|| = 0.1 over the cross gap 0.9
+    assert report["c"] <= report["c2"] <= report["c_naive"] == pytest.approx(0.1 / 0.9)
+
+
 def test_analyze_laplacian_omega_listing(tmp_path):
     out = tmp_path / "report.json"
     code = main(
@@ -528,6 +540,8 @@ def test_parse_outputs_accepts_exactly_the_ladder_table():
         ["solve", "--file", "non-hermitian-general-vec.json"],
         ["analyze", "--file", "non-hermitian-general-vec.json"],
         ["check", "--file", "non-hermitian-general-vec.json"],
+        ["analyze", "--file", "alpha-not-a-number.json"],
+        ["analyze", "--file", "alpha-infinite.json"],
     ],
     ids=["p-ge-n", "p-zero", "fermi-without-beta", "damping-zero", "missing-file",
          "sweep-bad-value", "sweep-bad-count", "sweep-count-zero", "sweep-count-negative",
@@ -539,7 +553,8 @@ def test_parse_outputs_accepts_exactly_the_ladder_table():
          "analyze-nan-in-a0", "check-negative-seed", "solve-non-hermitian-mask",
          "analyze-non-hermitian-mask", "check-non-hermitian-mask",
          "solve-non-hermitian-general-vec", "analyze-non-hermitian-general-vec",
-         "check-non-hermitian-general-vec"],
+         "check-non-hermitian-general-vec", "analyze-alpha-not-a-number",
+         "analyze-alpha-infinite"],
 )
 def test_bad_input_is_one_line_on_stderr(tmp_path, argv):
     # the problem file of the NaN case: the illustrative problem with A0[1, 1] = NaN
@@ -557,6 +572,9 @@ def test_bad_input_is_one_line_on_stderr(tmp_path, argv):
     b = np.diag([1.0, 2.0, 3.0]) + np.triu(np.ones((3, 3)), 1)
     save_problem(replace(illustrative, op=GeneralVec(matrix=np.kron(np.eye(3), b))),
                  tmp_path / "non-hermitian-general-vec.json")
+    # a coupling alpha in the metadata that is not a finite number
+    for name, alpha in (("alpha-not-a-number", "x"), ("alpha-infinite", float("inf"))):
+        save_problem(replace(illustrative, meta={"alpha": alpha}), tmp_path / f"{name}.json")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-m", "scfconv.cli", *argv], cwd=tmp_path, env=env,

@@ -3,7 +3,7 @@
 The definitions are built here from dense Kronecker products, the vech
 selector T and the dense L' of the basis loop, at n <= 8:
 
-    J      = sign T (conj(X) kron X) diag(vec R) (X^T kron X^H) L'
+    J      = T (conj(X) kron X) diag(vec R) (X^T kron X^H) L'
              (the Fermi filter adds the rank-one Fermi-level shift)
     c      = rho(J),  c2 = ||J||_2
     c2a    = ||diag(vec R) (X^T kron X^H) L' T||_2
@@ -18,6 +18,7 @@ and no column at all (the zero operator).
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,6 @@ from scfconv import (
     build_laplacian,
     divided_difference_matrix,
     fermi_chemical_potential,
-    fermi_jacobian,
     fermi_occupations,
     gap_structure,
     ladder,
@@ -83,11 +83,11 @@ CASES = {
 }
 
 
-def dense_jacobian(x, vec_r, l_prime, sign):
+def dense_jacobian(x, vec_r, l_prime):
     n = x.shape[0]
     k1 = np.kron(x.conj(), x)
     k2 = np.kron(x.T, x.conj().T)
-    return sign * selector_T(n) @ (k1 * vec_r[None, :]) @ (k2 @ l_prime)
+    return selector_T(n) @ (k1 * vec_r[None, :]) @ (k2 @ l_prime)
 
 
 def dense_ladder(problem, bundle, l_prime):
@@ -98,13 +98,13 @@ def dense_ladder(problem, bundle, l_prime):
     r = np.zeros((n, n))
     lam = bundle.lambdas
     p = problem.p
-    r[:p, p:] = 1.0 / (lam[p:][None, :] - lam[:p][:, None])
+    r[:p, p:] = 1.0 / (lam[:p][:, None] - lam[p:][None, :])
     r[p:, :p] = r[:p, p:].T
     vec_r = r.ravel(order="F")
     k1 = np.kron(x.conj(), x)
     k2 = np.kron(x.T, x.conj().T)
     lpt = l_prime @ selector_T(n)
-    j = dense_jacobian(x, vec_r, l_prime, -1.0)
+    j = dense_jacobian(x, vec_r, l_prime)
     norm_lp = np.linalg.norm(l_prime, 2)
     col = np.linalg.norm(lpt @ k1, axis=0)
     terms = np.array(
@@ -120,7 +120,7 @@ def dense_ladder(problem, bundle, l_prime):
         keep = np.zeros((n, n))
         for a, b in gaps.omega(k):
             keep[a - 1, b - 1] = 1.0
-        jk = dense_jacobian(x, (r * keep).ravel(order="F"), l_prime, -1.0)
+        jk = dense_jacobian(x, (r * keep).ravel(order="F"), l_prime)
         c_tilde.append(np.linalg.norm(jk, 2))
     return {
         "j": j,
@@ -182,8 +182,8 @@ def dense_fermi_jacobian(bundle, l_prime, beta):
     mu = fermi_chemical_potential(lam, beta, p)
     f = fermi_occupations(lam, beta, mu)
     fprime = -beta * f * (1.0 - f)
-    r = divided_difference_matrix(lam, p, kind="fermi", beta=beta, mu=mu)
-    j = dense_jacobian(x, r.ravel(order="F"), l_prime, 1.0)
+    r = divided_difference_matrix(lam, p, beta=beta, mu=mu)
+    j = dense_jacobian(x, r.ravel(order="F"), l_prime)
     if fprime.sum() != 0:
         diag_w = (np.kron(x.T, x.conj().T) @ l_prime)[np.arange(n) * (n + 1)]
         dmu = fprime @ diag_w / fprime.sum()
@@ -193,7 +193,7 @@ def dense_fermi_jacobian(bundle, l_prime, beta):
 
 def test_fermi_jacobian_matches_dense_kronecker(case):
     problem, bundle, l_prime, _, _, _ = case
-    jf = fermi_jacobian(bundle, problem.op, beta=5.0)
+    jf = assemble_jacobian(replace(bundle, filter="fermi", beta=5.0), problem.op)
     dense = dense_fermi_jacobian(bundle, l_prime, 5.0)
     assert np.allclose(jf.dense(), dense, rtol=0.0, atol=1e-14 * max(1.0, np.abs(dense).max()))
 

@@ -184,8 +184,8 @@ def test_divided_difference_step_values():
     lam = np.array([1.0, 1.16, 10.0])
     r = divided_difference_matrix(lam, 1)
     expected = np.zeros((3, 3))
-    expected[0, 1] = 1.0 / 0.16
-    expected[0, 2] = 1.0 / 9.0
+    expected[0, 1] = -1.0 / 0.16
+    expected[0, 2] = -1.0 / 9.0
     expected = expected + expected.T
     assert np.allclose(r, expected, atol=1e-14)
 
@@ -196,7 +196,7 @@ def test_divided_difference_step_structure():
         r = divided_difference_matrix(lam, p)
         assert np.count_nonzero(r) == 2 * p * (5 - p)
         assert np.allclose(r, r.T, atol=1e-15)
-        assert abs(r.max() - 1.0 / (lam[p] - lam[p - 1])) < 1e-14
+        assert abs(r.min() + 1.0 / (lam[p] - lam[p - 1])) < 1e-14
 
 
 def test_divided_difference_step_zero_gap():
@@ -208,7 +208,7 @@ def test_divided_difference_fermi_matches_direct():
     lam = np.array([0.0, 0.5, 2.0, 3.0])
     beta = 5.0
     mu = fermi_chemical_potential(lam, beta, 2)
-    r = divided_difference_matrix(lam, 2, kind="fermi", beta=beta, mu=mu)
+    r = divided_difference_matrix(lam, 2, beta=beta, mu=mu)
     f = fermi_occupations(lam, beta, mu)
     for i in range(4):
         for j in range(4):
@@ -221,15 +221,30 @@ def test_divided_difference_fermi_matches_direct():
 
 def test_divided_difference_fermi_near_degenerate():
     lam = np.array([1.0, 1.0 + 1e-13, 2.0])
-    r = divided_difference_matrix(lam, 2, kind="fermi", beta=2.0)
+    r = divided_difference_matrix(lam, 2, beta=2.0)
     assert np.isfinite(r).all()
 
 
 def test_divided_difference_rejects_unsorted():
     with pytest.raises(ValueError):
         divided_difference_matrix(np.array([1.0, 0.0]), 1)
-    with pytest.raises(ValueError):
-        divided_difference_matrix(np.array([0.0, 1.0]), 1, kind="parabolic")
+
+
+def test_divided_difference_fermi_tends_to_the_step_matrix_sign_included():
+    # at mu mid-gap the cross entries (f_a - f_b) / (lambda_a - lambda_b) of
+    # the Fermi occupations tend to those of the step occupations as beta grows
+    lam = np.array([0.0, 0.4, 1.5, 2.5, 4.0])
+    p = 2
+    step = divided_difference_matrix(lam, p)
+    cross = np.zeros((5, 5), dtype=bool)
+    cross[:p, p:] = cross[p:, :p] = True
+    assert np.all(step[cross] < 0) and not step[~cross].any()
+    mu = 0.5 * (lam[p - 1] + lam[p])
+    errors = [
+        np.abs(divided_difference_matrix(lam, p, beta=beta, mu=mu) - step)[cross].max()
+        for beta in (5.0, 50.0, 500.0)
+    ]
+    assert errors[0] > errors[1] > errors[2] and errors[2] < 1e-12
 
 
 def bisection_mu(lam, beta, p, tol=1e-12, max_iter=200):

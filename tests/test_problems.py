@@ -80,6 +80,14 @@ def test_apply_L_dimension_checks():
         apply_L(op, np.zeros((3, 4)))
 
 
+def test_general_vec_checks_its_shape_when_built():
+    # 10 rows would round to n = 3: the operator is refused, not mis-sized
+    for shape in ((10, 10), (9, 8), (9,)):
+        with pytest.raises(ValueError, match="not n\\^2 x n\\^2"):
+            GeneralVec(matrix=np.zeros(shape))
+    assert GeneralVec(matrix=np.zeros((16, 16))).n == 4
+
+
 def test_assemble_Lprime_zero_operator():
     op = GeneralVec(matrix=np.zeros((9, 9)))
     assert np.array_equal(assemble_Lprime(op, 3), np.zeros((9, 6)))
