@@ -13,7 +13,7 @@ L'[:, S] and J[:, S] are kept.
 Every reported number is read from this core by eigenvector pair (a, b): c =
 rho(J[S, S]), c2 = ||J[:, S]||_2, c2a from W[a, b, S], c2b and the gap pair
 terms from L'[:, S] times the S-rows of vech(x_a x_b^H), and the rank-truncated
-family from one running sum over the pairs in gap order.  The dense J
+family from one running sum over the pairs of the gap table.  The dense J
 (``JacobianBundle.dense``) survives only in the oracles.
 
 ``LADDER`` names these quantities, and ``ladder`` is the one evaluator that
@@ -40,21 +40,30 @@ from .scf import FixedPointBundle, ScfOptions, locate_fixed_point, measured_rate
 
 @dataclass
 class GapStructure:
-    """Sorted occupied/virtual cross gaps and the index sets of the smallest ones.
+    """The gap table: every occupied/virtual cross gap, in ascending order.
 
-    ``pairs[k]`` is the (occupied, virtual) eigenvalue index pair (1-based) of
-    the k-th smallest cross gap ``cross_gaps[k]``.  Ties are broken by gap
-    value, then lexicographically, so the sets are reproducible.
+    ``cross_gaps[t]`` = |lambda[virt[t]] - lambda[occ[t]]| for the t-th pair
+    of 0-based eigenvector indices ``occ[t]`` < ``virt[t]``.  Ties are broken
+    by gap, then occupied index, then virtual index, so the order is
+    reproducible.  ``a`` and ``b`` interleave both orientations of each pair,
+    (virt, occ) first: omega(q) is the slice a[:2q], b[:2q].
     """
 
     cross_gaps: np.ndarray
-    pairs: list
-    n: int
-    p: int
+    occ: np.ndarray
+    virt: np.ndarray
 
     @property
     def count(self) -> int:
-        return self.p * (self.n - self.p)
+        return self.cross_gaps.size
+
+    @property
+    def a(self) -> np.ndarray:
+        return np.column_stack([self.virt, self.occ]).ravel()
+
+    @property
+    def b(self) -> np.ndarray:
+        return np.column_stack([self.occ, self.virt]).ravel()
 
     def delta(self, j: int) -> float:
         """j-th smallest cross gap (1-based), with sentinel +inf past the last."""
@@ -64,34 +73,20 @@ class GapStructure:
             return np.inf
         return float(self.cross_gaps[j - 1])
 
-    def omega(self, q: int) -> list:
-        """Both orientations of the q smallest-gap index pairs, |omega(q)| = 2q."""
-        if not 0 <= q <= self.count:
-            raise ValueError(f"q={q} out of range [0, {self.count}]")
-        out = []
-        for i, j in self.pairs[:q]:
-            out.append((j, i))
-            out.append((i, j))
-        return out
-
 
 def gap_structure(lambdas, p: int) -> GapStructure:
-    """All p(n-p) occupied/virtual gaps sorted ascending with their index pairs."""
+    """The gap table of an ascending spectrum with p occupied states: all
+    p(n-p) cross gaps sorted ascending with their index pairs."""
     lam = np.asarray(lambdas, dtype=float)
     n = lam.shape[0]
     if not 1 <= p < n:
         raise ValueError(f"occupation p={p} must satisfy 1 <= p < n={n}")
     _check_cross_gap(lam, p)
-    occ = np.repeat(np.arange(1, p + 1), n - p)
-    virt = np.tile(np.arange(p + 1, n + 1), p)
-    cross = np.abs(lam[virt - 1] - lam[occ - 1])
+    occ = np.repeat(np.arange(p), n - p)
+    virt = np.tile(np.arange(p, n), p)
+    cross = np.abs(lam[virt] - lam[occ])
     order = np.lexsort((virt, occ, cross))
-    return GapStructure(
-        cross_gaps=cross[order],
-        pairs=list(zip(occ[order].tolist(), virt[order].tolist())),
-        n=n,
-        p=p,
-    )
+    return GapStructure(cross_gaps=cross[order], occ=occ[order], virt=virt[order])
 
 
 @dataclass
@@ -303,18 +298,11 @@ def bound_c2(j_p: np.ndarray) -> float:
     return _norm2(j_p)
 
 
-def bound_naive(l_prime: np.ndarray, delta1: float) -> float:
-    """||L'||_2 / delta_1 (the zero columns of L' may be left out)."""
-    if delta1 <= 0:
-        raise ValueError("delta1 must be positive")
-    return _norm2(l_prime) / delta1
-
-
 def _norm2(a: np.ndarray) -> float:
     """Spectral norm from the top eigenvalue of the smaller Gram matrix, 0 for
-    a matrix with no entries.  The matrix is first scaled by a power of two
-    (exact) to a largest entry in [1/2, 1), so the Gram matrix cannot leave
-    the double range."""
+    a matrix with no entries: the only 2-norm of the package.  The matrix is
+    first scaled by a power of two (exact) to a largest entry in [1/2, 1), so
+    the Gram matrix cannot leave the double range."""
     if not a.size:
         return 0.0
     _, e = np.frexp(np.abs(a).max())
@@ -324,60 +312,49 @@ def _norm2(a: np.ndarray) -> float:
 
 
 def bound_cyclic(jb: JacobianBundle) -> tuple[float, float]:
-    """The two cyclic-permutation spectral-norm bounds (c_2a, c_2b).
+    """The two cyclic-permutation spectral-norm bounds (c_2a, c_2b), step filter.
 
     Both matrices have nonzero columns only at the off-diagonal (a, b) where R
-    is nonzero, and only those are taken.  The c_2a column of pair (a, b) is
-    |R_ab| L'^H vec(x_a x_b^H), whose entries are conj W[a, b, :]; the c_2b
-    column is |R_ab| L' vech(x_a x_b^H).
+    is nonzero: under the step filter, the cross pairs of the gap table in
+    both orientations, and only those are taken.  The c_2a column of pair
+    (a, b) is |R_ab| L'^H vec(x_a x_b^H), whose entries are conj W[a, b, :];
+    the c_2b column is |R_ab| L' vech(x_a x_b^H).
     """
-    a, b = np.nonzero((jb.r != 0) & ~np.eye(jb.n, dtype=bool))
+    a, b = jb.gaps.a, jb.gaps.b
     scale = np.abs(jb.r[a, b])
     c2a = _norm2(jb.w[:, a, b] * scale)
     c2b = _norm2(jb.lprime_u[:, a, b] * scale)
     return c2a, c2b
 
 
-def _omega_pairs(gaps: GapStructure) -> tuple[np.ndarray, np.ndarray]:
-    """The (a, b) index arrays (0-based) of omega(p(n-p)) in gap order: pairs
-    2q and 2q + 1 are the (j, i) and (i, j) that omega(q + 1) adds."""
-    occ, virt = (np.asarray(gaps.pairs, dtype=np.intp).reshape(-1, 2) - 1).T
-    return np.stack([virt, occ], axis=1).ravel(), np.stack([occ, virt], axis=1).ravel()
-
-
 def _pair_terms(jb: JacobianBundle) -> np.ndarray:
     """Per-gap terms (||L(S(x_l x_m^H))||_F + ||L(S(x_m x_l^H))||_F) / gap."""
-    norms = np.linalg.norm(jb.lprime_u, axis=0)[_omega_pairs(jb.gaps)]
+    norms = np.linalg.norm(jb.lprime_u, axis=0)[jb.gaps.a, jb.gaps.b]
     return norms.reshape(-1, 2).sum(axis=1) / jb.gaps.cross_gaps
 
 
-def bound_gap_all(jb: JacobianBundle, q_max: int | None = None) -> np.ndarray:
-    """The whole family c_gap[q] for q = 0 .. q_max (default p(n-p))."""
-    gaps = jb.gaps
-    full = gaps.count
-    if q_max is None:
-        q_max = full
-    if not 0 <= q_max <= full:
-        raise ValueError(f"q_max={q_max} out of range [0, {full}]")
+def bound_gap_all(jb: JacobianBundle) -> np.ndarray:
+    """The whole family c_gap[q] for q = 0 .. p(n-p): ||L'||_2 / delta_{q+1}
+    plus the pair terms of the first q pairs of the gap table."""
     cum = np.concatenate([[0.0], np.cumsum(_pair_terms(jb))])
     # delta_{q+1} past the last gap is +inf: the leading term vanishes at q = p(n-p)
-    deltas = np.append(gaps.cross_gaps, np.inf)
-    return (jb.lprime_norm / deltas + cum)[: q_max + 1]
+    return jb.lprime_norm / np.append(jb.gaps.cross_gaps, np.inf) + cum
 
 
 def bound_rank_truncated(jb: JacobianBundle, ks) -> np.ndarray:
     """Spectral norms of the Jacobian truncated to the k smallest-gap entries of D.
 
     J_k keeps only the diagonal entries of D indexed by omega(k) (rank <= 2k).
-    With the pairs t in gap order, a_t = R_ab vech(x_a x_b^H) and b_t =
-    W[a, b, S] as the columns of A and the rows of B, J_k[:, S] = A[:, :2k]
-    B[:2k]; under the step filter J = A B, so k = p(n-p) reads c_2.  A and B
+    With the pairs (a, b) = (a[t], b[t]) of the gap table, a_t = R_ab
+    vech(x_a x_b^H) and b_t = W[a, b, S] as the columns of A and the rows of
+    B, J_k[:, S] = A[:, :2k] B[:2k]; under the step filter J = A B, so
+    k = p(n-p) reads c_2.  A and B
     are built only for the first 2 max(k) pairs that the other k need.  One QR
     of A and one of B^H give A = Q_A R_A and B = L_B Q_B^H; the R factor of a
     column prefix of A is the matching block of R_A, so ||J_k|| is the norm
     of R_A[:, :2k] L_B[:2k].  One running sum of these rank-2 terms, each
     added to the leading 2k x 2k block where it lies, serves every k in
-    ``ks``; the norm is taken only at the k asked for.
+    ``ks``; its ``_norm2`` is taken only at the k asked for.
     """
     gaps = jb.gaps
     ks = np.asarray(ks, dtype=int).reshape(-1)
@@ -390,7 +367,7 @@ def bound_rank_truncated(jb: JacobianBundle, ks) -> np.ndarray:
     part = ks[~full]
     if part.size and jb.support.size:
         top = 2 * part.max()
-        pa, pb = (t[:top] for t in _omega_pairs(gaps))
+        pa, pb = gaps.a[:top], gaps.b[:top]
         vidx = vech_index(jb.n)
         a = jb.x[vidx % jb.n][:, pa] * jb.x[vidx // jb.n][:, pb].conj() * jb.r[pa, pb]
         r_a = np.linalg.qr(a, mode="r")
@@ -403,19 +380,20 @@ def bound_rank_truncated(jb: JacobianBundle, ks) -> np.ndarray:
             e, f = min(2 * k, rows), min(2 * k, cols)
             total[:e, :f] += r_a[:e, 2 * k - 2 : 2 * k] @ l_b[2 * k - 2 : 2 * k, :f]
             if k in wanted:
-                norms[k] = np.linalg.norm(total[:e, :f], 2)
+                norms[k] = _norm2(total[:e, :f])
         out[~full] = [norms[k] for k in part.tolist()]
     return out
 
 
 def bound_liu(problem: Problem, delta1: float) -> float | None:
     """Reference diagonal-nonlinearity bound 2 alpha sqrt(n) ||A0^-1||_2 / delta_1,
-    None for a singular A0 (no finite bound)."""
+    the norm by ``_norm2``; None for a singular A0 (``inv`` raises: no finite
+    bound)."""
     alpha = problem.meta.get("alpha")
     if alpha is None:
         raise ValueError("problem metadata does not carry the coupling alpha")
     try:
-        norm_inv = float(np.linalg.norm(np.linalg.inv(problem.a0), 2))
+        norm_inv = _norm2(np.linalg.inv(problem.a0))
     except np.linalg.LinAlgError:
         return None
     return 2.0 * float(alpha) * np.sqrt(problem.n) * norm_inv / delta1
@@ -516,7 +494,7 @@ class ConvergenceReport:
         if self.gaps is not None:
             deltas = [float(v) for v in self.gaps.cross_gaps]
         if self.c_gap is not None:
-            pairs = [list(pair) for pair in self.gaps.pairs]
+            pairs = (np.column_stack([self.gaps.occ, self.gaps.virt]) + 1).tolist()
         return {
             "n": self.n,
             "p": self.p,

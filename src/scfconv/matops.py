@@ -114,9 +114,9 @@ def symmetrize_S(x) -> np.ndarray:
     return lower + np.tril(x, -1).T
 
 
-def _check_cross_gap(lam: np.ndarray, p: int):
-    """The cross gap lambda_p+1 - lambda_p of ascending spectra (..., n); a
-    degenerate one raises ZeroGapError, naming its member of a stack."""
+def _check_cross_gap(lam: np.ndarray, p: int) -> None:
+    """Raise ZeroGapError when the cross gap lambda_p+1 - lambda_p of ascending
+    spectra (..., n) is degenerate, naming its member of a stack."""
     gap = lam[..., p] - lam[..., p - 1]
     zero = gap <= GAP_TOL * np.abs(lam).max(axis=-1, initial=1.0)
     if zero.any():
@@ -127,7 +127,6 @@ def _check_cross_gap(lam: np.ndarray, p: int):
             f"{float(lam[member + (p,)])!r} are degenerate; the analysis assumes a nonzero gap",
             member=member or None,
         )
-    return gap
 
 
 def spectral_filter_density(b, p: int, return_eig: bool = False, name: str = "matrix"):

@@ -26,8 +26,6 @@ class HadamardMask:
 
     mask: np.ndarray
 
-    kind = "hadamard"
-
     @property
     def n(self) -> int:
         return self.mask.shape[0]
@@ -63,8 +61,6 @@ class DiagonalMap:
     coeff: np.ndarray
     alpha: float = 1.0
 
-    kind = "diagonal_map"
-
     @property
     def n(self) -> int:
         return self.coeff.shape[0]
@@ -98,8 +94,6 @@ class GeneralVec:
     """L given by its action on column-major vectorization: vec(L(P)) = matrix @ vec(P)."""
 
     matrix: np.ndarray
-
-    kind = "general_vec"
 
     def __post_init__(self):
         if np.ndim(self.matrix) != 2 or self.matrix.shape != (self.n**2, self.n**2):
@@ -332,19 +326,35 @@ def save_problem(problem: Problem, path) -> None:
 
 def load_problem(path) -> Problem:
     """Load a problem from the JSON schema, validating Hermiticity of A0 and
-    that a ``meta.alpha`` other than null is a finite number."""
+    that a ``meta.alpha`` other than null is a finite number.  A malformed
+    file (not an object, an operator or meta that is not an object, n or p
+    not a number, a missing key) raises a one-line ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("a problem file must hold a JSON object")
+    operator, meta = payload.get("operator", {}), payload.get("meta", {})
+    for name, value in (("operator", operator), ("meta", meta)):
+        if not isinstance(value, dict):
+            raise ValueError(f"problem file: {name} must be a JSON object")
     try:
         n = int(payload["n"])
         p = int(payload["p"])
         a0 = _decode_matrix(payload["A0"], "A0")
     except KeyError as exc:
         raise ValueError(f"problem file missing required key: {exc}") from exc
+    except TypeError:
+        raise ValueError(
+            f"n and p must be integers, got {payload['n']!r} and {payload.get('p')!r}"
+        ) from None
     if a0.shape != (n, n):
         raise ValueError(f"A0 shape {a0.shape} does not match n={n}")
-    op = _decode_operator(payload.get("operator", {}), n)
-    meta = dict(payload.get("meta", {}))
+    try:
+        op = _decode_operator(operator, n)
+    except KeyError as exc:
+        raise ValueError(f"operator missing required key: {exc}") from exc
+    except TypeError as exc:  # a diagonal_map alpha that is not a number
+        raise ValueError(f"operator: {exc}") from None
     alpha = meta.get("alpha")
     finite = type(alpha) in (int, float) and abs(alpha) <= sys.float_info.max
     if alpha is not None and not finite:

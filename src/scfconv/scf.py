@@ -333,16 +333,7 @@ def locate_fixed_point(problem: Problem, opts: ScfOptions | None = None
     return run
 
 
-@dataclass
-class RateEstimate:
-    """Geometric convergence rate fitted on the asymptotic tail of the history."""
-
-    rate: float
-    ratios: np.ndarray
-    points_used: int
-
-
-def estimate_rate(errors) -> RateEstimate:
+def estimate_rate(errors) -> float:
     """Least-squares geometric rate from the tail of an error sequence.
 
     Uses the last ``RATE_TAIL`` entries that sit above the round-off floor
@@ -359,8 +350,7 @@ def estimate_rate(errors) -> RateEstimate:
     idx = usable[-RATE_TAIL:]
     logs = np.log(errors[idx])
     slope = np.polyfit(idx.astype(float), logs, 1)[0]
-    ratios = errors[idx][1:] / errors[idx][:-1]
-    return RateEstimate(rate=float(np.exp(slope)), ratios=ratios, points_used=idx.size)
+    return float(np.exp(slope))
 
 
 def measured_rate(plain: FixedPointBundle | None) -> float | None:
@@ -368,6 +358,6 @@ def measured_rate(plain: FixedPointBundle | None) -> float | None:
     if plain is None or not plain.converged or plain.damping != 1.0:
         return None
     try:
-        return estimate_rate(plain.errors_to_fixed).rate
+        return estimate_rate(plain.errors_to_fixed)
     except RateEstimationError:
         return None

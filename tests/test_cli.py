@@ -499,6 +499,22 @@ def test_parse_outputs_accepts_exactly_the_ladder_table():
             parse_outputs(bad)
 
 
+# Problem files of the wrong shape: each entry replaces keys of a well-formed
+# file (a list replaces the whole file)
+MALFORMED_FILES = {
+    "top-level-list": [1, 2],
+    "meta-null": {"meta": None},
+    "meta-list": {"meta": [1]},
+    "operator-null": {"operator": None},
+    "hadamard-without-mask": {"operator": {"kind": "hadamard"}},
+    "general-vec-without-matrix": {"operator": {"kind": "general_vec"}},
+    "diagonal-map-alpha-null": {"operator": {"kind": "diagonal_map", "coeff": [[1.0] * 3] * 3,
+                                             "alpha": None}},
+    "p-null": {"p": None},
+    "n-list": {"n": [2]},
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -542,6 +558,7 @@ def test_parse_outputs_accepts_exactly_the_ladder_table():
         ["check", "--file", "non-hermitian-general-vec.json"],
         ["analyze", "--file", "alpha-not-a-number.json"],
         ["analyze", "--file", "alpha-infinite.json"],
+        *(["analyze", "--file", f"{name}.json"] for name in MALFORMED_FILES),
     ],
     ids=["p-ge-n", "p-zero", "fermi-without-beta", "damping-zero", "missing-file",
          "sweep-bad-value", "sweep-bad-count", "sweep-count-zero", "sweep-count-negative",
@@ -554,7 +571,7 @@ def test_parse_outputs_accepts_exactly_the_ladder_table():
          "analyze-non-hermitian-mask", "check-non-hermitian-mask",
          "solve-non-hermitian-general-vec", "analyze-non-hermitian-general-vec",
          "check-non-hermitian-general-vec", "analyze-alpha-not-a-number",
-         "analyze-alpha-infinite"],
+         "analyze-alpha-infinite", *(f"analyze-{name}" for name in MALFORMED_FILES)],
 )
 def test_bad_input_is_one_line_on_stderr(tmp_path, argv):
     # the problem file of the NaN case: the illustrative problem with A0[1, 1] = NaN
@@ -575,6 +592,11 @@ def test_bad_input_is_one_line_on_stderr(tmp_path, argv):
     # a coupling alpha in the metadata that is not a finite number
     for name, alpha in (("alpha-not-a-number", "x"), ("alpha-infinite", float("inf"))):
         save_problem(replace(illustrative, meta={"alpha": alpha}), tmp_path / f"{name}.json")
+    good = {"n": 3, "p": 1, "A0": illustrative.a0.real.tolist(),
+            "operator": {"kind": "hadamard", "mask": mask}}
+    for name, malformed in MALFORMED_FILES.items():
+        payload = malformed if isinstance(malformed, list) else {**good, **malformed}
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-m", "scfconv.cli", *argv], cwd=tmp_path, env=env,

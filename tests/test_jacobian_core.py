@@ -108,8 +108,8 @@ def dense_ladder(problem, bundle, l_prime):
     norm_lp = np.linalg.norm(l_prime, 2)
     col = np.linalg.norm(lpt @ k1, axis=0)
     terms = np.array(
-        [(col[(i - 1) * n + j - 1] + col[(j - 1) * n + i - 1]) / g
-         for (i, j), g in zip(gaps.pairs, gaps.cross_gaps)]
+        [(col[i * n + j] + col[j * n + i]) / g
+         for i, j, g in zip(gaps.occ, gaps.virt, gaps.cross_gaps)]
     )
     c_gap = [
         (norm_lp / gaps.delta(q + 1) if q < gaps.count else 0.0) + terms[:q].sum()
@@ -118,8 +118,7 @@ def dense_ladder(problem, bundle, l_prime):
     c_tilde = []
     for k in range(1, gaps.count + 1):
         keep = np.zeros((n, n))
-        for a, b in gaps.omega(k):
-            keep[a - 1, b - 1] = 1.0
+        keep[gaps.a[: 2 * k], gaps.b[: 2 * k]] = 1.0
         jk = dense_jacobian(x, (r * keep).ravel(order="F"), l_prime)
         c_tilde.append(np.linalg.norm(jk, 2))
     return {
@@ -226,7 +225,7 @@ def test_every_k_on_a_dense_support_allocates_no_more_than_a_few_jacobians():
     finally:
         tracemalloc.stop()
     assert peak < 8 * jb.dense().nbytes, (peak, jb.dense().nbytes)
-    pairs = [(a - 1, b - 1) for a, b in gaps.omega(gaps.count)]
+    pairs = list(zip(gaps.a, gaps.b))
     a = np.stack(
         [jb.r[i, j] * vech(np.outer(jb.x[:, i], jb.x[:, j].conj())) for i, j in pairs], axis=1
     )

@@ -183,22 +183,18 @@ def test_fermi_solve_trace():
 
 def test_estimate_rate_exact_geometric():
     errors = 0.5 ** np.arange(15)
-    est = estimate_rate(errors)
-    assert est.rate == pytest.approx(0.5, rel=1e-12)
-    assert np.allclose(est.ratios, 0.5, atol=1e-12)
+    assert estimate_rate(errors) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_estimate_rate_noisy_geometric():
     rng = np.random.default_rng(5)
     errors = 0.9 ** np.arange(40) * np.exp(rng.normal(0, 0.01, size=40))
-    est = estimate_rate(errors)
-    assert est.rate == pytest.approx(0.9, rel=0.02)
+    assert estimate_rate(errors) == pytest.approx(0.9, rel=0.02)
 
 
 def test_estimate_rate_ignores_floor_noise():
     errors = np.concatenate([0.3 ** np.arange(20), np.full(10, 1e-17)])
-    est = estimate_rate(errors)
-    assert est.rate == pytest.approx(0.3, rel=1e-6)
+    assert estimate_rate(errors) == pytest.approx(0.3, rel=1e-6)
 
 
 def test_estimate_rate_too_short():
