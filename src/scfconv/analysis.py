@@ -470,48 +470,46 @@ def ladder(problem: Problem, jb: JacobianBundle, tokens) -> dict:
     return {t: None if found.get(t) is None else float(found[t]) for t in wanted}
 
 
+# The JSON key of each ladder name in the ``analyze`` report, in its order;
+# the families gap and tilde are lists, tilde as [k, value] pairs.
+REPORT_KEYS = {"c": "c", "c2": "c2", "c2a": "c2a", "c2b": "c2b", "naive": "c_naive",
+               "gap": "c_gap", "liu": "c_liu", "tilde": "c_tilde"}
+
+
 @dataclass
 class ConvergenceReport:
-    """Exact convergence factor, the full bound ladder, and the gap structure."""
+    """The ladder row of one fixed point, with its gap table and measured rate.
+
+    ``values`` is the dict ``ladder`` returned, keyed by token (None when no
+    fixed point was located).
+    """
 
     n: int
     p: int
     converged: bool
-    c: float | None = None
-    c2: float | None = None
-    c2a: float | None = None
-    c2b: float | None = None
-    c_naive: float | None = None
-    c_gap: np.ndarray | None = None
-    c_liu: float | None = None
-    c_tilde: list | None = None
+    values: dict | None = None
     gaps: GapStructure | None = None
     measured_rate: float | None = None
     fd_check: float | None = None
 
     def to_dict(self) -> dict:
-        deltas = pairs = None
-        if self.gaps is not None:
-            deltas = [float(v) for v in self.gaps.cross_gaps]
-        if self.c_gap is not None:
+        row = dict.fromkeys(REPORT_KEYS.values())
+        for token, value in (self.values or {}).items():
+            name, index = ladder_token(token)
+            key = REPORT_KEYS[name]
+            if value is None:  # a quantity the problem does not define stays null
+                continue
+            if index is None:
+                row[key] = value
+            else:
+                row[key] = row[key] or []
+                row[key].append(value if name == "gap" else [index, value])
+        deltas = None if self.gaps is None else [float(v) for v in self.gaps.cross_gaps]
+        pairs = None
+        if row["c_gap"] is not None:
             pairs = (np.column_stack([self.gaps.occ, self.gaps.virt]) + 1).tolist()
-        return {
-            "n": self.n,
-            "p": self.p,
-            "converged": self.converged,
-            "c": self.c,
-            "c2": self.c2,
-            "c2a": self.c2a,
-            "c2b": self.c2b,
-            "c_naive": self.c_naive,
-            "c_gap": None if self.c_gap is None else [float(v) for v in self.c_gap],
-            "c_liu": self.c_liu,
-            "c_tilde": self.c_tilde,
-            "deltas": deltas,
-            "pairs": pairs,
-            "measured_rate": self.measured_rate,
-            "fd_check": self.fd_check,
-        }
+        return {"n": self.n, "p": self.p, "converged": self.converged, **row, "deltas": deltas,
+                "pairs": pairs, "measured_rate": self.measured_rate, "fd_check": self.fd_check}
 
 
 def analyze_problem(
@@ -525,8 +523,8 @@ def analyze_problem(
     Divergent plain SCF is handled by damped fixed-point location; the
     Jacobian and every bound still apply at the located fixed point.
     ``q_max`` caps both the c_gap family and the rank-truncation list (the
-    full-rank value, which must equal c_2, is always included).  Every
-    number is read from ``ladder``: under the Fermi filter c and c2 are
+    full-rank value, which must equal c_2, is always included).  The report
+    holds the row ``ladder`` returns: under the Fermi filter c and c2 are
     those of the Fermi map, and the ladder above c2 stays None.
     """
     if q_max is not None and q_max < 0:
@@ -537,22 +535,13 @@ def analyze_problem(
     jb = assemble_jacobian(bundle, problem.op)
     gaps = jb.gaps
     q_top = gaps.count if q_max is None else min(q_max, gaps.count)
-    gap_tokens = [f"gap:{q}" for q in range(q_top + 1)]
     tilde_ks = sorted(set(range(1, q_top + 1)) | {gaps.count})
-    values = ladder(
-        problem, jb,
-        ["c", "c2", "c2a", "c2b", "naive", "liu", *gap_tokens, *(f"tilde:{k}" for k in tilde_ks)],
-    )
+    tokens = ["c", "c2", "c2a", "c2b", "naive", "liu", *(f"gap:{q}" for q in range(q_top + 1)),
+              *(f"tilde:{k}" for k in tilde_ks)]
     report = ConvergenceReport(
-        n=problem.n, p=problem.p, converged=True, c=values["c"], c2=values["c2"],
-        c2a=values["c2a"], c2b=values["c2b"], c_naive=values["naive"], c_liu=values["liu"],
-        gaps=gaps,
+        n=problem.n, p=problem.p, converged=True, values=ladder(problem, jb, tokens),
+        gaps=gaps, measured_rate=measured_rate(plain),
     )
-    if values["gap:0"] is not None:
-        report.c_gap = np.array([values[t] for t in gap_tokens])
-        report.c_tilde = [[k, values[f"tilde:{k}"]] for k in tilde_ks]
-
-    report.measured_rate = measured_rate(plain)
     if fd_check:
         fd = jacobian_fd(problem, bundle.p_star, filter=bundle.filter, beta=bundle.beta)
         report.fd_check = max_column_relative_error(jb.dense(), fd)

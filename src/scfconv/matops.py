@@ -164,7 +164,9 @@ def fermi_chemical_potential(lam, beta: float, p: int, tol: float = 1e-12, max_i
     g' = beta sum f_i (1 - f_i), starts midway between lambda_p and
     lambda_{p+1}; every evaluation shrinks the bracket by the sign of g, and
     a step that leaves the bracket (or a slope that underflows to 0) is
-    replaced by the bracket's midpoint.
+    replaced by the bracket's midpoint.  The search ends at |g| <= ``tol``,
+    or once the bracket holds adjacent doubles, at its end of smaller |g|:
+    near a large lambda_p one ulp of mu can move the trace by more than tol.
 
     On spectra of shape (..., n) every row runs this search at once and is
     frozen once it converges, each to the mu a single row would get.  A row
@@ -189,7 +191,16 @@ def fermi_chemical_potential(lam, beta: float, p: int, tol: float = 1e-12, max_i
         for _ in range(max_iter):
             f = fermi_occupations(lam_l, beta, mu_l[:, None])
             ex = f.sum(axis=-1) - p
-            going = ~(np.abs(ex) <= tol)  # a NaN trace goes on, as in the scalar search
+            below = ex < 0
+            lo_l = np.where(below, mu_l, lo_l)
+            hi_l = np.where(below, hi_l, mu_l)
+            met = np.abs(ex) <= tol  # a NaN trace goes on, as in the scalar search
+            tight = ~met & np.isfinite(ex) & (np.nextafter(lo_l, hi_l) >= hi_l)
+            if tight.any():  # a bracket of adjacent doubles holds no other mu: its better end
+                ends = np.stack([lo_l[tight], hi_l[tight]], axis=-1)
+                g = fermi_occupations(lam_l[tight][:, None, :], beta, ends[..., None]).sum(-1) - p
+                mu_l[tight] = np.take_along_axis(ends, np.abs(g).argmin(-1)[:, None], -1)[:, 0]
+            going = ~(met | tight)
             if not going.all():
                 mu[live[~going]] = mu_l[~going]
                 live, lam_l, mu_l, lo_l, hi_l, f, ex = (
@@ -197,9 +208,6 @@ def fermi_chemical_potential(lam, beta: float, p: int, tol: float = 1e-12, max_i
                 )
                 if live.size == 0:
                     break
-            below = ex < 0
-            lo_l = np.where(below, mu_l, lo_l)
-            hi_l = np.where(below, hi_l, mu_l)
             slope = beta * (f * (1.0 - f)).sum(axis=-1)
             newton = np.where(slope > 0, mu_l - ex / slope, hi_l)
             mu_l = np.where((lo_l < newton) & (newton < hi_l), newton, 0.5 * (lo_l + hi_l))

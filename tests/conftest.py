@@ -158,6 +158,9 @@ def fermi_chemical_potential_loop(lam, beta, p, tol=1e-12, max_iter=200):
             lo = mu
         else:
             hi = mu
+        if np.isfinite(excess) and np.nextafter(lo, hi) >= hi:
+            ends = np.array([lo, hi])
+            return ends[np.argmin([abs(fermi_occupations(lam, beta, e).sum() - p) for e in ends])]
         slope = beta * (f * (1.0 - f)).sum()
         newton = mu - excess / slope if slope > 0 else hi
         mu = newton if lo < newton < hi else 0.5 * (lo + hi)

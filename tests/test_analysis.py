@@ -24,6 +24,7 @@ from scfconv import (
     estimate_rate,
     gap_structure,
     jacobian_fd,
+    ladder,
     locate_fixed_point,
     max_column_relative_error,
     realified_jacobian_fd,
@@ -34,7 +35,7 @@ from scfconv.matops import ChemicalPotentialError, ZeroGapError, selector_T
 from scfconv.problems import HadamardMask, Problem, apply_L
 from scfconv.matops import symmetrize_S
 
-from scfconv import analysis
+from scfconv import analysis, scf
 
 from conftest import (
     FILTERS,
@@ -447,15 +448,16 @@ def test_analyze_problem_report_consistency():
     problem = build_illustrative(0.1)
     report, bundle, jb = analyze_problem(problem, q_max=2, fd_check=True)
     assert report.converged
-    assert report.c <= report.c2 + 1e-12
-    assert report.c_gap[0] == pytest.approx(report.c_naive, rel=1e-12)
+    values = report.values
+    assert values["c"] <= values["c2"] + 1e-12
+    assert values["gap:0"] == pytest.approx(values["naive"], rel=1e-12)
     assert report.fd_check <= 1e-6
-    assert report.measured_rate == pytest.approx(report.c, rel=0.05)
+    assert report.measured_rate == pytest.approx(values["c"], rel=0.05)
     payload = report.to_dict()
     assert payload["n"] == 3 and payload["p"] == 1
     assert len(payload["deltas"]) == 2
     assert payload["c_tilde"][-1][0] == 2
-    assert payload["c_tilde"][-1][1] == pytest.approx(report.c2, rel=1e-12)
+    assert payload["c_tilde"][-1][1] == pytest.approx(values["c2"], rel=1e-12)
     assert payload["pairs"][:1] == [[1, 2]]
     assert payload["c_liu"] is None
 
@@ -463,8 +465,8 @@ def test_analyze_problem_report_consistency():
 def test_analyze_problem_includes_liu_for_laplacian():
     problem = build_laplacian(8, 2.0, 3, variant="real")
     report, _, _ = analyze_problem(problem, q_max=1)
-    assert report.c_liu is not None
-    assert report.c_liu >= report.c_naive - 1e-12
+    assert report.values["liu"] is not None
+    assert report.values["liu"] >= report.values["naive"] - 1e-12
 
 
 def test_max_column_relative_error_basics():
@@ -503,7 +505,46 @@ def test_analyze_under_fermi_reports_the_fermi_map_only():
     problem = build_illustrative(0.1)
     report, bundle, jb = analyze_problem(problem, ScfOptions(filter="fermi", beta=20.0))
     assert jb.filter == "fermi" and bundle.mu is not None
-    assert report.c == jb.c and report.c2 == jb.c2
-    for name in ("c2a", "c2b", "c_naive", "c_gap", "c_liu", "c_tilde"):
-        assert getattr(report, name) is None
-    assert report.to_dict()["pairs"] is None
+    assert report.values["c"] == jb.c and report.values["c2"] == jb.c2
+    payload = report.to_dict()
+    for key in ("c2a", "c2b", "c_naive", "c_gap", "c_liu", "c_tilde", "pairs"):
+        assert payload[key] is None
+
+
+REPORT_KEYS = ["n", "p", "converged", "c", "c2", "c2a", "c2b", "c_naive", "c_gap", "c_liu",
+               "c_tilde", "deltas", "pairs", "measured_rate", "fd_check"]
+QUANTITY_KEYS = REPORT_KEYS[3:11]
+
+
+@pytest.mark.parametrize("filter_name", FILTERS)
+@pytest.mark.parametrize("kind", OPERATOR_KINDS)
+def test_the_analyze_report_is_the_ladder_row(kind, filter_name):
+    problem = operator_problem(kind)
+    report, _, jb = analyze_problem(problem, ScfOptions(**FILTERS[filter_name]))
+    payload = report.to_dict()
+    assert list(payload) == REPORT_KEYS
+    count = problem.p * (problem.n - problem.p)
+    gap_tokens = [f"gap:{q}" for q in range(count + 1)]
+    tilde_tokens = [f"tilde:{k}" for k in range(1, count + 1)]
+    row = ladder(problem, jb, ["c", "c2", "c2a", "c2b", "naive", "liu", *gap_tokens,
+                               *tilde_tokens])
+    families = filter_name == "step"
+    assert {key: payload[key] for key in QUANTITY_KEYS} == {
+        "c": row["c"], "c2": row["c2"], "c2a": row["c2a"], "c2b": row["c2b"],
+        "c_naive": row["naive"],
+        "c_gap": [row[t] for t in gap_tokens] if families else None,
+        "c_liu": row["liu"],
+        "c_tilde": [[k, row[f"tilde:{k}"]] for k in range(1, count + 1)] if families else None,
+    }
+    assert (payload["pairs"] is None) == (payload["c_gap"] is None)
+    assert (payload["c_gap"] is None) == (filter_name == "fermi")
+
+
+def test_an_unconverged_report_has_every_quantity_null(monkeypatch):
+    monkeypatch.setattr(scf, "FALLBACK_DAMPINGS", ())
+    report, bundle, jb = analyze_problem(build_illustrative(0.1), ScfOptions(max_iter=2))
+    assert not bundle.converged and jb is None
+    payload = report.to_dict()
+    assert list(payload) == REPORT_KEYS
+    assert payload["converged"] is False
+    assert all(payload[key] is None for key in QUANTITY_KEYS)

@@ -20,8 +20,12 @@ from scfconv import (
     ScfOptions,
     analyze_problem,
     build_illustrative,
+    build_laplacian,
+    convergence_factor,
+    jacobian_fd,
     ladder,
     load_problem,
+    locate_fixed_point,
     save_problem,
     scf_solve,
 )
@@ -710,3 +714,15 @@ def test_sweep_under_fermi_leaves_the_step_ladder_empty(tmp_path):
     values = {row[2]: row[3] for row in rows}
     assert float(values["c"]) <= float(values["c2"])
     assert all(values[t] == "" for t in outputs.split(",")[2:])
+
+
+def test_analyze_under_fermi_past_the_mu_tolerance_ulp(capsys):
+    # one ulp of mu near lambda_p ~ 3568 moves the trace by more than 1e-12
+    code = main(["analyze", "--family", "laplacian-real", "--n", "20", "--p", "7",
+                 "--alpha", "1e5", "--filter", "fermi", "--beta", "20"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["converged"]
+    problem = build_laplacian(20, 1e5, 7, variant="real")
+    bundle, _ = locate_fixed_point(problem, ScfOptions(filter="fermi", beta=20.0))
+    fd = jacobian_fd(problem, bundle.p_star, filter="fermi", beta=20.0)
+    assert report["c"] == pytest.approx(convergence_factor(fd), rel=1e-6)

@@ -308,6 +308,24 @@ def test_newton_chemical_potential_contract_at_the_edges():
     assert 0.0 < mu < 1e4
 
 
+
+def test_mu_search_ends_on_adjacent_doubles():
+    # near 3568 one ulp of mu moves the trace by more than 1e-12: no double
+    # meets the tolerance, and the search stops on its bracket of adjacent doubles
+    lam = np.array([0.0, 3568.0, 3568.1, 4000.0])
+    mu = fermi_chemical_potential(lam, 20.0, 2)
+
+    def residual(m):
+        return abs(fermi_occupations(lam, 20.0, m).sum() - 2)
+
+    assert 3568.0 < mu < 3568.1
+    assert residual(mu) > 1e-12
+    assert residual(mu) <= min(residual(np.nextafter(mu, -np.inf)),
+                               residual(np.nextafter(mu, np.inf)))
+    assert fermi_chemical_potential_loop(lam, 20.0, 2) == mu
+    assert np.array_equal(fermi_chemical_potential(np.stack([lam, lam + 1.0]), 20.0, 2),
+                          [mu, fermi_chemical_potential(lam + 1.0, 20.0, 2)])
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
