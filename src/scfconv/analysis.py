@@ -5,16 +5,16 @@ m = n(n+1)/2).  It is built once per fixed point from a factored core on the
 support S that the operator names, the columns of L' that can be nonzero:
 
     W_s     = X^H L(E_s) X                   (n x n, s in S)
-    J[:, s] = vech(X (R o W_s) X^H)          (plus the Fermi-level shift)
+    J[:, s] = vech(X D_eff(W_s) X^H)
 
-R is the divided-difference matrix of the map's own occupations, so one
-formula serves both filters.  J is zero outside the columns S, and only
-L'[:, S] and J[:, S] are kept.
-Every reported number is read from this core by eigenvector pair (a, b): c =
-rho(J[S, S]), c2 = ||J[:, S]||_2, c2a from W[a, b, S], c2b and the gap pair
-terms from L'[:, S] times the S-rows of vech(x_a x_b^H), and the rank-truncated
-family from one running sum over the pairs of the gap table.  The dense J
-(``JacobianBundle.dense``) survives only in the oracles.
+D_eff(Y) = R o Y - (sum_i f'_i Y_ii / sum_i f'_i) diag(f'), R the divided
+differences of the map's own occupations (f' on the diagonal), with no
+Fermi-level shift when f' sums to 0: one formula and one ladder serve both
+filters.  J is zero outside the columns S; only L'[:, S] and J[:, S] are kept.
+Every number is read from this core: c = rho(J[S, S]), c2 = ||J[:, S]||_2,
+c2a from D_eff(W_s), c2b and c_gap from D_eff and L'[:, S] times the S-rows of
+vech(x_a x_b^H), c_tilde from one running sum over the gap table.  The dense
+J (``JacobianBundle.dense``) survives only in the oracles.
 
 ``LADDER`` names these quantities, and ``ladder`` is the one evaluator that
 ``analyze``, ``sweep`` and ``check`` read them from.
@@ -94,11 +94,10 @@ class JacobianBundle:
     """The assembled Jacobian with the factored core every bound is read from.
 
     ``r`` is the n x n divided-difference matrix R of the map's occupations,
-    D = diag(vec R).  ``support`` is S, the columns the operator names; L'
+    f' on its diagonal.  ``support`` is S, the columns the operator names; L'
     and J vanish outside them, and ``l_s`` = L'[:, S] and ``j_s`` = J[:, S]
     are kept.  ``w`` is the |S| x n x n stack of W_s = X^H L(E_s) X, so that
-    w[s, a, b] = x_a^H L(E_s) x_b, and J[:, s] = vech(X (R o W_s) X^H), plus
-    the Fermi-level shift under the Fermi filter.
+    w[s, a, b] = x_a^H L(E_s) x_b, and J[:, s] = vech(X D_eff(W_s) X^H).
     """
 
     j_s: np.ndarray
@@ -157,8 +156,8 @@ class JacobianBundle:
 
     @cached_property
     def c_naive(self) -> float:
-        """||L'||_2 / delta_1."""
-        return self.lprime_norm / self.gaps.delta(1)
+        """||L'||_2 ||D_eff||_2 = c_gap[0], ||L'||_2 / delta_1 under the step filter."""
+        return self.lprime_norm * _d_eff_tail(self)[0]
 
     def dense(self) -> np.ndarray:
         """The m x m J, zero outside the columns S: for the oracles only."""
@@ -173,9 +172,9 @@ def assemble_jacobian(bundle: FixedPointBundle, op: OperatorSpec) -> JacobianBun
     R is the divided-difference matrix of the map's own occupations: of the
     step filter, or of the Fermi function at ``bundle.beta`` and
     ``bundle.mu`` (solved for trace p when None).  J[:, S] = vech(X M_s X^H)
-    with M_s = R o W_s - dmu_s diag(f'): mu is solved again for every P, so
-    dmu_s = sum_i f'_i W_s[i, i] / sum_i f'_i is the Fermi-level shift, left
-    out when f' sums to 0 (the step filter, or every f'_i underflowed).
+    with M_s = D_eff(W_s) = R o W_s - dmu_s diag(f'): mu is solved again for
+    every P, so dmu_s = sum_i f'_i W_s[i, i] / sum_i f'_i is the Fermi-level
+    shift, left out when f' sums to 0 (the step filter, or all f' underflowed).
     """
     x = bundle.x
     n = x.shape[0]
@@ -184,17 +183,37 @@ def assemble_jacobian(bundle: FixedPointBundle, op: OperatorSpec) -> JacobianBun
     l_s = assemble_Lprime(op, n)
     # L(E_s) for s in S as a stack of n x n matrices (columns are vec, column-major)
     w = x.conj().T @ l_s.T.reshape(-1, n, n).transpose(0, 2, 1) @ x
-    m_s = r * w
-    fprime = np.diagonal(r)
-    total = fprime.sum()
-    if total != 0:
-        dmu = np.diagonal(w, axis1=1, axis2=2) @ (fprime / total)
-        m_s[:, np.arange(n), np.arange(n)] -= dmu[:, None] * fprime
+    m_s = _d_eff(r, w)
     np.matmul(x @ m_s, x.conj().T, out=m_s)  # the sandwich X M_s X^H, in place
     return JacobianBundle(
         j_s=vech(m_s).T, r=r, l_s=l_s, x=x, lambdas=np.asarray(bundle.lambdas, dtype=float),
         p=bundle.p, support=op.support(), w=w, filter=bundle.filter,
     )
+
+
+def _d_eff(r: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """R o Y - (diag(Y) f' / sum f') diag(f'), f' = diag R, for each Y of the stack ``y``
+    (no shift when f' sums to 0).  R is symmetric: one call serves either side or vec order."""
+    out = r * y
+    fprime = np.diagonal(r)
+    total = fprime.sum()
+    if total != 0:
+        dmu = np.diagonal(y, axis1=-2, axis2=-1) @ (fprime / total)
+        out[..., np.arange(r.shape[0]), np.arange(r.shape[0])] -= dmu[..., None] * fprime
+    return out
+
+
+def _d_eff_tail(jb: JacobianBundle) -> np.ndarray:
+    """rho_q = ||D_eff off the first q gap-table pairs||_2, q = 0 .. p(n-p).  In vec, D_eff
+    is R_ab alone at each a != b and diag(f') - f' f'^T / sum f' (diag(f') if f' sums to 0)
+    on the diagonal, so rho_q is the largest of |R| on the table past q, |R| off the table
+    and the diagonal, and the block's norm: 1/delta_{q+1} under the step filter."""
+    gaps, r, fprime = jb.gaps, jb.r, np.diagonal(jb.r)
+    block = np.diag(fprime) - np.outer(fprime, fprime / (fprime.sum() or np.inf))
+    off = np.abs(r - np.diag(fprime))
+    off[gaps.a, gaps.b] = 0.0
+    table = np.append(np.abs(r[gaps.occ, gaps.virt]), 0.0)
+    return np.maximum(np.maximum.accumulate(table[::-1])[::-1], max(off.max(), _norm2(block)))
 
 
 # The bytes of one chunk's stack of perturbed densities in the FD oracles
@@ -312,33 +331,20 @@ def _norm2(a: np.ndarray) -> float:
 
 
 def bound_cyclic(jb: JacobianBundle) -> tuple[float, float]:
-    """The two cyclic-permutation spectral-norm bounds (c_2a, c_2b), step filter.
-
-    Both matrices have nonzero columns only at the off-diagonal (a, b) where R
-    is nonzero: under the step filter, the cross pairs of the gap table in
-    both orientations, and only those are taken.  The c_2a column of pair
-    (a, b) is |R_ab| L'^H vec(x_a x_b^H), whose entries are conj W[a, b, :];
-    the c_2b column is |R_ab| L' vech(x_a x_b^H).
-    """
-    a, b = jb.gaps.a, jb.gaps.b
-    scale = np.abs(jb.r[a, b])
-    c2a = _norm2(jb.w[:, a, b] * scale)
-    c2b = _norm2(jb.lprime_u[:, a, b] * scale)
-    return c2a, c2b
-
-
-def _pair_terms(jb: JacobianBundle) -> np.ndarray:
-    """Per-gap terms (||L(S(x_l x_m^H))||_F + ||L(S(x_m x_l^H))||_F) / gap."""
-    norms = np.linalg.norm(jb.lprime_u, axis=0)[jb.gaps.a, jb.gaps.b]
-    return norms.reshape(-1, 2).sum(axis=1) / jb.gaps.cross_gaps
+    """The cyclic-permutation bounds of J = T K1 D_eff K2 L': c_2a =
+    ||D_eff K2 L' T||_2, whose nonzero columns are the M_s = D_eff(W_s) of the
+    assembly, and c_2b = ||L' T K1 D_eff||_2, D_eff applied to ``lprime_u``."""
+    return tuple(_norm2(_d_eff(jb.r, y).reshape(len(y), jb.n**2)) for y in (jb.w, jb.lprime_u))
 
 
 def bound_gap_all(jb: JacobianBundle) -> np.ndarray:
-    """The whole family c_gap[q] for q = 0 .. p(n-p): ||L'||_2 / delta_{q+1}
-    plus the pair terms of the first q pairs of the gap table."""
-    cum = np.concatenate([[0.0], np.cumsum(_pair_terms(jb))])
-    # delta_{q+1} past the last gap is +inf: the leading term vanishes at q = p(n-p)
-    return jb.lprime_norm / np.append(jb.gaps.cross_gaps, np.inf) + cum
+    """The family c_gap[q], q = 0 .. p(n-p): split D_eff into the first q pairs (a, b) of the
+    gap table and the rest, ||L'||_2 rho_q (``_d_eff_tail``) plus, per pair, |R_ab| times
+    ||L(S(x_a x_b^H))||_F + ||L(S(x_b x_a^H))||_F, the column norms of L' T K1."""
+    gaps = jb.gaps
+    norms = np.linalg.norm(jb.lprime_u, axis=0)[gaps.a, gaps.b].reshape(-1, 2).sum(axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(np.abs(jb.r[gaps.occ, gaps.virt]) * norms)])
+    return jb.lprime_norm * _d_eff_tail(jb) + cum
 
 
 def bound_rank_truncated(jb: JacobianBundle, ks) -> np.ndarray:
@@ -400,23 +406,22 @@ def bound_liu(problem: Problem, delta1: float) -> float | None:
 
 
 def cyclic_spectral_radii(jb: JacobianBundle) -> list:
-    """Spectral radii of the four cyclic reorderings of the Jacobian product
-    T (K1 D)(K2 L'T), each on its support, for moderate n (checks and tests).
-    The first is c: J vanishes outside the columns S.  The second, (K1 D)(K2
-    L'T), vanishes outside the columns vec(S).  The other two stay dense n^2
-    x n^2: a smaller block would use the identity under test.
-    """
-    x, d = jb.x, jb.r.ravel(order="F")
-    here = vech_index(jb.n)[jb.support]
+    """Spectral radii of the four cyclic reorderings of T (K1 D_eff)(K2 L'T), each
+    on its support, for moderate n (checks and tests).  The first is c: J vanishes
+    outside the columns S.  The second, (K1 D_eff)(K2 L'T), vanishes outside the
+    columns vec(S).  The other two stay dense n^2 x n^2: a smaller block would
+    use the identity under test."""
+    x, n = jb.x, jb.n
+    here = vech_index(n)[jb.support]
     k1_s = np.kron(x.conj(), x)[here]  # the rows vec(S) of K1
-    k1d_s = k1_s * d[None, :]
+    k1d_s = _d_eff(jb.r, k1_s.reshape(-1, n, n)).reshape(-1, n * n)
     k2 = np.kron(x.T, x.conj().T)
     k2_l = k2 @ jb.l_s  # K2 L'T on its nonzero columns vec(S)
     # each reordered product is freed once its radius is taken
     return [
         jb.c,
         convergence_factor(k1d_s @ k2_l),
-        convergence_factor(d[:, None] * (k2_l @ k1_s)),
+        convergence_factor(_d_eff(jb.r, (k2_l @ k1_s).T.reshape(-1, n, n)).reshape(-1, n * n).T),
         convergence_factor(jb.l_s @ (k1d_s @ k2)),
     ]
 
@@ -444,25 +449,26 @@ def ladder(problem: Problem, jb: JacobianBundle, tokens) -> dict:
     """The quantities of the ladder table that ``tokens`` name, keyed by token.
 
     gap:Q and tilde:K past p(n-p) read the last member of their family, and
-    each family is evaluated once per call.  Above c2 the ladder is
-    step-filter theory: those values are None under the Fermi filter, and
-    liu is None for a problem whose metadata carries no coupling alpha or
-    whose A0 is singular.
+    each family is evaluated once per call.  The bounds hold for J = T K1 D_eff
+    K2 L' under either filter, but liu and tilde:K are None under the Fermi
+    filter: liu is a Laplacian bound for the step map, and tilde:K's last
+    member is c2 only when D_eff has no entry off the gap table.  liu is also
+    None without a coupling alpha in the metadata or with a singular A0.
     """
     wanted = {token: ladder_token(token) for token in tokens}
     found = {name: getattr(jb, name) for name in ("c", "c2") if name in wanted}
+    gaps = jb.gaps
+    if "c2a" in wanted or "c2b" in wanted:
+        found["c2a"], found["c2b"] = bound_cyclic(jb)
+    if "naive" in wanted:
+        found["naive"] = jb.c_naive
+    gap = {t: min(i, gaps.count) for t, (name, i) in wanted.items() if name == "gap"}
+    if gap:
+        found.update(zip(gap, bound_gap_all(jb)[list(gap.values())]))
     if jb.filter == "step":
-        gaps = jb.gaps
-        if "c2a" in wanted or "c2b" in wanted:
-            found["c2a"], found["c2b"] = bound_cyclic(jb)
-        if "naive" in wanted:
-            found["naive"] = jb.c_naive
         if "liu" in wanted and problem.meta.get("alpha") is not None:
             found["liu"] = bound_liu(problem, gaps.delta(1))
-        gap = {t: min(i, gaps.count) for t, (name, i) in wanted.items() if name == "gap"}
         tilde = {t: min(i, gaps.count) for t, (name, i) in wanted.items() if name == "tilde"}
-        if gap:
-            found.update(zip(gap, bound_gap_all(jb)[list(gap.values())]))
         if tilde:
             ks = sorted(set(tilde.values()))
             family = dict(zip(ks, bound_rank_truncated(jb, ks)))
@@ -504,9 +510,9 @@ class ConvergenceReport:
             else:
                 row[key] = row[key] or []
                 row[key].append(value if name == "gap" else [index, value])
-        deltas = None if self.gaps is None else [float(v) for v in self.gaps.cross_gaps]
-        pairs = None
-        if row["c_gap"] is not None:
+        deltas = pairs = None
+        if self.gaps is not None:
+            deltas = [float(v) for v in self.gaps.cross_gaps]
             pairs = (np.column_stack([self.gaps.occ, self.gaps.virt]) + 1).tolist()
         return {"n": self.n, "p": self.p, "converged": self.converged, **row, "deltas": deltas,
                 "pairs": pairs, "measured_rate": self.measured_rate, "fd_check": self.fd_check}
@@ -524,8 +530,8 @@ def analyze_problem(
     Jacobian and every bound still apply at the located fixed point.
     ``q_max`` caps both the c_gap family and the rank-truncation list (the
     full-rank value, which must equal c_2, is always included).  The report
-    holds the row ``ladder`` returns: under the Fermi filter c and c2 are
-    those of the Fermi map, and the ladder above c2 stays None.
+    holds the row ``ladder`` returns: under the Fermi filter every number is
+    one of the Fermi map, and liu and the tilde family stay None.
     """
     if q_max is not None and q_max < 0:
         raise ValueError(f"q_max={q_max} must be >= 0")

@@ -62,6 +62,21 @@ def operator_problem(kind: str) -> Problem:
     return Problem(a0=a0, op=GeneralVec(matrix=matrix), p=2)
 
 
+def random_operator_problem(kind: str, n: int, seed: int) -> Problem:
+    """A seeded problem of size n and random p whose L is of the operator kind
+    ``kind``: a complex Laplacian's diagonal map with alpha in [1, 2000], a
+    complex Hermitian mask, or a GeneralVec sum_k B_k P B_k^H over two k."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, n))
+    if kind == "diagonal_map":
+        return build_laplacian(n, float(rng.uniform(1.0, 2e3)), p, variant="complex")
+    a0 = random_hermitian(rng, n, scale=0.3) + np.diag(np.arange(n, dtype=float))
+    if kind == "hadamard":
+        return Problem(a0=a0, op=HadamardMask(mask=random_hermitian(rng, n, scale=0.6)), p=p)
+    bs = 0.6 * (rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))) / np.sqrt(n)
+    return Problem(a0=a0, op=GeneralVec(matrix=sum(np.kron(b.conj(), b) for b in bs)), p=p)
+
+
 def lprime_by_basis_loop(op, n):
     """The dense n^2 x m L', column by column, L applied to each vech basis
     matrix: the oracle of the operators' closed forms and of the dense

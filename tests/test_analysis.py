@@ -1,10 +1,11 @@
 """Unit tests for Jacobian assembly, the convergence factor and the bound ladder."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scfconv import (
@@ -30,7 +31,6 @@ from scfconv import (
     realified_jacobian_fd,
     vech,
 )
-from scfconv.analysis import _pair_terms
 from scfconv.matops import ChemicalPotentialError, ZeroGapError, selector_T
 from scfconv.problems import HadamardMask, Problem, apply_L
 from scfconv.matops import symmetrize_S
@@ -44,6 +44,7 @@ from conftest import (
     lprime_by_basis_loop,
     operator_problem,
     random_hermitian,
+    random_operator_problem,
     realified_jacobian_fd_loop,
     solved_random_instances,
 )
@@ -181,9 +182,13 @@ def sparse_mask_problem() -> Problem:
 
 
 def test_cyclic_spectral_radii_agree():
-    for problem in (build_illustrative(0.2), sparse_mask_problem()):
-        _, _, jb = solved(problem)
+    for problem, filter_name in itertools.product(
+        (build_illustrative(0.2), sparse_mask_problem()), FILTERS
+    ):
+        _, _, jb = solved(problem, **FILTERS[filter_name])
         assert jb.support.size < jb.m and jb.c > 1e-3
+        # under the Fermi filter D_eff carries the rank-one Fermi-level shift
+        assert (np.diagonal(jb.r).sum() != 0) == (filter_name == "fermi")
         radii = cyclic_spectral_radii(jb)
         assert radii[0] == jb.c
         assert max(radii) - min(radii) <= 1e-10 * max(1.0, max(radii))
@@ -257,8 +262,12 @@ def test_bound_gap_family_is_cumulative():
     jb = assemble_jacobian(bundle, problem.op)
     gaps = gap_structure(bundle.lambdas, problem.p)
     family = bound_gap_all(jb)
-    terms = _pair_terms(jb)
-    norm_lp = np.linalg.norm(lprime_by_basis_loop(problem.op, problem.n), 2)
+    n = problem.n
+    lp = lprime_by_basis_loop(problem.op, n)
+    # the column norms of L' T (conj(X) kron X) at vec(occ, virt) and vec(virt, occ)
+    col = np.linalg.norm(lp @ selector_T(n) @ np.kron(jb.x.conj(), jb.x), axis=0)
+    terms = (col[gaps.occ + n * gaps.virt] + col[gaps.virt + n * gaps.occ]) / gaps.cross_gaps
+    norm_lp = np.linalg.norm(lp, 2)
     for q in range(gaps.count + 1):
         lead = 0.0 if q == gaps.count else norm_lp / gaps.delta(q + 1)
         assert family[q] == pytest.approx(lead + terms[:q].sum(), rel=1e-12)
@@ -507,8 +516,68 @@ def test_analyze_under_fermi_reports_the_fermi_map_only():
     assert jb.filter == "fermi" and bundle.mu is not None
     assert report.values["c"] == jb.c and report.values["c2"] == jb.c2
     payload = report.to_dict()
-    for key in ("c2a", "c2b", "c_naive", "c_gap", "c_liu", "c_tilde", "pairs"):
-        assert payload[key] is None
+    c = payload["c"]
+    assert all(c <= payload[key] < np.inf for key in ("c2a", "c2b", "c_naive"))
+    assert c <= min(payload["c_gap"])
+    assert payload["c2"] <= payload["c_naive"] == payload["c_gap"][0]
+    assert len(payload["c_gap"]) == len(payload["pairs"]) + 1 == len(payload["deltas"]) + 1
+    # liu and the rank-truncated family are step-filter quantities
+    assert payload["c_liu"] is None and payload["c_tilde"] is None
+
+
+def assert_bound_chain(problem, jb):
+    """c <= c2a, c2b and every c_gap[q], and c <= c2 <= c_naive, all finite;
+    nothing on the way divides by zero (a sum of f' that is 0 included)."""
+    tokens = ["c", "c2", "c2a", "c2b", "naive", *(f"gap:{q}" for q in range(jb.gaps.count + 1))]
+    with np.errstate(divide="raise", invalid="raise"):
+        row = ladder(problem, jb, tokens)
+    assert all(np.isfinite(value) for value in row.values()), row
+    c = row.pop("c")
+    for token, bound in row.items():
+        assert c <= bound * (1 + 1e-12), (token, c, bound)
+    assert row["c2"] <= row["naive"] * (1 + 1e-12)
+
+
+# The illustrative problem and both Laplacians (n=20, p=7) under the Fermi filter
+FERMI_GRID = [
+    *(("illustrative", eps, beta) for eps in (0.01, 0.1, 0.3) for beta in (5.0, 20.0, 100.0)),
+    *((f"laplacian-{variant}", alpha, beta) for variant in ("real", "complex")
+      for alpha in (1e3, 3e4, 1e5) for beta in (0.05, 1.0, 20.0)),
+]
+
+
+@pytest.mark.parametrize("family, value, beta", FERMI_GRID,
+                         ids=[f"{f}-{v:g}-beta{b:g}" for f, v, b in FERMI_GRID])
+def test_the_bound_chain_holds_on_the_fermi_grid(family, value, beta):
+    if family == "illustrative":
+        problem = build_illustrative(value)
+    else:
+        problem = build_laplacian(20, value, 7, variant=family.split("-")[1])
+    bundle, _ = locate_fixed_point(problem, ScfOptions(filter="fermi", beta=beta))
+    assert bundle.converged
+    assert_bound_chain(problem, assemble_jacobian(bundle, problem.op))
+
+
+def test_the_bound_chain_holds_with_every_fprime_underflowed():
+    problem = build_laplacian(8, 10.0, 3, variant="real")
+    bundle, _ = locate_fixed_point(problem, ScfOptions(filter="fermi", beta=5.0))
+    jb = assemble_jacobian(bundle, problem.op)
+    assert not np.any(np.diagonal(jb.r))  # sum of f' is exactly 0: no Fermi-level shift
+    assert_bound_chain(problem, jb)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(OPERATOR_KINDS), n=st.integers(3, 7), seed=st.integers(0, 2**16),
+       beta=st.sampled_from([None, 0.5, 2.0, 10.0]))
+def test_the_bound_chain_holds_on_random_problems(kind, n, seed, beta):
+    problem = random_operator_problem(kind, n, seed)
+    opts = ScfOptions(max_iter=800, **({} if beta is None else {"filter": "fermi", "beta": beta}))
+    try:
+        bundle, _ = locate_fixed_point(problem, opts)
+    except (ZeroGapError, ChemicalPotentialError):
+        bundle = None
+    assume(bundle is not None and bundle.converged)
+    assert_bound_chain(problem, assemble_jacobian(bundle, problem.op))
 
 
 REPORT_KEYS = ["n", "p", "converged", "c", "c2", "c2a", "c2b", "c_naive", "c_gap", "c_liu",
@@ -528,16 +597,17 @@ def test_the_analyze_report_is_the_ladder_row(kind, filter_name):
     tilde_tokens = [f"tilde:{k}" for k in range(1, count + 1)]
     row = ladder(problem, jb, ["c", "c2", "c2a", "c2b", "naive", "liu", *gap_tokens,
                                *tilde_tokens])
-    families = filter_name == "step"
+    step = filter_name == "step"
     assert {key: payload[key] for key in QUANTITY_KEYS} == {
         "c": row["c"], "c2": row["c2"], "c2a": row["c2a"], "c2b": row["c2b"],
         "c_naive": row["naive"],
-        "c_gap": [row[t] for t in gap_tokens] if families else None,
+        "c_gap": [row[t] for t in gap_tokens],
         "c_liu": row["liu"],
-        "c_tilde": [[k, row[f"tilde:{k}"]] for k in range(1, count + 1)] if families else None,
+        "c_tilde": [[k, row[f"tilde:{k}"]] for k in range(1, count + 1)] if step else None,
     }
-    assert (payload["pairs"] is None) == (payload["c_gap"] is None)
-    assert (payload["c_gap"] is None) == (filter_name == "fermi")
+    assert None not in (row["c2a"], row["c2b"], row["naive"], *payload["c_gap"])
+    assert len(payload["pairs"]) == len(payload["deltas"]) == count
+    assert (payload["c_tilde"] is None) == (filter_name == "fermi")
 
 
 def test_an_unconverged_report_has_every_quantity_null(monkeypatch):

@@ -454,8 +454,10 @@ def test_sweep_quantities_match_analyze(tmp_path, monkeypatch, capsys, case, fil
     assert main(["analyze", *common, "--out", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     expected = {t: report_value(report, t) for t in TABLE_TOKENS}
-    step_only = [t for t in TABLE_TOKENS if t not in ("c", "c2", "liu")]
+    step_only = [t for t in TABLE_TOKENS if t.startswith("tilde:")]
     assert all((expected[t] is None) == bool(filter_args) for t in step_only)
+    assert all(expected[t] is not None for t in TABLE_TOKENS if t not in [*step_only, "liu"])
+    assert expected["liu"] is None or not filter_args
 
     if sweep_args is None:
         problem = load_problem(problem_args[1])
@@ -701,7 +703,8 @@ def test_check_passes_under_fermi(capsys):
     assert code == 0, out
     assert "FAIL" not in out
     assert "PASS finite-difference oracle" in out
-    assert "INFO cyclic-permutation spectral radii: skipped" in out
+    assert "PASS cyclic-permutation spectral radii" in out
+    assert "PASS bound chain" in out
 
 
 def test_sweep_under_fermi_leaves_the_step_ladder_empty(tmp_path):
@@ -712,8 +715,11 @@ def test_sweep_under_fermi_leaves_the_step_ladder_empty(tmp_path):
     assert code == 0
     _, rows = read_csv(out)
     values = {row[2]: row[3] for row in rows}
-    assert float(values["c"]) <= float(values["c2"])
-    assert all(values[t] == "" for t in outputs.split(",")[2:])
+    c = float(values["c"])
+    assert c <= float(values["c2"]) <= float(values["naive"])
+    assert all(c <= float(values[t]) for t in ("c2a", "c2b", "gap:1"))
+    # liu and the rank-truncated family are step-filter quantities
+    assert values["liu"] == values["tilde:1"] == ""
 
 
 def test_analyze_under_fermi_past_the_mu_tolerance_ulp(capsys):

@@ -11,6 +11,10 @@ selector T and the dense L' of the basis loop, at n <= 8:
     c_naive, c_gap[q]  from ||L'||_2 and the column norms of L' T (conj(X) kron X)
     c_tilde[k]         = ||J with vec R zeroed outside omega(k)||_2
 
+Under the Fermi filter c2a, c2b, c_naive and c_gap[q] take the n^2 x n^2
+D_eff, diag(vec R) plus the rank-one Fermi-level shift, in place of
+diag(vec R) (``dense_fermi_ladder``).
+
 The operators cover every column support the core distinguishes: all n
 diagonal columns (Laplacians), every column (a dense GeneralVec), a banded
 complex Hermitian mask, the illustrative problem's three diagonal columns,
@@ -43,7 +47,7 @@ from scfconv import (
 )
 from scfconv.matops import selector_T, vech
 
-from conftest import lprime_by_basis_loop, random_hermitian
+from conftest import FILTERS, lprime_by_basis_loop, random_hermitian
 
 REL = 1e-12
 
@@ -195,6 +199,54 @@ def test_fermi_jacobian_matches_dense_kronecker(case):
     jf = assemble_jacobian(replace(bundle, filter="fermi", beta=5.0), problem.op)
     dense = dense_fermi_jacobian(bundle, l_prime, 5.0)
     assert np.allclose(jf.dense(), dense, rtol=0.0, atol=1e-14 * max(1.0, np.abs(dense).max()))
+
+
+def dense_fermi_ladder(bundle, l_prime, beta):
+    """c2a, c2b, c_naive and the c_gap family of the Fermi map from the n^2 x n^2
+    D_eff = diag(vec R) - u u^T / sum f' (u = vec(diag f'); no shift when
+    sum f' = 0), the middle factor of J = T K1 D_eff K2 L'.  c_gap[q] splits
+    D_eff into the first q pairs of the gap table and the rest."""
+    x, lam, p = bundle.x, bundle.lambdas, bundle.p
+    n = x.shape[0]
+    r = divided_difference_matrix(lam, p, beta=beta, mu=fermi_chemical_potential(lam, beta, p))
+    fprime = np.diagonal(r)
+    d_eff = np.diag(r.ravel(order="F"))
+    if fprime.sum() != 0:
+        u = np.diag(fprime).ravel(order="F")
+        d_eff -= np.outer(u, u) / fprime.sum()
+    k1 = np.kron(x.conj(), x)
+    k2 = np.kron(x.T, x.conj().T)
+    lpt = l_prime @ selector_T(n)
+    norm_lp = np.linalg.norm(l_prime, 2)
+    gaps = gap_structure(lam, p)
+    col = np.linalg.norm(lpt @ k1, axis=0)
+    c_gap, rest, terms = [], d_eff.copy(), 0.0
+    for q in range(gaps.count + 1):
+        c_gap.append(norm_lp * np.linalg.norm(rest, 2) + terms)
+        if q < gaps.count:
+            i, j = gaps.occ[q], gaps.virt[q]
+            rest[i + n * j, i + n * j] = rest[j + n * i, j + n * i] = 0.0
+            terms += abs(r[i, j]) * (col[i + n * j] + col[j + n * i])
+    return {
+        "c2a": np.linalg.norm(d_eff @ k2 @ lpt, 2),
+        "c2b": np.linalg.norm(lpt @ k1 @ d_eff, 2),
+        "c_naive": norm_lp * np.linalg.norm(d_eff, 2),
+        "c_gap": np.array(c_gap),
+    }
+
+
+@pytest.mark.parametrize("name", ["c2a", "c2b", "c_naive", "c_gap"])
+def test_factored_quantity_matches_dense_definition_under_fermi(case, name):
+    problem, bundle, l_prime, _, _, _ = case
+    fermi = FILTERS["fermi"]
+    jf = assemble_jacobian(replace(bundle, **fermi), problem.op)
+    expected = np.atleast_1d(dense_fermi_ladder(bundle, l_prime, fermi["beta"])[name])
+    got = np.atleast_1d(core_ladder(jf, jf.gaps, l_prime)[name])
+    assert got.shape == expected.shape
+    if not np.any(l_prime):
+        assert np.all(got == 0.0)
+    else:
+        assert np.allclose(got, expected, rtol=REL, atol=0.0), (got, expected)
 
 
 @pytest.mark.parametrize("name", ["c", "c2", "c2a", "c2b", "c_naive", "c_gap", "c_tilde"])
