@@ -2,7 +2,8 @@
 
 The Jacobian acts on half-vectorized density-matrix coordinates (dimension
 m = n(n+1)/2).  It is built once per fixed point from a factored core on the
-support S that the operator names, the columns of L' that can be nonzero:
+support S that the operator names, the columns of L' that can be nonzero, and
+its image rows T, the vec positions L can write:
 
     W_s     = X^H L(E_s) X                   (n x n, s in S)
     J[:, s] = vech(X D_eff(W_s) X^H)
@@ -10,11 +11,15 @@ support S that the operator names, the columns of L' that can be nonzero:
 D_eff(Y) = R o Y - (sum_i f'_i Y_ii / sum_i f'_i) diag(f'), R the divided
 differences of the map's own occupations (f' on the diagonal), with no
 Fermi-level shift when f' sums to 0: one formula and one ladder serve both
-filters.  J is zero outside the columns S; only L'[:, S] and J[:, S] are kept.
-Every number is read from this core: c = rho(J[S, S]), c2 = ||J[:, S]||_2,
-c2a from D_eff(W_s), c2b and c_gap from D_eff and L'[:, S] times the S-rows of
-vech(x_a x_b^H), c_tilde from one running sum over the gap table.  The dense
-J (``JacobianBundle.dense``) survives only in the oracles.
+filters.  L' is zero outside L'[T, S] and J outside the columns S; only
+L'[T, S] and J[:, S] are kept, with the stack of W_s.  Every number is read
+from this core: c = rho(J[S, S]), c2 = ||J[:, S]||_2, c2a from D_eff(W_s), c2b
+and c_gap from D_eff and L'[T, S] times the S-rows of vech(x_a x_b^H), c_tilde
+from one running sum over the gap table.  Nothing of size n^4 is formed: the
+sandwich goes a chunk of S at a time, and the 2-norms are Gram matrices summed
+a chunk of columns at a time, over the positions where D_eff is nonzero (the
+2p(n-p) cross pairs under the step filter).  The dense J
+(``JacobianBundle.dense``) survives only in the oracles.
 
 ``LADDER`` names these quantities, and ``ladder`` is the one evaluator that
 ``analyze``, ``sweep`` and ``check`` read them from.
@@ -36,6 +41,25 @@ from .matops import (
 )
 from .problems import OperatorSpec, Problem, assemble_Lprime
 from .scf import FixedPointBundle, ScfOptions, locate_fixed_point, measured_rate, scf_step
+
+# The bytes of one chunk of the Jacobian core's temporaries: the sandwich goes
+# a chunk of S at a time, and a Gram matrix a block of columns at a time
+CORE_CHUNK_BYTES = 1 << 16
+
+
+def _spans(count: int, item_bytes: int, least: int = 1) -> list:
+    """Consecutive slices of range(count), each of the items that fit in
+    ``CORE_CHUNK_BYTES`` at ``item_bytes`` apiece, but at least ``least``."""
+    size = max(least, CORE_CHUNK_BYTES // max(item_bytes, 1), 1)
+    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
+def _gram_spans(count: int, height: int) -> list:
+    """The column blocks of a Gram pass over ``count`` columns of ``height``
+    complex entries: a chunk, or a quarter of the height when that is wider, so
+    that each update is one well-shaped GEMM and the temporaries stay within a
+    chunk or the Gram matrix's own size."""
+    return _spans(count, 16 * height, least=height // 4)
 
 
 @dataclass
@@ -94,10 +118,11 @@ class JacobianBundle:
     """The assembled Jacobian with the factored core every bound is read from.
 
     ``r`` is the n x n divided-difference matrix R of the map's occupations,
-    f' on its diagonal.  ``support`` is S, the columns the operator names; L'
-    and J vanish outside them, and ``l_s`` = L'[:, S] and ``j_s`` = J[:, S]
-    are kept.  ``w`` is the |S| x n x n stack of W_s = X^H L(E_s) X, so that
-    w[s, a, b] = x_a^H L(E_s) x_b, and J[:, s] = vech(X D_eff(W_s) X^H).
+    f' on its diagonal.  ``support`` is S, the columns the operator names, and
+    ``image_rows`` is T, the vec positions L can write; L' vanishes outside
+    ``l_s`` = L'[T, S] (|T| x |S|), and J outside ``j_s`` = J[:, S].  ``w`` is
+    the |S| x n x n stack of W_s = X^H L(E_s) X, so that w[s, a, b] =
+    x_a^H L(E_s) x_b, and J[:, s] = vech(X D_eff(W_s) X^H).
     """
 
     j_s: np.ndarray
@@ -107,6 +132,7 @@ class JacobianBundle:
     lambdas: np.ndarray
     p: int
     support: np.ndarray
+    image_rows: np.ndarray
     w: np.ndarray
     filter: str = "step"
 
@@ -120,22 +146,46 @@ class JacobianBundle:
 
     @cached_property
     def lprime_r(self) -> np.ndarray:
-        """R of L'[:, S] = QR: every norm of L'[:, S] M equals that of R M."""
-        return np.linalg.qr(self.l_s, mode="r")
+        """A factor F with F^H F = L'[T, S]^H L'[T, S], so that every norm of
+        L' M is that of F M, with at most |S| rows: the column norms (a vector:
+        F is diagonal) when no row of L'[T, S] holds two nonzeros, as for a
+        Hadamard mask; else the R of the QR of L'[T, S] (real when it is)."""
+        l_s = _real_if_real(self.l_s)
+        t, s = np.nonzero(l_s)
+        if np.all(np.diff(t) > 0):
+            weights = np.abs(l_s[t, s]) ** 2
+            return np.sqrt(np.bincount(s, weights, minlength=self.support.size))
+        return np.linalg.qr(l_s, mode="r")
 
     @cached_property
-    def lprime_u(self) -> np.ndarray:
-        """Q^H L' vech(x_a x_b^H) at [:, a, b] (the norms of L' U), from the
-        S-rows U_S[s, a, b] = x[i_s, a] conj(x[k_s, b]), s = (i_s, k_s)."""
-        n = self.n
+    def lprime_u(self) -> tuple[float, np.ndarray]:
+        """One pass over L' T K1 = L'[:, S] U_S, whose column (a, b) is L' applied
+        to vech(x_a x_b^H), over the positions where D_eff is nonzero, a chunk of
+        columns at a time.  The S-rows U_S[s, (a, b)] = x[i_s, a] conj(x[k_s, b]),
+        s = (i_s, k_s), come straight from x, and ``lprime_r`` F stands for L'
+        (a weighted sum of the rows of U_S).  Returns c2b = ||L' T K1 D_eff||_2
+        and the column norms ||L' vech(x_a x_b^H)|| at the flat positions
+        a n + b (0 where D_eff vanishes)."""
+        n, f = self.n, self.lprime_r
         here = vech_index(n)[self.support]
-        u_s = self.x[here % n][:, :, None] * self.x[here // n].conj()[:, None, :]
-        return (self.lprime_r @ u_s.reshape(-1, n * n)).reshape(-1, n, n)
+        xi, xk = self.x[here % n], self.x[here // n].conj()
+        norms = np.zeros(n * n)
+
+        def columns(pos):
+            y = _kron_rows(xi, xk, pos)
+            if f.ndim == 1:
+                y *= f[:, None]
+            else:
+                y = _matmul(f, y)
+            norms[pos] = np.sqrt(sum(np.einsum("ij,ij->j", a, a) for a in (y.real, y.imag)))
+            return y
+
+        return _gram_norm2(_d_eff_blocks(self.r, columns, here.size)), norms
 
     @cached_property
     def lprime_norm(self) -> float:
-        """||L'||_2, read from the R factor of L'[:, S]."""
-        return _norm2(self.lprime_r)
+        """||L'||_2 = ||L'[T, S]||_2."""
+        return _norm2(self.l_s)
 
     @cached_property
     def gaps(self) -> GapStructure:
@@ -175,32 +225,115 @@ def assemble_jacobian(bundle: FixedPointBundle, op: OperatorSpec) -> JacobianBun
     with M_s = D_eff(W_s) = R o W_s - dmu_s diag(f'): mu is solved again for
     every P, so dmu_s = sum_i f'_i W_s[i, i] / sum_i f'_i is the Fermi-level
     shift, left out when f' sums to 0 (the step filter, or all f' underflowed).
+    M_s and the sandwich are formed a chunk of S at a time (``CORE_CHUNK_BYTES``)
+    and written straight into J[:, S].
     """
     x = bundle.x
     n = x.shape[0]
     beta = bundle.beta if bundle.filter == "fermi" else None
     r = divided_difference_matrix(bundle.lambdas, bundle.p, beta=beta, mu=bundle.mu)
     l_s = assemble_Lprime(op, n)
-    # L(E_s) for s in S as a stack of n x n matrices (columns are vec, column-major)
-    w = x.conj().T @ l_s.T.reshape(-1, n, n).transpose(0, 2, 1) @ x
-    m_s = _d_eff(r, w)
-    np.matmul(x @ m_s, x.conj().T, out=m_s)  # the sandwich X M_s X^H, in place
+    rows, support = op.image_rows(), op.support()
+    w = _congruences(x, l_s, rows)
+    vidx = vech_index(n)
+    j_t = np.empty((support.size, vidx.size), dtype=complex)  # J[:, S] transposed
+    p, xc = bundle.p, x.conj()
+    cross = not (r[:p, :p].any() or r[p:, p:].any())  # M_s = [[0, B_s], [C_s, 0]]: the step filter
+    every = np.arange(n * n)
+    for chunk in _spans(support.size, 16 * n * n):
+        m_s = _d_eff(r, w[chunk].reshape(-1, n * n).copy(), every).reshape(-1, n, n)
+        # the sandwich, transposed and in place: (X M_s X^H)^T = conj(X) M_s^T X^T,
+        # whose C-order flat positions are the column-major ones of vech
+        mt = m_s.transpose(0, 2, 1)
+        if cross:  # the zero blocks of M_s left out: a quarter of the work
+            left = np.concatenate([xc[:, p:] @ mt[:, p:, :p], xc[:, :p] @ mt[:, :p, p:]], axis=2)
+        else:
+            left = xc @ mt
+        np.matmul(left, x.T, out=m_s)
+        np.take(m_s.reshape(len(m_s), n * n), vidx, axis=1, out=j_t[chunk])
     return JacobianBundle(
-        j_s=vech(m_s).T, r=r, l_s=l_s, x=x, lambdas=np.asarray(bundle.lambdas, dtype=float),
-        p=bundle.p, support=op.support(), w=w, filter=bundle.filter,
+        j_s=j_t.T, r=r, l_s=l_s, x=x, lambdas=np.asarray(bundle.lambdas, dtype=float),
+        p=bundle.p, support=support, image_rows=rows, w=w, filter=bundle.filter,
     )
 
 
-def _d_eff(r: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """R o Y - (diag(Y) f' / sum f') diag(f'), f' = diag R, for each Y of the stack ``y``
-    (no shift when f' sums to 0).  R is symmetric: one call serves either side or vec order."""
-    out = r * y
-    fprime = np.diagonal(r)
-    total = fprime.sum()
-    if total != 0:
-        dmu = np.diagonal(y, axis1=-2, axis2=-1) @ (fprime / total)
-        out[..., np.arange(r.shape[0]), np.arange(r.shape[0])] -= dmu[..., None] * fprime
+def _congruences(x: np.ndarray, l_s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The stack W_s = X^H L(E_s) X, s in S, from L'[T, S] (``l_s``, T = ``rows``).
+
+    When T is not every vec position, W = L'[T, S]^T U_T with U_T[t, (a, b)] =
+    conj(x[i_t, a]) x[k_t, b], t = (i_t, k_t): one GEMM, formed one a at a time
+    (a real GEMM when L'[T, S] is real).  Otherwise U_T would be n^2 x n^2, and
+    the sandwich of each L(E_s) goes a chunk of S at a time.
+    """
+    n = x.shape[0]
+    w = np.empty((l_s.shape[1], n, n), dtype=complex)
+    if rows.size < n * n:
+        xi, xk = x[rows % n].conj(), x[rows // n]
+        lt = np.ascontiguousarray(_real_if_real(l_s).T)
+        for a in range(n):
+            _matmul(lt, xi[:, a, None] * xk, out=w[:, a])
+        return w
+    for chunk in _spans(len(w), 16 * n * n):
+        # rows of l_s.T are vec(L(E_s)), column-major: [s, k, i] holds L(E_s)[i, k]
+        stack = l_s[:, chunk].T.copy().reshape(-1, n, n).transpose(0, 2, 1)
+        np.matmul(x.conj().T @ stack, x, out=w[chunk])
+    return w
+
+
+def _real_if_real(a: np.ndarray) -> np.ndarray:
+    """The real part of a complex array with no imaginary part (a view), else the array."""
+    return a if a.imag.any() else a.real
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b, as one real GEMM on the float views of b and the result when a is
+    real and b complex (half the work of the complex GEMM)."""
+    if np.iscomplexobj(a) or not np.iscomplexobj(b):
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=complex)
+    np.matmul(a, np.ascontiguousarray(b).view(float), out=out.view(float))
     return out
+
+
+def _d_eff(r: np.ndarray, y: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Y D_eff restricted to the flat positions ``pos`` (a n + b of Y), in place,
+    for ``y`` the columns of a stack of Y at those positions.  D_eff(Y) = R o Y
+    - (diag(Y) f' / sum f') diag(f'), f' = diag R (no shift when f' sums to 0):
+    R_ab alone at each a != b, so ``pos`` must hold every diagonal position
+    with f' != 0 or none.  R is symmetric: one call serves either side or vec
+    order."""
+    n = r.shape[0]
+    y *= r.ravel()[pos]
+    on = np.flatnonzero(pos % (n + 1) == 0)
+    total = np.trace(r)
+    if on.size and total != 0:
+        # sum_i f'_i Y_ii / sum f', each row summed alike however many rows
+        dmu = np.take(y, on, axis=1).sum(axis=1) / total
+        y[:, on] -= dmu[:, None] * np.diagonal(r)[pos[on] // (n + 1)]
+    return y
+
+
+def _diagonal_block(r: np.ndarray) -> np.ndarray:
+    """D_eff on the n diagonal positions: diag(f') - f' f'^T / sum f' (diag(f')
+    when f' sums to 0)."""
+    fprime = np.diagonal(r)
+    return np.diag(fprime) - np.outer(fprime, fprime / (fprime.sum() or np.inf))
+
+
+def _d_eff_blocks(r: np.ndarray, columns, height: int):
+    """Yield Y D_eff by blocks of columns over the positions where D_eff is
+    nonzero, Y given by ``columns(pos)``, a fresh ``height`` x len(pos) array
+    of its columns at the flat positions ``pos``: chunks of the positions
+    a != b where R is nonzero (the 2p(n-p) cross pairs under the step filter),
+    then the diagonal positions when f' is nonzero."""
+    n = r.shape[0]
+    off = np.flatnonzero(r - np.diag(np.diagonal(r)))
+    blocks = [off[span] for span in _gram_spans(off.size, height)]
+    if np.diagonal(r).any():
+        blocks.append(np.arange(n) * (n + 1))
+    for pos in blocks:
+        yield _d_eff(r, columns(pos), pos)
 
 
 def _d_eff_tail(jb: JacobianBundle) -> np.ndarray:
@@ -209,11 +342,11 @@ def _d_eff_tail(jb: JacobianBundle) -> np.ndarray:
     on the diagonal, so rho_q is the largest of |R| on the table past q, |R| off the table
     and the diagonal, and the block's norm: 1/delta_{q+1} under the step filter."""
     gaps, r, fprime = jb.gaps, jb.r, np.diagonal(jb.r)
-    block = np.diag(fprime) - np.outer(fprime, fprime / (fprime.sum() or np.inf))
     off = np.abs(r - np.diag(fprime))
     off[gaps.a, gaps.b] = 0.0
     table = np.append(np.abs(r[gaps.occ, gaps.virt]), 0.0)
-    return np.maximum(np.maximum.accumulate(table[::-1])[::-1], max(off.max(), _norm2(block)))
+    tail = max(off.max(), _norm2(_diagonal_block(r)))
+    return np.maximum(np.maximum.accumulate(table[::-1])[::-1], tail)
 
 
 # The bytes of one chunk's stack of perturbed densities in the FD oracles
@@ -319,22 +452,55 @@ def bound_c2(j_p: np.ndarray) -> float:
 
 def _norm2(a: np.ndarray) -> float:
     """Spectral norm from the top eigenvalue of the smaller Gram matrix, 0 for
-    a matrix with no entries: the only 2-norm of the package.  The matrix is
-    first scaled by a power of two (exact) to a largest entry in [1/2, 1), so
-    the Gram matrix cannot leave the double range."""
-    if not a.size:
+    a matrix with no entries: the 2-norm of the package.  The Gram matrix is
+    summed a chunk of the longer side at a time (``_gram_norm2``), each chunk
+    one scaled copy."""
+    long = a.T if a.shape[0] > a.shape[1] else a
+    return _gram_norm2(long[:, span].copy() for span in _gram_spans(long.shape[1], len(long)))
+
+
+def _gram_norm2(blocks) -> float:
+    """||[Z_1 Z_2 ...]||_2 of column blocks Z_k of equal height, from the top
+    eigenvalue of sum_k Z_k Z_k^H (0 when every block is zero).  Each block is
+    scaled in place by an exact power of two, 2^-e with e the exponent of the
+    largest entry so far (the sum rescaled when e grows), so the Gram matrix
+    cannot leave the double range."""
+    gram, e = None, 0
+    for z in blocks:
+        top = float(np.abs(z).max(initial=0.0))
+        if top == 0.0:
+            continue
+        _, ez = np.frexp(top)
+        if gram is None:
+            gram, e = np.zeros((len(z), len(z)), dtype=z.dtype), ez
+        elif ez > e:
+            _ldexp(gram, 2 * (e - ez))
+            e = ez
+        _ldexp(z, -e)
+        zh = z.conj().T
+        for rows in _gram_spans(len(z), len(z)):  # no product as large as the Gram matrix
+            gram[rows] += z[rows] @ zh
+        del z, zh  # before the next block is made
+    if gram is None:
         return 0.0
-    _, e = np.frexp(np.abs(a).max())
-    a = np.ldexp(a.real, -e) + (1j * np.ldexp(a.imag, -e) if np.iscomplexobj(a) else 0.0)
-    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
     return float(np.ldexp(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)), e))
+
+
+def _ldexp(a: np.ndarray, k: int) -> None:
+    """a *= 2^k in place and exactly, the real and imaginary parts apart (one
+    factor 2.0**k would leave the double range where a subnormal needs it)."""
+    for part in (a.real, a.imag) if np.iscomplexobj(a) else (a,):
+        np.ldexp(part, k, out=part)
 
 
 def bound_cyclic(jb: JacobianBundle) -> tuple[float, float]:
     """The cyclic-permutation bounds of J = T K1 D_eff K2 L': c_2a =
     ||D_eff K2 L' T||_2, whose nonzero columns are the M_s = D_eff(W_s) of the
-    assembly, and c_2b = ||L' T K1 D_eff||_2, D_eff applied to ``lprime_u``."""
-    return tuple(_norm2(_d_eff(jb.r, y).reshape(len(y), jb.n**2)) for y in (jb.w, jb.lprime_u))
+    assembly (a Gram matrix over the positions where D_eff is nonzero), and
+    c_2b = ||L' T K1 D_eff||_2 (``lprime_u``)."""
+    flat = jb.w.reshape(len(jb.w), jb.n**2)
+    c2a = _gram_norm2(_d_eff_blocks(jb.r, lambda pos: np.take(flat, pos, axis=1), len(flat)))
+    return c2a, jb.lprime_u[0]
 
 
 def bound_gap_all(jb: JacobianBundle) -> np.ndarray:
@@ -342,7 +508,7 @@ def bound_gap_all(jb: JacobianBundle) -> np.ndarray:
     gap table and the rest, ||L'||_2 rho_q (``_d_eff_tail``) plus, per pair, |R_ab| times
     ||L(S(x_a x_b^H))||_F + ||L(S(x_b x_a^H))||_F, the column norms of L' T K1."""
     gaps = jb.gaps
-    norms = np.linalg.norm(jb.lprime_u, axis=0)[gaps.a, gaps.b].reshape(-1, 2).sum(axis=1)
+    norms = jb.lprime_u[1][gaps.a * jb.n + gaps.b].reshape(-1, 2).sum(axis=1)
     cum = np.concatenate([[0.0], np.cumsum(np.abs(jb.r[gaps.occ, gaps.virt]) * norms)])
     return jb.lprime_norm * _d_eff_tail(jb) + cum
 
@@ -375,7 +541,7 @@ def bound_rank_truncated(jb: JacobianBundle, ks) -> np.ndarray:
         top = 2 * part.max()
         pa, pb = gaps.a[:top], gaps.b[:top]
         vidx = vech_index(jb.n)
-        a = jb.x[vidx % jb.n][:, pa] * jb.x[vidx // jb.n][:, pb].conj() * jb.r[pa, pb]
+        a = jb.x[:, pa][vidx % jb.n] * jb.x[:, pb].conj()[vidx // jb.n] * jb.r[pa, pb]
         r_a = np.linalg.qr(a, mode="r")
         l_b = np.linalg.qr(jb.w[:, pa, pb].conj(), mode="r").conj().T
         rows, cols = r_a.shape[0], l_b.shape[1]
@@ -406,24 +572,53 @@ def bound_liu(problem: Problem, delta1: float) -> float | None:
 
 
 def cyclic_spectral_radii(jb: JacobianBundle) -> list:
-    """Spectral radii of the four cyclic reorderings of T (K1 D_eff)(K2 L'T), each
-    on its support, for moderate n (checks and tests).  The first is c: J vanishes
-    outside the columns S.  The second, (K1 D_eff)(K2 L'T), vanishes outside the
-    columns vec(S).  The other two stay dense n^2 x n^2: a smaller block would
-    use the identity under test."""
-    x, n = jb.x, jb.n
-    here = vech_index(n)[jb.support]
-    k1_s = np.kron(x.conj(), x)[here]  # the rows vec(S) of K1
-    k1d_s = _d_eff(jb.r, k1_s.reshape(-1, n, n)).reshape(-1, n * n)
-    k2 = np.kron(x.T, x.conj().T)
-    k2_l = k2 @ jb.l_s  # K2 L'T on its nonzero columns vec(S)
-    # each reordered product is freed once its radius is taken
-    return [
-        jb.c,
-        convergence_factor(k1d_s @ k2_l),
-        convergence_factor(_d_eff(jb.r, (k2_l @ k1_s).T.reshape(-1, n, n)).reshape(-1, n * n).T),
-        convergence_factor(jb.l_s @ (k1d_s @ k2)),
-    ]
+    """Spectral radii of the four cyclic reorderings of T (K1 D_eff)(K2 L'T), for
+    moderate n (checks and tests).  K1 = conj(X) kron X and K2 = X^T kron X^H
+    are read from x at the rows they need: K1 at vec(S), K2 at C, the positions
+    where D_eff is nonzero (the cross pairs under the step filter, all n^2
+    under the Fermi filter).  The first radius is c: J vanishes outside the
+    columns S.  The second, (K1 D_eff)(K2 L'T), vanishes outside the columns
+    vec(S), and D_eff outside C.  The third, D_eff (K2 L'T)(K1), vanishes
+    outside the rows C: its radius is that of the C x C block, by the same
+    block-triangular argument as c, not by the cyclic identity under test.
+    The fourth, L'T (K1 D_eff K2), stays one dense n^2 x n^2 product."""
+    x, n, r = jb.x, jb.n, jb.r
+    here, rows, every = vech_index(n)[jb.support], jb.image_rows, np.arange(n * n)
+    pos = np.flatnonzero(r)  # C, as flat positions a n + b of Y = X^H P X
+    k1 = _kron_rows(x[here % n], x[here // n].conj(), pos)  # K1[vec(S), C]
+    k2l = np.empty((pos.size, here.size), dtype=complex)  # (K2 L'T)[C, S], K2 = K1^H
+    xi, xk = x[rows % n], x[rows // n].conj()
+    for span in _spans(pos.size, 16 * rows.size):
+        k2l[span] = _kron_rows(xi, xk, pos[span]).conj().T @ jb.l_s
+    # each reordered product is freed once its radius is taken; the third is the
+    # C x C block transposed (the same radius), K1[vec(S), C]^T (K2 L'T)[C, S]^T D_eff
+    radii = [jb.c, 0.0, convergence_factor(_d_eff(r, k1.T @ k2l.T, pos)), 0.0]
+    k1d = _d_eff(r, k1, pos)  # (K1 D_eff)[vec(S), C]
+    radii[1] = convergence_factor(k1d @ k2l)
+    del k1, k2l
+    xi, xk = x[every % n], x[every // n].conj()
+    k1dk2 = np.empty((here.size, n * n), dtype=complex)  # (K1 D_eff K2)[vec(S), :]
+    for span in _spans(n * n, 16 * pos.size):
+        k1dk2[:, span] = k1d @ _kron_rows(xi[span], xk[span], pos).conj().T
+    del k1d
+    product = jb.l_s @ k1dk2
+    if rows.size < n * n:  # the n^2 - |T| rows of L' that are zero
+        product, rest = np.zeros((n * n, n * n), dtype=complex), product
+        product[rows] = rest
+        del rest
+    del k1dk2
+    radii[3] = convergence_factor(product)
+    return radii
+
+
+def _kron_rows(xi: np.ndarray, xk: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """K1 = conj(X) kron X at the vec positions (i, k) whose rows x[i] and
+    conj(x[k]) are ``xi`` and ``xk``, and at the columns ``pos`` (flat positions
+    a n + b of Y): x[i, a] conj(x[k, b]), straight from x with no kron."""
+    n = xi.shape[1]
+    out = np.take(xi, pos // n, axis=1)
+    out *= np.take(xk, pos % n, axis=1)
+    return out
 
 
 # The ladder table: every quantity ``ladder`` evaluates, by its CLI name.  The

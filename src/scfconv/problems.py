@@ -4,8 +4,9 @@ The linear part L is kept in one of three representations (Hadamard mask,
 diagonal map, general vectorized matrix) rather than always densified: the
 mask and diagonal forms are O(n^2) to apply, which keeps the Laplacian family
 cheap at n = 60.  Each form also names the support S of its L' (the derivative
-of L in vech coordinates), the columns that can be nonzero, and writes L'[:, S]
-in closed form, with no loop over basis matrices.
+of L in vech coordinates), the columns that can be nonzero, and its image rows
+T, the vec positions L can write, and writes the |T| x |S| block L'[T, S] in
+closed form, with no loop over basis matrices.
 """
 
 from __future__ import annotations
@@ -38,14 +39,21 @@ class HadamardMask:
         nonzero = self.mask != 0
         return np.flatnonzero(vech(nonzero | nonzero.T))
 
+    def image_rows(self) -> np.ndarray:
+        """T: the vec positions where the mask is nonzero."""
+        return np.flatnonzero(self.mask.ravel(order="F"))
+
     def lprime(self) -> np.ndarray:
-        """L'[:, S] in closed form: column (i, k) holds mask[i, k] at vec(i, k)
-        and mask[k, i] at vec(k, i)."""
+        """L'[T, S] in closed form: column (i, k) holds mask[i, k] at vec(i, k)
+        and mask[k, i] at vec(k, i), each a row of T where it is nonzero."""
         n = self.n
+        rows = self.image_rows()
         here = vech_index(n)[self.support()]
-        out = np.zeros((n * n, here.size), dtype=complex)
-        for rows in (here, here // n + n * (here % n)):  # vec(i, k), then vec(k, i)
-            out[rows, np.arange(here.size)] = self.mask.ravel(order="F")[rows]
+        flat = self.mask.ravel(order="F")
+        out = np.zeros((rows.size, here.size), dtype=complex)
+        for vec in (here, here // n + n * (here % n)):  # vec(i, k), then vec(k, i)
+            cols = np.flatnonzero(flat[vec])
+            out[np.searchsorted(rows, vec[cols]), cols] = flat[vec[cols]]
         return out
 
     def require_hermitian_preserving(self) -> None:
@@ -76,13 +84,13 @@ class DiagonalMap:
         """The n diagonal positions of vech (vec positions: multiples of n + 1)."""
         return np.flatnonzero(vech_index(self.n) % (self.n + 1) == 0)
 
+    def image_rows(self) -> np.ndarray:
+        """T: the n diagonal positions of vec (multiples of n + 1)."""
+        return np.arange(self.n) * (self.n + 1)
+
     def lprime(self) -> np.ndarray:
-        """L'[:, S] in closed form: the column of E_ii holds alpha * coeff[:, i]
-        on the diagonal of vec."""
-        n = self.n
-        out = np.zeros((n * n, n), dtype=complex)
-        out[np.arange(n) * (n + 1)] = self.alpha * self.coeff
-        return out
+        """L'[T, S] in closed form: the column of E_ii holds alpha * coeff[:, i]."""
+        return (self.alpha * self.coeff).astype(complex)
 
     def require_hermitian_preserving(self) -> None:
         """Nothing to check: L(P) is diagonal, and real for Hermitian P and the
@@ -112,9 +120,13 @@ class GeneralVec:
         """Every vech position: a general matrix may reach them all."""
         return np.arange(self.n * (self.n + 1) // 2)
 
+    def image_rows(self) -> np.ndarray:
+        """T: every vec position."""
+        return np.arange(self.n * self.n)
+
     def lprime(self) -> np.ndarray:
-        """L' in closed form (S is every column): column (i, k) is the sum of
-        the matrix columns at vec(i, k) and, off the diagonal, vec(k, i)."""
+        """L' in closed form (S and T are everything): column (i, k) is the sum
+        of the matrix columns at vec(i, k) and, off the diagonal, vec(k, i)."""
         n = self.n
         vidx = vech_index(n)
         rows, cols = vidx % n, vidx // n
@@ -147,8 +159,9 @@ def apply_L(op: OperatorSpec, p) -> np.ndarray:
 
 
 def assemble_Lprime(op: OperatorSpec, n: int) -> np.ndarray:
-    """L'[:, S], S = ``op.support()``: the n^2 x |S| block of the columns
-    vec(L(vech_inv(e_j))), from the operator's closed form."""
+    """L'[T, S], S = ``op.support()`` and T = ``op.image_rows()``: the |T| x |S|
+    block of the columns vec(L(vech_inv(e_j))), from the operator's closed
+    form.  L' is zero outside it."""
     if op.n != n:
         raise ValueError(f"dimension mismatch: operator is n={op.n}, L' asked for n={n}")
     return op.lprime()

@@ -580,6 +580,23 @@ def test_the_bound_chain_holds_on_random_problems(kind, n, seed, beta):
     assert_bound_chain(problem, assemble_jacobian(bundle, problem.op))
 
 
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(OPERATOR_KINDS), n=st.integers(3, 7), seed=st.integers(0, 2**16),
+       beta=st.sampled_from([None, 0.5, 2.0, 10.0]))
+def test_c2_stays_below_every_c_gap_on_random_problems(kind, n, seed, beta):
+    # observed, not derived: the gap family bounds ||L' T K1 D_eff||, not ||J||
+    problem = random_operator_problem(kind, n, seed)
+    opts = ScfOptions(max_iter=800, **({} if beta is None else {"filter": "fermi", "beta": beta}))
+    try:
+        bundle, _ = locate_fixed_point(problem, opts)
+    except (ZeroGapError, ChemicalPotentialError):
+        bundle = None
+    assume(bundle is not None and bundle.converged)
+    jb = assemble_jacobian(bundle, problem.op)
+    c_gap = bound_gap_all(jb)
+    assert jb.c2 <= c_gap.min() * (1 + 1e-12), (jb.c2, c_gap)
+
+
 REPORT_KEYS = ["n", "p", "converged", "c", "c2", "c2a", "c2b", "c_naive", "c_gap", "c_liu",
                "c_tilde", "deltas", "pairs", "measured_rate", "fd_check"]
 QUANTITY_KEYS = REPORT_KEYS[3:11]

@@ -38,6 +38,7 @@ from scfconv import (
     bound_rank_truncated,
     build_illustrative,
     build_laplacian,
+    cyclic_spectral_radii,
     divided_difference_matrix,
     fermi_chemical_potential,
     fermi_occupations,
@@ -45,6 +46,7 @@ from scfconv import (
     ladder,
     locate_fixed_point,
 )
+from scfconv import analysis
 from scfconv.matops import selector_T, vech
 
 from conftest import FILTERS, lprime_by_basis_loop, random_hermitian
@@ -310,3 +312,58 @@ def test_assembly_and_ladder_peak_below_eight_cubes(variant, n, p, opts):
         assert np.diagonal(jb.r).sum() != 0  # the Fermi-level shift is in play
     assert values["c"] <= values["c2"]
     assert peak < 8 * n**3 * np.dtype(complex).itemsize, peak
+
+
+@pytest.mark.parametrize("filter_name", FILTERS)
+def test_chunks_do_not_change_the_core(case, filter_name, monkeypatch):
+    # one column of S per chunk, then |S| - 1, against everything in one chunk
+    problem, bundle, _, _, gaps, _ = case
+    bundle = replace(bundle, **FILTERS[filter_name])
+    n = problem.n
+    tokens = ["c", "c2", "c2a", "c2b", "naive", *(f"gap:{q}" for q in range(gaps.count + 1))]
+
+    def run(chunk_bytes):
+        monkeypatch.setattr(analysis, "CORE_CHUNK_BYTES", chunk_bytes)
+        jb = assemble_jacobian(bundle, problem.op)
+        return jb, ladder(problem, jb, tokens), cyclic_spectral_radii(jb)
+
+    one, one_row, one_radii = run(1 << 40)
+    for chunk_bytes in (1, (one.support.size - 1) * n * n * 16):
+        jb, row, radii = run(chunk_bytes)
+        assert np.array_equal(jb.j_s, one.j_s) and np.array_equal(jb.w, one.w)
+        for token, value in row.items():
+            assert value == pytest.approx(one_row[token], rel=1e-14, abs=0.0), token
+        assert np.allclose(radii, one_radii, rtol=1e-14, atol=0.0)
+
+
+def dense_mask_problem(n: int = 16) -> Problem:
+    """A dense complex Hermitian mask: T is every vec position and S every vech one."""
+    rng = np.random.default_rng(11)
+    a0 = random_hermitian(rng, n, scale=0.3) + np.diag(np.arange(n, dtype=float))
+    return Problem(a0=a0, op=HadamardMask(mask=random_hermitian(rng, n, scale=0.2)), p=n // 2)
+
+
+@pytest.mark.parametrize("filter_name", FILTERS)
+def test_core_and_cyclic_radii_on_a_dense_support_stay_within_a_few_stacks(filter_name):
+    # w, L'[T, S] and J[:, S] alone take 2.5 stacks of |S| n x n matrices here
+    problem = dense_mask_problem()
+    n = problem.n
+    bundle, _ = locate_fixed_point(problem, ScfOptions(max_iter=800, **FILTERS[filter_name]))
+    assert bundle.converged
+    tokens = ["c", "c2", "c2a", "c2b", "naive",
+              *(f"gap:{q}" for q in range(problem.p * (n - problem.p) + 1))]
+    tracemalloc.start()
+    try:
+        jb = assemble_jacobian(bundle, problem.op)
+        values = ladder(problem, jb, tokens)
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        radii = cyclic_spectral_radii(jb)
+        radii_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert jb.support.size == jb.m and jb.image_rows.size == n * n
+    stack = jb.support.size * n * n * np.dtype(complex).itemsize
+    assert peak < 4 * stack, peak / stack
+    assert radii_peak < 3 * n**4 * np.dtype(complex).itemsize, radii_peak / (n**4 * 16)
+    assert values["c"] == radii[0] and max(radii) - min(radii) <= 1e-10 * max(radii)

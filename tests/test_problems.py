@@ -364,10 +364,45 @@ def test_assemble_Lprime_equals_the_basis_loop(name, n):
     op = lprime_operators(n, np.random.default_rng(n))[name]
     got = assemble_Lprime(op, n)
     loop = lprime_by_basis_loop(op, n)
-    support = op.support()
+    support, rows = op.support(), op.image_rows()
     assert got.dtype == loop.dtype == complex
-    assert np.array_equal(got, loop[:, support])
+    assert got.shape == (rows.size, support.size)
+    assert np.array_equal(scatter_rows(got, rows, n), loop[:, support])
     assert not np.any(np.delete(loop, support, axis=1))
+
+
+def scatter_rows(block, rows, n):
+    """L'[T, S] put back into the n^2 rows of vec."""
+    out = np.zeros((n * n, block.shape[1]), dtype=block.dtype)
+    out[rows] = block
+    return out
+
+
+def random_operator(kind, n, rng, density):
+    """An operator of ``kind`` whose mask, coefficients or matrix keep each
+    entry with probability ``density`` (1: dense)."""
+    def sparse(shape):
+        return rng.normal(size=shape) * (rng.uniform(size=shape) < density)
+
+    if kind == "hadamard":
+        return HadamardMask(mask=sparse((n, n)) + 1j * sparse((n, n)))
+    if kind == "diagonal_map":
+        return DiagonalMap(coeff=sparse((n, n)), alpha=float(rng.uniform(-3.0, 3.0)))
+    return GeneralVec(matrix=sparse((n * n, n * n)) + 1j * sparse((n * n, n * n)))
+
+
+@pytest.mark.parametrize("density", [1.0, 0.3])
+@pytest.mark.parametrize("kind", OPERATOR_KINDS)
+def test_lprime_vanishes_off_its_image_rows(kind, density):
+    rng = np.random.default_rng(int(density * 10) + len(kind))
+    for n in (2, 3, 5, 7):
+        op = random_operator(kind, n, rng, density)
+        rows, support = op.image_rows(), op.support()
+        assert np.all(np.diff(rows) > 0) and rows.size <= n * n
+        loop = lprime_by_basis_loop(op, n)
+        # L(E_s) vanishes off T for every s in S, and L'[T, S] is L' there bit for bit
+        assert not np.any(np.delete(loop[:, support], rows, axis=0))
+        assert np.array_equal(scatter_rows(op.lprime(), rows, n), loop[:, support])
 
 
 def test_assemble_Lprime_checks_the_dimension():
