@@ -11,12 +11,9 @@ from .matops import (
     ZeroGapError,
     divided_difference_matrix,
     fermi_chemical_potential,
-    fermi_density,
     fermi_occupations,
     require_hermitian,
-    selector_T,
     spectral_filter_density,
-    symmetrize_S,
     vech,
     vech_index,
     vech_inv,
@@ -67,12 +64,9 @@ __all__ = [
     "ZeroGapError",
     "divided_difference_matrix",
     "fermi_chemical_potential",
-    "fermi_density",
     "fermi_occupations",
     "require_hermitian",
-    "selector_T",
     "spectral_filter_density",
-    "symmetrize_S",
     "vech",
     "vech_index",
     "vech_inv",

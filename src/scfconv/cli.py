@@ -180,6 +180,8 @@ def sweep_grid(args):
         raise SystemExit(f"bad sweep grid: {exc}") from None
     if not np.all(np.isfinite(grid)):
         raise SystemExit(f"bad sweep grid: every value must be finite, got {grid}")
+    if args.axis == "n":  # the n each cell builds and its row prints
+        grid = [round(v) for v in grid]
     return grid
 
 
@@ -189,8 +191,6 @@ def problem_at(args, value: float) -> Problem:
         raise SystemExit("illustrative family sweeps over --axis eps")
     if args.family != "illustrative" and args.axis == "eps":
         raise SystemExit(f"axis 'eps' not valid for family {args.family}")
-    if args.axis == "n":
-        value = int(round(value))
     return build_problem(argparse.Namespace(**{**vars(args), "file": None, args.axis: value}))
 
 

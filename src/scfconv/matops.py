@@ -1,4 +1,4 @@
-"""Half-vectorization algebra, symmetrization and spectral filter kernels.
+"""Half-vectorization algebra and the spectral filter kernel.
 
 All operations here are pure functions of their inputs and safe to call
 concurrently.  Eigenvalues are always returned in ascending order; the
@@ -97,57 +97,19 @@ def vech_inv(v) -> np.ndarray:
     return w + np.tril(w, -1).T
 
 
-def selector_T(n: int) -> np.ndarray:
-    """The m-by-n^2 0/1 selector with T @ vec(W) = vech(W) (block-diagonal choice)."""
-    m = n * (n + 1) // 2
-    t = np.zeros((m, n * n))
-    t[np.arange(m), _vech_index_cached(n)] = 1.0
-    return t
-
-
-def symmetrize_S(x) -> np.ndarray:
-    """Map X = L + D + R (triangular split) to L + D + L^T."""
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    lower = np.tril(x)
-    return lower + np.tril(x, -1).T
-
-
 def _check_cross_gap(lam: np.ndarray, p: int) -> None:
     """Raise ZeroGapError when the cross gap lambda_p+1 - lambda_p of ascending
-    spectra (..., n) is degenerate, naming its member of a stack."""
+    spectra (..., n) is degenerate, with the message of a single spectrum; the
+    first such member of a stack is named in ``member`` only."""
     gap = lam[..., p] - lam[..., p - 1]
     zero = gap <= GAP_TOL * np.abs(lam).max(axis=-1, initial=1.0)
     if zero.any():
         member = tuple(np.argwhere(zero)[0].tolist())
-        at = f" in stack member [{', '.join(map(str, member))}]" if member else ""
         raise ZeroGapError(
-            f"zero gap{at}: lambda_p = {float(lam[member + (p - 1,)])!r} and lambda_p+1 = "
+            f"zero gap: lambda_p = {float(lam[member + (p - 1,)])!r} and lambda_p+1 = "
             f"{float(lam[member + (p,)])!r} are degenerate; the analysis assumes a nonzero gap",
             member=member or None,
         )
-
-
-def spectral_filter_density(b, p: int, return_eig: bool = False, name: str = "matrix"):
-    """Orthogonal projector onto the invariant subspace of the p smallest eigenvalues.
-
-    Returns ``P = X1 @ X1^H`` with P Hermitian, P^2 = P, trace(P) = p (of each
-    matrix of a stack (..., n, n)).  With ``return_eig`` the full ascending
-    eigendecomposition is returned as well.  ``name`` labels ``b`` in the
-    Hermiticity error.
-    """
-    b = require_hermitian(b, name=name)
-    n = b.shape[-1]
-    if not 1 <= p < n:
-        raise ValueError(f"occupation p={p} must satisfy 1 <= p < n={n}")
-    lam, x = np.linalg.eigh(b)
-    _check_cross_gap(lam, p)
-    x1 = x[..., :p]
-    density = x1 @ x1.conj().swapaxes(-2, -1)
-    if return_eig:
-        return density, lam, x
-    return density
 
 
 def fermi_occupations(lam, beta: float, mu: float) -> np.ndarray:
@@ -231,21 +193,28 @@ def fermi_chemical_potential(lam, beta: float, p: int, tol: float = 1e-12, max_i
     return mu.reshape(lam.shape[:-1])[()]
 
 
-def fermi_density(b, beta: float, p: int, return_eig: bool = False, name: str = "matrix"):
-    """Smoothed density P_f = X f(Lambda) X^H with mu solved so trace(P_f) = p
-    (each matrix of a stack (..., n, n) with its own mu); ``name`` labels ``b``
-    in the Hermiticity error."""
+def spectral_filter_density(b, p: int, beta: float | None = None, name: str = "matrix"):
+    """The filter density P of ``b`` (each matrix of a stack (..., n, n)) with
+    its full ascending eigendecomposition: (P, lambdas, X, mu).
+
+    With no ``beta`` P = X1 X1^H is the orthogonal projector onto the p
+    smallest eigenvalues (P^2 = P, trace p), after the cross-gap check, and
+    mu is None.  With ``beta`` P = X f(Lambda) X^H is the Fermi-Dirac
+    density, with mu solved (per member) so that trace P = p.  ``name``
+    labels ``b`` in the Hermiticity error.
+    """
     b = require_hermitian(b, name=name)
     n = b.shape[-1]
     if not 1 <= p < n:
         raise ValueError(f"occupation p={p} must satisfy 1 <= p < n={n}")
     lam, x = np.linalg.eigh(b)
+    if beta is None:
+        _check_cross_gap(lam, p)
+        x1 = x[..., :p]
+        return x1 @ x1.conj().swapaxes(-2, -1), lam, x, None
     mu = fermi_chemical_potential(lam, beta, p)
     f = fermi_occupations(lam, beta, mu[..., None])
-    density = (x * f[..., None, :]) @ x.conj().swapaxes(-2, -1)
-    if return_eig:
-        return density, lam, x, mu
-    return density
+    return (x * f[..., None, :]) @ x.conj().swapaxes(-2, -1), lam, x, mu
 
 
 def divided_difference_matrix(

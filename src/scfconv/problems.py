@@ -313,7 +313,7 @@ def _decode_operator(data: dict, n: int) -> OperatorSpec:
     if kind == "diagonal_map":
         coeff = _decode_matrix(data["coeff"], "coeff")
         if np.iscomplexobj(coeff):
-            coeff = coeff.real
+            raise ValueError("coeff must be real")
         if coeff.shape != (n, n):
             raise ValueError(f"coeff shape {coeff.shape} does not match n={n}")
         return DiagonalMap(coeff=coeff, alpha=float(data.get("alpha", 1.0)))

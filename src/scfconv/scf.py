@@ -11,7 +11,6 @@ from .matops import (
     ChemicalPotentialError,
     ZeroGapError,
     fermi_chemical_potential,
-    fermi_density,
     require_hermitian,
     spectral_filter_density,
 )
@@ -46,6 +45,19 @@ class RateEstimationError(RuntimeError):
     """Too few usable tail points; rerun with a smaller tol or more iterations."""
 
 
+def _check_filter(filter: str, beta: float | None) -> None:
+    """The filter rule: the step filter takes no beta, the Fermi filter a
+    finite beta > 0."""
+    if filter not in ("step", "fermi"):
+        raise ValueError(f"unknown filter {filter!r}")
+    if beta is not None and not np.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    if filter == "fermi" and (beta is None or beta <= 0):
+        raise ValueError("fermi filter requires beta > 0")
+    if filter == "step" and beta is not None:
+        raise ValueError("beta is given only with the fermi filter")
+
+
 @dataclass
 class ScfOptions:
     """Options for the fixed-point solve.
@@ -68,12 +80,7 @@ class ScfOptions:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.filter not in ("step", "fermi"):
-            raise ValueError(f"unknown filter {self.filter!r}")
-        if self.beta is not None and not np.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta}")
-        if self.filter == "fermi" and (self.beta is None or self.beta <= 0):
-            raise ValueError("fermi filter requires beta > 0")
+        _check_filter(self.filter, self.beta)
 
 
 @dataclass
@@ -117,13 +124,15 @@ def scf_step(problem, density, filter: str = "step", beta: float | None = None):
 
     Returns (P_next, lambdas, X) with the full ascending eigendecomposition
     of A(P) for diagnostics.  On a stack (..., n, n) of densities it maps
-    each one as a single call would; a zero gap names its member.
+    each one as a single call would; the error of a failing member has the
+    message of a single call and names the member in ``member``.
     ``problem`` may also be a list of problems of equal n and p, one for each
     member of a stack (k, n, n): each member is then mapped with its own A(P).
     That is the lockstep iteration's own step, whose densities are filter
     densities of Hermitian matrices and their mixtures, so only A(P) is
     checked for Hermiticity there.
     """
+    _check_filter(filter, beta)
     if isinstance(problem, Problem):
         density = require_hermitian(density, name="P")
         a, p = problem.apply(density), problem.p
@@ -131,14 +140,7 @@ def scf_step(problem, density, filter: str = "step", beta: float | None = None):
         if len(problem) != len(density):
             raise ValueError(f"{len(problem)} problems for a stack of {len(density)}")
         a, p = np.stack([one.apply(d) for one, d in zip(problem, density)]), problem[0].p
-    if filter == "step":
-        return spectral_filter_density(a, p, return_eig=True, name="A(P)")
-    if filter == "fermi":
-        if beta is None or beta <= 0:
-            raise ValueError("fermi filter requires beta > 0")
-        density, lam, x, _ = fermi_density(a, beta, p, return_eig=True, name="A(P)")
-        return density, lam, x
-    raise ValueError(f"unknown filter {filter!r}")
+    return spectral_filter_density(a, p, beta=beta, name="A(P)")[:3]
 
 
 def batch_cells(n: int, max_iter: int) -> int:
@@ -153,19 +155,6 @@ def _batches(problems, max_iter: int):
     for (n, _), run in itertools.groupby(problems, key=lambda one: (one.n, one.p)):
         run, per = list(run), batch_cells(n, max_iter)
         yield from (run[first:first + per] for first in range(0, len(run), per))
-
-
-def _own_error(problem: Problem, density, opts: ScfOptions, k: int, stacked: Exception):
-    """The exception that ``scf_solve`` of ``problem`` alone raises at iterate k,
-    whose density is ``density``: ``stacked``, the member's error in a stacked
-    step, with the message of a single call."""
-    try:
-        scf_step(problem, density, filter=opts.filter, beta=opts.beta)
-    except ZeroGapError as exc:
-        return ZeroGapError(f"zero gap at SCF iterate {k}: {exc}")
-    except ChemicalPotentialError as exc:
-        return exc
-    return stacked
 
 
 def _bundle(problem: Problem, opts: ScfOptions, history, iterates, converged: bool):
@@ -204,7 +193,7 @@ def _run_batch(batch, opts: ScfOptions, stall: bool):
     live, starts = [], []
     for i, problem in enumerate(batch):
         try:
-            starts.append(spectral_filter_density(problem.a0, problem.p))
+            starts.append(spectral_filter_density(problem.a0, problem.p)[0])
             live.append(i)
         except ZeroGapError as exc:
             runs[i] = exc
@@ -219,9 +208,10 @@ def _run_batch(batch, opts: ScfOptions, stall: bool):
                                        filter=opts.filter, beta=opts.beta)
                 break
             except (ZeroGapError, ChemicalPotentialError) as exc:
-                j = exc.member[0]
-                i = live.pop(j)
-                runs[i] = _own_error(batch[i], density[j], opts, k, exc)
+                j = exc.member[0]  # its message is that of a single call
+                runs[live.pop(j)] = (ZeroGapError(f"zero gap at SCF iterate {k}: {exc}")
+                                     if isinstance(exc, ZeroGapError)
+                                     else ChemicalPotentialError(str(exc)))
                 density = np.delete(density, j, axis=0)
         if not live:
             break

@@ -77,6 +77,23 @@ def random_operator_problem(kind: str, n: int, seed: int) -> Problem:
     return Problem(a0=a0, op=GeneralVec(matrix=sum(np.kron(b.conj(), b) for b in bs)), p=p)
 
 
+def selector_T(n: int) -> np.ndarray:
+    """The m-by-n^2 0/1 selector with T @ vec(W) = vech(W) (block-diagonal choice)."""
+    m = n * (n + 1) // 2
+    t = np.zeros((m, n * n))
+    t[np.arange(m), vech_index(n)] = 1.0
+    return t
+
+
+def symmetrize_S(x) -> np.ndarray:
+    """Map X = L + D + R (triangular split) to L + D + L^T."""
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {x.shape}")
+    lower = np.tril(x)
+    return lower + np.tril(x, -1).T
+
+
 def lprime_by_basis_loop(op, n):
     """The dense n^2 x m L', column by column, L applied to each vech basis
     matrix: the oracle of the operators' closed forms and of the dense
@@ -191,7 +208,7 @@ def fermi_chemical_potential_loop(lam, beta, p, tol=1e-12, max_iter=200):
 def scf_solve_loop(problem, opts, stall_steps=None):
     """``scf_solve`` one problem and one ``scf_step`` call at a time: the
     reference of the lockstep iteration, which must equal it exactly."""
-    density = spectral_filter_density(problem.a0, problem.p)
+    density = spectral_filter_density(problem.a0, problem.p)[0]
     theta = opts.damping
     history, iterates = [], []
     converged = False

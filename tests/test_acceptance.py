@@ -29,17 +29,16 @@ from scfconv import (
     convergence_factor,
     cyclic_spectral_radii,
     estimate_rate,
-    fermi_density,
     gap_structure,
     jacobian_fd,
     locate_fixed_point,
     max_column_relative_error,
+    spectral_filter_density,
     vech,
 )
 from scfconv.problems import apply_L
-from scfconv.matops import selector_T, symmetrize_S
 
-from conftest import lprime_by_basis_loop, solved_random_instances
+from conftest import lprime_by_basis_loop, selector_T, solved_random_instances, symmetrize_S
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -331,7 +330,7 @@ def test_criterion_10_fermi_consistency():
     jf = assemble_jacobian(replace(bundle, filter="fermi", beta=1e3), problem.op)
     rho_fermi = convergence_factor(jf.dense())
     rel = abs(rho_fermi - rho_step) / rho_step
-    dens = fermi_density(problem.apply(bundle.p_star), beta=1e3, p=problem.p)
+    dens = spectral_filter_density(problem.apply(bundle.p_star), problem.p, beta=1e3)[0]
     trace_err = abs(float(np.trace(dens).real) - problem.p)
     ok = rel <= 0.02 and trace_err <= 1e-12
     report(

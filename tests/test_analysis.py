@@ -31,9 +31,8 @@ from scfconv import (
     realified_jacobian_fd,
     vech,
 )
-from scfconv.matops import ChemicalPotentialError, ZeroGapError, selector_T
+from scfconv.matops import ChemicalPotentialError, ZeroGapError
 from scfconv.problems import HadamardMask, Problem, apply_L
-from scfconv.matops import symmetrize_S
 
 from scfconv import analysis, scf
 
@@ -46,7 +45,9 @@ from conftest import (
     random_hermitian,
     random_operator_problem,
     realified_jacobian_fd_loop,
+    selector_T,
     solved_random_instances,
+    symmetrize_S,
 )
 
 

@@ -505,8 +505,8 @@ def test_parse_outputs_accepts_exactly_the_ladder_table():
             parse_outputs(bad)
 
 
-# Problem files of the wrong shape: each entry replaces keys of a well-formed
-# file (a list replaces the whole file)
+# Problem files of the wrong shape or kind: each entry replaces keys of a
+# well-formed file (a list replaces the whole file)
 MALFORMED_FILES = {
     "top-level-list": [1, 2],
     "meta-null": {"meta": None},
@@ -516,6 +516,8 @@ MALFORMED_FILES = {
     "general-vec-without-matrix": {"operator": {"kind": "general_vec"}},
     "diagonal-map-alpha-null": {"operator": {"kind": "diagonal_map", "coeff": [[1.0] * 3] * 3,
                                              "alpha": None}},
+    "diagonal-map-complex-coeff": {"operator": {"kind": "diagonal_map",
+                                                "coeff": [[[1.0, 0.5]] * 3] * 3}},
     "p-null": {"p": None},
     "n-list": {"n": [2]},
 }
@@ -528,6 +530,7 @@ MALFORMED_FILES = {
         ["sweep", "--family", "laplacian-real", "--n", "6", "--p", "0", "--axis", "alpha",
          "--values", "10"],
         ["check", "--family", "illustrative", "--filter", "fermi"],
+        ["analyze", "--family", "illustrative", "--beta", "20"],
         ["solve", "--family", "illustrative", "--damping", "0"],
         ["analyze", "--file", "no-such-problem.json"],
         ["sweep", "--family", "illustrative", "--axis", "eps", "--values", "0.1,x"],
@@ -566,9 +569,9 @@ MALFORMED_FILES = {
         ["analyze", "--file", "alpha-infinite.json"],
         *(["analyze", "--file", f"{name}.json"] for name in MALFORMED_FILES),
     ],
-    ids=["p-ge-n", "p-zero", "fermi-without-beta", "damping-zero", "missing-file",
-         "sweep-bad-value", "sweep-bad-count", "sweep-count-zero", "sweep-count-negative",
-         "negative-q-max", "analyze-out-missing-dir",
+    ids=["p-ge-n", "p-zero", "fermi-without-beta", "beta-without-fermi", "damping-zero",
+         "missing-file", "sweep-bad-value", "sweep-bad-count", "sweep-count-zero",
+         "sweep-count-negative", "negative-q-max", "analyze-out-missing-dir",
          "solve-out-missing-dir", "sweep-out-missing-dir", "analyze-zero-gap", "sweep-zero-gap",
          "check-zero-gap", "analyze-mu-not-bracketed", "sweep-mu-not-bracketed",
          "check-mu-not-bracketed", "solve-max-iter-zero", "analyze-alpha-inf",
@@ -611,6 +614,17 @@ def test_bad_input_is_one_line_on_stderr(tmp_path, argv):
     assert "Traceback" not in done.stderr
     assert len(done.stderr.splitlines()) == 1, done.stderr
     assert done.stdout == ""
+
+
+def test_an_n_sweep_prints_the_n_it_builds(tmp_path):
+    argv = ["sweep", "--family", "laplacian-real", "--p", "3", "--alpha", "10", "--axis", "n",
+            "--outputs", "c"]
+    rounded, exact = tmp_path / "rounded.csv", tmp_path / "exact.csv"
+    assert main([*argv, "--values", "6.4,5.6", "--out", str(rounded)]) == 0
+    assert main([*argv, "--values", "6,6", "--out", str(exact)]) == 0
+    assert rounded.read_text() == exact.read_text()
+    _, rows = read_csv(exact)
+    assert [row[1] for row in rows] == ["6", "6"]
 
 
 def test_a_failing_sweep_cell_keeps_the_rows_before_it(tmp_path):

@@ -47,9 +47,9 @@ from scfconv import (
     locate_fixed_point,
 )
 from scfconv import analysis
-from scfconv.matops import selector_T, vech
+from scfconv.matops import vech
 
-from conftest import FILTERS, lprime_by_basis_loop, random_hermitian
+from conftest import FILTERS, lprime_by_basis_loop, random_hermitian, selector_T
 
 REL = 1e-12
 

@@ -10,19 +10,16 @@ from scfconv.matops import (
     ZeroGapError,
     divided_difference_matrix,
     fermi_chemical_potential,
-    fermi_density,
     fermi_occupations,
     require_hermitian,
-    selector_T,
     spectral_filter_density,
-    symmetrize_S,
     triangular_dim,
     vech,
     vech_index,
     vech_inv,
 )
 
-from conftest import fermi_chemical_potential_loop, random_hermitian
+from conftest import fermi_chemical_potential_loop, random_hermitian, selector_T, symmetrize_S
 
 
 def test_vech_small_examples():
@@ -117,7 +114,7 @@ def test_require_hermitian_rejects():
 
 def test_spectral_filter_density_diag():
     b = np.diag([1.0, 1.16, 10.0])
-    p1 = spectral_filter_density(b, 1)
+    p1 = spectral_filter_density(b, 1)[0]
     assert np.allclose(p1, np.diag([1.0, 0.0, 0.0]), atol=1e-15)
 
 
@@ -129,7 +126,7 @@ def test_spectral_filter_density_zero_gap():
 def test_spectral_filter_density_against_brute_force():
     rng = np.random.default_rng(3)
     b = random_hermitian(rng, 6)
-    p = spectral_filter_density(b, 2)
+    p = spectral_filter_density(b, 2)[0]
     lam, x = np.linalg.eigh(b)
     x1 = x[:, np.argsort(lam)[:2]]
     assert np.allclose(p, x1 @ x1.conj().T, atol=1e-13)
@@ -167,7 +164,7 @@ def test_fermi_chemical_potential_rejects_bad_beta():
 def test_fermi_density_trace_and_range():
     rng = np.random.default_rng(4)
     b = random_hermitian(rng, 5)
-    dens = fermi_density(b, beta=7.0, p=2)
+    dens = spectral_filter_density(b, 2, beta=7.0)[0]
     assert abs(np.trace(dens).real - 2.0) <= 1e-12
     occ = np.linalg.eigvalsh(dens)
     assert np.all(occ > -1e-14)
@@ -176,8 +173,28 @@ def test_fermi_density_trace_and_range():
 
 def test_fermi_density_sharp_limit_matches_step():
     b = np.diag([0.0, 1.0, 3.0])
-    sharp = fermi_density(b, beta=200.0, p=1)
-    assert np.allclose(sharp, spectral_filter_density(b, 1), atol=1e-8)
+    sharp = spectral_filter_density(b, 1, beta=200.0)[0]
+    assert np.allclose(sharp, spectral_filter_density(b, 1)[0], atol=1e-8)
+
+
+@pytest.mark.parametrize("beta", [None, 5.0], ids=["step", "fermi"])
+def test_the_kernel_on_a_stack_is_each_single_call_and_its_filter_formula(beta):
+    rng = np.random.default_rng(11)
+    n, p = 6, 2
+    stack = np.stack([np.diag(np.arange(n, dtype=float)) + random_hermitian(rng, n, scale=0.3)
+                      for _ in range(3)])
+    density, lam, x, mu = got = spectral_filter_density(stack, p, beta=beta)
+    for k in range(3):
+        for part, want in zip(got, spectral_filter_density(stack[k], p, beta=beta)):
+            assert part is None if want is None else np.array_equal(part[k], want)
+    if beta is None:
+        assert mu is None
+        want = x[..., :p] @ x[..., :p].conj().swapaxes(-2, -1)
+    else:
+        assert np.array_equal(mu, fermi_chemical_potential(lam, beta, p))
+        f = fermi_occupations(lam, beta, mu[..., None])
+        want = (x * f[..., None, :]) @ x.conj().swapaxes(-2, -1)
+    assert np.array_equal(density, want)
 
 
 def test_divided_difference_step_values():
@@ -364,7 +381,7 @@ def test_a_failing_row_of_a_stack_is_named_with_its_single_row_message():
     assert "not bracketed" in str(caught.value)
     assert caught.value.member == (0, 2)
     with pytest.raises(ChemicalPotentialError) as caught:
-        fermi_density(np.stack([np.diag(wide), np.diag(flat)]), 0.5, 1)
+        spectral_filter_density(np.stack([np.diag(wide), np.diag(flat)]), 1, beta=0.5)
     assert caught.value.member == (1,)
     # a row that runs out of steps is named the same way
     with pytest.raises(ChemicalPotentialError, match="did not reach") as caught:

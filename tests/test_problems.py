@@ -18,10 +18,15 @@ from scfconv import (
     spectral_filter_density,
     vech,
 )
-from scfconv.matops import symmetrize_S
 from scfconv.problems import _decode_matrix
 
-from conftest import OPERATOR_KINDS, lprime_by_basis_loop, operator_problem, random_hermitian
+from conftest import (
+    OPERATOR_KINDS,
+    lprime_by_basis_loop,
+    operator_problem,
+    random_hermitian,
+    symmetrize_S,
+)
 
 
 def test_hadamard_apply():
@@ -148,7 +153,7 @@ def test_build_illustrative_eps_zero_fixed_point():
     problem = build_illustrative(0.0)
     e11 = np.zeros((3, 3))
     e11[0, 0] = 1.0
-    step = spectral_filter_density(problem.apply(e11), problem.p)
+    step = spectral_filter_density(problem.apply(e11), problem.p)[0]
     assert np.allclose(step, e11, atol=1e-14)
     lam = np.linalg.eigvalsh(problem.apply(e11))
     assert np.allclose(lam, [1.0, 1.16, 10.0], atol=1e-14)
@@ -158,7 +163,7 @@ def test_build_illustrative_scf_self_consistency():
     problem = build_illustrative(0.1)
     bundle = scf_solve(problem)
     assert bundle.converged
-    psi = spectral_filter_density(problem.apply(bundle.p_star), problem.p)
+    psi = spectral_filter_density(problem.apply(bundle.p_star), problem.p)[0]
     assert np.linalg.norm(psi - bundle.p_star) <= 1e-12
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the fixed-point iteration and rate estimation."""
 
 import csv
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +41,7 @@ from conftest import (
     locate_fixed_point_loop,
     operator_problem,
     random_hermitian,
+    scf_solve_loop,
 )
 
 
@@ -65,7 +67,7 @@ def test_scf_step_names_a_non_hermitian_A_of_P(kw):
 def test_scf_step_on_a_stack_equals_single_calls(kind, filter_name):
     problem = operator_problem(kind)
     kw = FILTERS[filter_name]
-    start = spectral_filter_density(problem.a0, problem.p)
+    start = spectral_filter_density(problem.a0, problem.p)[0]
     rng = np.random.default_rng(2)
     stack = np.stack([start + random_hermitian(rng, problem.n, scale=1e-3) for _ in range(3)])
     stacked = scf_step(problem, stack.reshape(3, 1, problem.n, problem.n), **kw)
@@ -82,9 +84,30 @@ def test_scf_step_on_a_stack_names_its_zero_gap_member():
     )
     stack = np.zeros((3, 3, 3))
     stack[1, 0, 0] = 1.0
-    with pytest.raises(ZeroGapError, match=r"stack member \[1\]") as caught:
+    with pytest.raises(ZeroGapError) as single:
+        scf_step(problem, stack[1])
+    with pytest.raises(ZeroGapError, match=f"^{re.escape(str(single.value))}$") as caught:
         scf_step(problem, stack)
     assert caught.value.member == (1,)
+
+
+@pytest.mark.parametrize(
+    "filter_name, beta, message",
+    [
+        ("gaussian", None, "unknown filter 'gaussian'"),
+        ("fermi", None, "fermi filter requires beta > 0"),
+        ("fermi", 0.0, "fermi filter requires beta > 0"),
+        ("fermi", float("nan"), "beta must be finite, got nan"),
+        ("step", 20.0, "beta is given only with the fermi filter"),
+    ],
+)
+def test_the_options_and_the_step_keep_one_filter_rule(filter_name, beta, message):
+    problem = build_illustrative(0.1)
+    density = spectral_filter_density(problem.a0, problem.p)[0]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ScfOptions(filter=filter_name, beta=beta)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        scf_step(problem, density, filter=filter_name, beta=beta)
 
 
 def test_linear_problem_converges_immediately():
@@ -93,7 +116,7 @@ def test_linear_problem_converges_immediately():
     assert bundle.converged
     assert bundle.iterations <= 2
     assert np.allclose(
-        bundle.p_star, spectral_filter_density(problem.a0, problem.p), atol=1e-14
+        bundle.p_star, spectral_filter_density(problem.a0, problem.p)[0], atol=1e-14
     )
 
 
@@ -121,7 +144,7 @@ def test_scf_solve_self_consistency_and_history():
 
 def test_iterates_are_projectors():
     problem = build_illustrative(0.2)
-    density = spectral_filter_density(problem.a0, problem.p)
+    density = spectral_filter_density(problem.a0, problem.p)[0]
     for _ in range(10):
         density, _, _ = scf_step(problem, density)
         assert np.allclose(density @ density, density, atol=1e-12)
@@ -313,6 +336,30 @@ def test_lockstep_stops_at_the_first_failing_problem_with_its_own_error():
     assert str(middle).startswith("zero gap at SCF iterate 0: zero gap: lambda_p")
     assert str(at_start).startswith("zero gap: lambda_p")
     assert first[0].converged and last[0].converged
+
+
+@pytest.mark.parametrize(
+    "problems, opts",
+    [
+        # A(P) = diag(P_11 + shift, 1, 2): the middle start closes the gap at iterate 0
+        ([Problem(a0=np.diag([shift, 1.0, 2.0]), op=HadamardMask(mask=np.diag([1.0, 0.0, 0.0])),
+                  p=1) for shift in (-0.5, 0.0, -0.25)], ScfOptions()),
+        # at beta = 1e-3 no member's occupations bracket mu at iterate 0
+        ([build_illustrative(eps) for eps in (0.1, 0.2)], ScfOptions(filter="fermi", beta=1e-3)),
+    ],
+    ids=["zero-gap", "mu-not-bracketed"],
+)
+def test_a_lockstep_failure_has_the_single_run_message_and_no_member(problems, opts):
+    failed = 0
+    for problem, entry in zip(problems, locate_fixed_points(problems, opts)):
+        try:
+            scf_solve_loop(problem, replace(opts, max_iter=1))
+        except (ZeroGapError, ChemicalPotentialError) as exc:
+            assert type(entry) is type(exc)
+            assert str(entry) == str(exc)
+            assert entry.member is None
+            failed += 1
+    assert failed >= 1
 
 
 def test_a_member_whose_final_mu_fails_leaves_the_others_as_alone(monkeypatch):
