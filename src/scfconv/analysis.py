@@ -34,7 +34,6 @@ import numpy as np
 
 from .matops import (
     ZeroGapError,
-    _check_cross_gap,
     divided_difference_matrix,
     vech,
     vech_index,
@@ -64,22 +63,25 @@ def _gram_spans(count: int, height: int) -> list:
 
 @dataclass
 class GapStructure:
-    """The gap table: every occupied/virtual cross gap, in ascending order.
+    """The gap table: the members of D_eff, every pair with R_ab != 0 by |R_ab|
+    descending (ties by gap, then index), then the diagonal block when f' != 0.
 
-    ``cross_gaps[t]`` = |lambda[virt[t]] - lambda[occ[t]]| for the t-th pair
-    of 0-based eigenvector indices ``occ[t]`` < ``virt[t]``.  Ties are broken
-    by gap, then occupied index, then virtual index, so the order is
-    reproducible.  ``a`` and ``b`` interleave both orientations of each pair,
-    (virt, occ) first: omega(q) is the slice a[:2q], b[:2q].
+    ``cross_gaps[t]`` = |lambda[virt[t]] - lambda[occ[t]]| for the t-th pair of
+    0-based eigenvector indices ``occ[t]`` < ``virt[t]``: occupied and virtual
+    under the step filter (the cross pairs in gap order, |R_ab| = 1/gap), the
+    lower and higher index under the Fermi filter.  ``a`` and ``b`` interleave
+    both orientations of each pair, (virt, occ) first: omega(q) is the slice
+    a[:2q], b[:2q].
     """
 
     cross_gaps: np.ndarray
     occ: np.ndarray
     virt: np.ndarray
+    diagonal: bool
 
     @property
     def count(self) -> int:
-        return self.cross_gaps.size
+        return self.cross_gaps.size + self.diagonal
 
     @property
     def a(self) -> np.ndarray:
@@ -90,27 +92,23 @@ class GapStructure:
         return np.column_stack([self.occ, self.virt]).ravel()
 
     def delta(self, j: int) -> float:
-        """j-th smallest cross gap (1-based), with sentinel +inf past the last."""
+        """The j-th pair's gap (1-based), with sentinel +inf past the last pair."""
         if j < 1:
             raise ValueError("gap index is 1-based")
-        if j > self.count:
+        if j > self.cross_gaps.size:
             return np.inf
         return float(self.cross_gaps[j - 1])
 
 
-def gap_structure(lambdas, p: int) -> GapStructure:
-    """The gap table of an ascending spectrum with p occupied states: all
-    p(n-p) cross gaps sorted ascending with their index pairs."""
+def gap_structure(lambdas, r) -> GapStructure:
+    """The gap table of an ascending spectrum and its divided differences R
+    (``divided_difference_matrix``), f' = diag R."""
     lam = np.asarray(lambdas, dtype=float)
-    n = lam.shape[0]
-    if not 1 <= p < n:
-        raise ValueError(f"occupation p={p} must satisfy 1 <= p < n={n}")
-    _check_cross_gap(lam, p)
-    occ = np.repeat(np.arange(p), n - p)
-    virt = np.tile(np.arange(p, n), p)
-    cross = np.abs(lam[virt] - lam[occ])
-    order = np.lexsort((virt, occ, cross))
-    return GapStructure(cross_gaps=cross[order], occ=occ[order], virt=virt[order])
+    lo, hi = np.nonzero(np.triu(r, 1))
+    weight, gap = np.abs(r[lo, hi]), np.abs(lam[hi] - lam[lo])
+    order = np.lexsort((hi, lo, gap, -weight))
+    return GapStructure(cross_gaps=gap[order], occ=lo[order], virt=hi[order],
+                        diagonal=bool(np.diagonal(r).any()))
 
 
 @dataclass
@@ -130,7 +128,6 @@ class JacobianBundle:
     l_s: np.ndarray
     x: np.ndarray
     lambdas: np.ndarray
-    p: int
     support: np.ndarray
     image_rows: np.ndarray
     w: np.ndarray
@@ -158,14 +155,14 @@ class JacobianBundle:
         return np.linalg.qr(l_s, mode="r")
 
     @cached_property
-    def lprime_u(self) -> tuple[float, np.ndarray]:
+    def lprime_u(self) -> tuple[float, np.ndarray, float]:
         """One pass over L' T K1 = L'[:, S] U_S, whose column (a, b) is L' applied
         to vech(x_a x_b^H), over the positions where D_eff is nonzero, a chunk of
         columns at a time.  The S-rows U_S[s, (a, b)] = x[i_s, a] conj(x[k_s, b]),
         s = (i_s, k_s), come straight from x, and ``lprime_r`` F stands for L'
-        (a weighted sum of the rows of U_S).  Returns c2b = ||L' T K1 D_eff||_2
-        and the column norms ||L' vech(x_a x_b^H)|| at the flat positions
-        a n + b (0 where D_eff vanishes)."""
+        (a weighted sum of the rows of U_S).  Returns c2b = ||L' T K1 D_eff||_2,
+        the column norms ||L' vech(x_a x_b^H)|| at the flat positions a n + b
+        (0 where D_eff vanishes), and ||L' T K1 D_eff|| on the diagonal block."""
         n, f = self.n, self.lprime_r
         here = vech_index(n)[self.support]
         xi, xk = self.x[here % n], self.x[here // n].conj()
@@ -180,7 +177,9 @@ class JacobianBundle:
             norms[pos] = np.sqrt(sum(np.einsum("ij,ij->j", a, a) for a in (y.real, y.imag)))
             return y
 
-        return _gram_norm2(_d_eff_blocks(self.r, columns, here.size)), norms
+        on = np.arange(n) * (n + 1)
+        diagonal = _norm2(_d_eff(self.r, columns(on), on)) if self.gaps.diagonal else 0.0
+        return _gram_norm2(_d_eff_blocks(self.r, columns, here.size)), norms, diagonal
 
     @cached_property
     def lprime_norm(self) -> float:
@@ -189,8 +188,8 @@ class JacobianBundle:
 
     @cached_property
     def gaps(self) -> GapStructure:
-        """The sorted cross gaps of ``lambdas``."""
-        return gap_structure(self.lambdas, self.p)
+        """The gap table of ``lambdas`` and R."""
+        return gap_structure(self.lambdas, self.r)
 
     @cached_property
     def c(self) -> float:
@@ -253,7 +252,7 @@ def assemble_jacobian(bundle: FixedPointBundle, op: OperatorSpec) -> JacobianBun
         np.take(m_s.reshape(len(m_s), n * n), vidx, axis=1, out=j_t[chunk])
     return JacobianBundle(
         j_s=j_t.T, r=r, l_s=l_s, x=x, lambdas=np.asarray(bundle.lambdas, dtype=float),
-        p=bundle.p, support=support, image_rows=rows, w=w, filter=bundle.filter,
+        support=support, image_rows=rows, w=w, filter=bundle.filter,
     )
 
 
@@ -337,16 +336,15 @@ def _d_eff_blocks(r: np.ndarray, columns, height: int):
 
 
 def _d_eff_tail(jb: JacobianBundle) -> np.ndarray:
-    """rho_q = ||D_eff off the first q gap-table pairs||_2, q = 0 .. p(n-p).  In vec, D_eff
-    is R_ab alone at each a != b and diag(f') - f' f'^T / sum f' (diag(f') if f' sums to 0)
-    on the diagonal, so rho_q is the largest of |R| on the table past q, |R| off the table
-    and the diagonal, and the block's norm: 1/delta_{q+1} under the step filter."""
-    gaps, r, fprime = jb.gaps, jb.r, np.diagonal(jb.r)
-    off = np.abs(r - np.diag(fprime))
-    off[gaps.a, gaps.b] = 0.0
-    table = np.append(np.abs(r[gaps.occ, gaps.virt]), 0.0)
-    tail = max(off.max(), _norm2(_diagonal_block(r)))
-    return np.maximum(np.maximum.accumulate(table[::-1])[::-1], tail)
+    """rho_q = ||D_eff off the first q members of the gap table||_2, q = 0 .. count.  In
+    vec, D_eff is R_ab alone at each a != b and its diagonal block on the diagonal, so
+    rho_q is the largest member past q: |R_ab| of a pair, the norm of the block, 0 past
+    the last (1/delta_{q+1} under the step filter)."""
+    gaps = jb.gaps
+    members = np.abs(jb.r[gaps.occ, gaps.virt])
+    if gaps.diagonal:
+        members = np.append(members, _norm2(_diagonal_block(jb.r)))
+    return np.maximum.accumulate(np.append(members, 0.0)[::-1])[::-1]
 
 
 # The bytes of one chunk's stack of perturbed densities in the FD oracles
@@ -430,11 +428,11 @@ def realified_jacobian_fd(
     offdiag = np.flatnonzero(vidx % n != vidx // n)
     rows, cols = vidx[offdiag] % n, vidx[offdiag] // n
     out = np.empty((n * n, n * n))
-    out[:, :m] = np.concatenate([fd.real, fd[offdiag].imag])
+    out[:m, :m], out[m:, :m] = fd.real, fd.imag[offdiag]
     ts = np.array([step, -step])
     for j, v in _perturbed_psi(problem, p_star, ts, rows, cols, 1j, filter, beta, first=m):
         d = (v[0] - v[1]) / (2.0 * step)
-        out[:, m + j] = np.concatenate([d.real, d[:, offdiag].imag], axis=1).T
+        out[:m, m + j], out[m:, m + j] = d.real.T, d.imag[:, offdiag].T
     return out
 
 
@@ -504,23 +502,26 @@ def bound_cyclic(jb: JacobianBundle) -> tuple[float, float]:
 
 
 def bound_gap_all(jb: JacobianBundle) -> np.ndarray:
-    """The family c_gap[q], q = 0 .. p(n-p): split D_eff into the first q pairs (a, b) of the
-    gap table and the rest, ||L'||_2 rho_q (``_d_eff_tail``) plus, per pair, |R_ab| times
-    ||L(S(x_a x_b^H))||_F + ||L(S(x_b x_a^H))||_F, the column norms of L' T K1."""
+    """The family c_gap[q], q = 0 .. count: split D_eff into the first q members of the gap
+    table and the rest, ||L'||_2 rho_q (``_d_eff_tail``) plus, per pair (a, b), |R_ab| times
+    ||L(S(x_a x_b^H))||_F + ||L(S(x_b x_a^H))||_F, the column norms of L' T K1, and the
+    diagonal member's ||L' T K1 D_eff|| on its block (``lprime_u``)."""
     gaps = jb.gaps
-    norms = jb.lprime_u[1][gaps.a * jb.n + gaps.b].reshape(-1, 2).sum(axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(np.abs(jb.r[gaps.occ, gaps.virt]) * norms)])
-    return jb.lprime_norm * _d_eff_tail(jb) + cum
+    _, norms, diagonal = jb.lprime_u
+    cost = np.abs(jb.r[gaps.occ, gaps.virt]) * norms[gaps.a * jb.n + gaps.b].reshape(-1, 2).sum(1)
+    if gaps.diagonal:
+        cost = np.append(cost, diagonal)
+    return jb.lprime_norm * _d_eff_tail(jb) + np.concatenate([[0.0], np.cumsum(cost)])
 
 
 def bound_rank_truncated(jb: JacobianBundle, ks) -> np.ndarray:
-    """Spectral norms of the Jacobian truncated to the k smallest-gap entries of D.
+    """Spectral norms of the Jacobian truncated to the first k members of the gap table.
 
-    J_k keeps only the diagonal entries of D indexed by omega(k) (rank <= 2k).
+    J_k keeps only the entries of D_eff indexed by omega(k) (rank <= 2k).
     With the pairs (a, b) = (a[t], b[t]) of the gap table, a_t = R_ab
     vech(x_a x_b^H) and b_t = W[a, b, S] as the columns of A and the rows of
-    B, J_k[:, S] = A[:, :2k] B[:2k]; under the step filter J = A B, so
-    k = p(n-p) reads c_2.  A and B
+    B, J_k[:, S] = A[:, :2k] B[:2k] for k up to the pairs; k = count keeps
+    every member, the diagonal one too, and reads c_2.  A and B
     are built only for the first 2 max(k) pairs that the other k need.  One QR
     of A and one of B^H give A = Q_A R_A and B = L_B Q_B^H; the R factor of a
     column prefix of A is the matching block of R_A, so ||J_k|| is the norm
@@ -643,12 +644,11 @@ def ladder_token(token: str) -> tuple[str, int | None]:
 def ladder(problem: Problem, jb: JacobianBundle, tokens) -> dict:
     """The quantities of the ladder table that ``tokens`` name, keyed by token.
 
-    gap:Q and tilde:K past p(n-p) read the last member of their family, and
-    each family is evaluated once per call.  The bounds hold for J = T K1 D_eff
-    K2 L' under either filter, but liu and tilde:K are None under the Fermi
-    filter: liu is a Laplacian bound for the step map, and tilde:K's last
-    member is c2 only when D_eff has no entry off the gap table.  liu is also
-    None without a coupling alpha in the metadata or with a singular A0.
+    gap:Q and tilde:K past the gap table's count read the last member of
+    their family, and each family is evaluated once per call.  The bounds hold
+    for J = T K1 D_eff K2 L' under either filter, but liu is None under the
+    Fermi filter: it is a Laplacian bound for the step map.  liu is also None
+    without a coupling alpha in the metadata or with a singular A0.
     """
     wanted = {token: ladder_token(token) for token in tokens}
     found = {name: getattr(jb, name) for name in ("c", "c2") if name in wanted}
@@ -660,14 +660,13 @@ def ladder(problem: Problem, jb: JacobianBundle, tokens) -> dict:
     gap = {t: min(i, gaps.count) for t, (name, i) in wanted.items() if name == "gap"}
     if gap:
         found.update(zip(gap, bound_gap_all(jb)[list(gap.values())]))
-    if jb.filter == "step":
-        if "liu" in wanted and problem.meta.get("alpha") is not None:
-            found["liu"] = bound_liu(problem, gaps.delta(1))
-        tilde = {t: min(i, gaps.count) for t, (name, i) in wanted.items() if name == "tilde"}
-        if tilde:
-            ks = sorted(set(tilde.values()))
-            family = dict(zip(ks, bound_rank_truncated(jb, ks)))
-            found.update((t, family[k]) for t, k in tilde.items())
+    tilde = {t: min(i, gaps.count) for t, (name, i) in wanted.items() if name == "tilde"}
+    if tilde:
+        ks = sorted(set(tilde.values()))
+        family = dict(zip(ks, bound_rank_truncated(jb, ks)))
+        found.update((t, family[k]) for t, k in tilde.items())
+    if jb.filter == "step" and "liu" in wanted and problem.meta.get("alpha") is not None:
+        found["liu"] = bound_liu(problem, gaps.delta(1))
     return {t: None if found.get(t) is None else float(found[t]) for t in wanted}
 
 
@@ -726,7 +725,7 @@ def analyze_problem(
     ``q_max`` caps both the c_gap family and the rank-truncation list (the
     full-rank value, which must equal c_2, is always included).  The report
     holds the row ``ladder`` returns: under the Fermi filter every number is
-    one of the Fermi map, and liu and the tilde family stay None.
+    one of the Fermi map, and liu stays None.
     """
     if q_max is not None and q_max < 0:
         raise ValueError(f"q_max={q_max} must be >= 0")

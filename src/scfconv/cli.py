@@ -269,7 +269,7 @@ def cmd_check(args) -> int:
         failures += verdict(ok, f"cyclic-permutation spectral radii: spread {spread:.3e}")
 
     c = jb.c
-    gap_tokens = [f"gap:{q}" for q in range(problem.p * (problem.n - problem.p) + 1)]
+    gap_tokens = [f"gap:{q}" for q in range(jb.gaps.count + 1)]
     chain = ladder(problem, jb, ["c2", "c2a", "c2b", *gap_tokens])
     violations = [name for name, val in chain.items() if c > val + 1e-10]
     violated = f", violated {violations}" if violations else ""

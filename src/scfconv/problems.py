@@ -232,6 +232,8 @@ def build_laplacian(
         h = 1.0 / (n + 1)
     if not 0 < h < np.inf:
         raise ValueError(f"grid spacing h must be positive and finite, got {h}")
+    if not 0 < h * h < np.inf:
+        raise ValueError(f"grid spacing h={h} has a square outside the positive finite doubles")
     diag = 2.0 / h**2
     off = -1.0 / h**2
     if variant == "complex":

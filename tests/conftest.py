@@ -85,6 +85,36 @@ def selector_T(n: int) -> np.ndarray:
     return t
 
 
+def dense_d_eff(r: np.ndarray) -> np.ndarray:
+    """The n^2 x n^2 middle factor of J = T K1 D_eff K2 L': D_eff = diag(vec R)
+    - u u^T / sum f' (u = vec(diag f'), f' = diag R; no shift when sum f' = 0)."""
+    fprime = np.diagonal(r)
+    d_eff = np.diag(r.ravel(order="F"))
+    if fprime.sum() != 0:
+        u = np.diag(fprime).ravel(order="F")
+        d_eff -= np.outer(u, u) / fprime.sum()
+    return d_eff
+
+
+def gap_members(gaps, n: int) -> list:
+    """The vec positions of each member of the gap table, in its order: a + n b
+    and b + n a of each pair (a, b), then the n diagonal positions when the
+    table has its diagonal member."""
+    members = [[a + n * b, b + n * a] for a, b in zip(gaps.occ.tolist(), gaps.virt.tolist())]
+    if gaps.diagonal:
+        members.append((np.arange(n) * (n + 1)).tolist())
+    assert len(members) == gaps.count
+    return members
+
+
+def d_eff_on(d_eff: np.ndarray, members: list) -> np.ndarray:
+    """D_eff zeroed outside the vec positions of ``members`` (it is block diagonal
+    over the members of the gap table, so this keeps their blocks whole)."""
+    keep = np.zeros(len(d_eff), dtype=bool)
+    keep[[pos for member in members for pos in member]] = True
+    return d_eff * np.outer(keep, keep)
+
+
 def symmetrize_S(x) -> np.ndarray:
     """Map X = L + D + R (triangular split) to L + D + L^T."""
     x = np.asarray(x)

@@ -29,7 +29,6 @@ from scfconv import (
     convergence_factor,
     cyclic_spectral_radii,
     estimate_rate,
-    gap_structure,
     jacobian_fd,
     locate_fixed_point,
     max_column_relative_error,
@@ -97,7 +96,7 @@ def test_criterion_03_bound_chain():
     violations = []
     for problem, bundle in solved_random_instances(100):
         jb = assemble_jacobian(bundle, problem.op)
-        gaps = gap_structure(bundle.lambdas, problem.p)
+        gaps = jb.gaps
         c = convergence_factor(jb.dense())
         upper = [("c2", bound_c2(jb.dense()))]
         c2a, c2b = bound_cyclic(jb)
@@ -115,13 +114,13 @@ def test_criterion_04_gap0_equals_naive():
     worst = 0.0
     for problem, bundle in solved_random_instances(100):
         jb = assemble_jacobian(bundle, problem.op)
-        gaps = gap_structure(bundle.lambdas, problem.p)
+        gaps = jb.gaps
         naive = np.linalg.norm(lprime_by_basis_loop(problem.op, problem.n), 2) / gaps.delta(1)
         gap0 = bound_gap_all(jb)[0]
         worst = max(worst, abs(gap0 - naive) / naive)
     problem = build_illustrative(0.0)
     bundle, _, jb = solve_and_jacobian(problem)
-    gaps = gap_structure(bundle.lambdas, problem.p)
+    gaps = jb.gaps
     naive0 = np.linalg.norm(lprime_by_basis_loop(problem.op, problem.n), 2) / gaps.delta(1)
     rel625 = abs(naive0 - 625.0) / 625.0
     ok = worst <= 1e-12 and rel625 <= 1e-12
@@ -236,7 +235,7 @@ def test_criterion_07_laplacian_trends():
 def test_criterion_08_real_laplacian_ordering():
     problem = build_laplacian(60, 5.0, 25, variant="real")
     bundle, _, jb = solve_and_jacobian(problem)
-    gaps = gap_structure(bundle.lambdas, problem.p)
+    gaps = jb.gaps
     c = convergence_factor(jb.dense())
     c2 = bound_c2(jb.dense())
     naive = jb.c_naive
@@ -349,7 +348,7 @@ def test_criterion_11_rank_truncation_recovers_c2():
     cases += [prob for prob, _ in solved_random_instances(5)]
     for problem in cases:
         bundle, _, jb = solve_and_jacobian(problem)
-        gaps = gap_structure(bundle.lambdas, problem.p)
+        gaps = jb.gaps
         c2 = bound_c2(jb.dense())
         (tilde,) = bound_rank_truncated(jb, [gaps.count])
         worst = max(worst, abs(tilde - c2) / c2)

@@ -22,6 +22,7 @@ from scfconv import (
     build_laplacian,
     convergence_factor,
     cyclic_spectral_radii,
+    divided_difference_matrix,
     estimate_rate,
     gap_structure,
     jacobian_fd,
@@ -39,6 +40,9 @@ from scfconv import analysis, scf
 from conftest import (
     FILTERS,
     OPERATOR_KINDS,
+    d_eff_on,
+    dense_d_eff,
+    gap_members,
     jacobian_fd_loop,
     lprime_by_basis_loop,
     operator_problem,
@@ -58,7 +62,7 @@ def solved(problem, **kw):
 
 def test_gap_structure_ordering_and_pairs():
     lam = np.array([1.0, 1.16, 10.0])
-    gaps = gap_structure(lam, 1)
+    gaps = gap_structure(lam, divided_difference_matrix(lam, 1))
     assert gaps.count == 2
     assert np.allclose(gaps.cross_gaps, [0.16, 9.0], atol=1e-14)
     assert list(zip(gaps.occ.tolist(), gaps.virt.tolist())) == [(0, 1), (0, 2)]
@@ -72,7 +76,7 @@ def test_gap_structure_ordering_and_pairs():
 
 def test_gap_structure_equally_spaced():
     lam = np.arange(6, dtype=float)
-    gaps = gap_structure(lam, 2)
+    gaps = gap_structure(lam, divided_difference_matrix(lam, 2))
     assert gaps.count == 8
     assert np.all(np.diff(gaps.cross_gaps) >= 0)
     assert (gaps.occ[0], gaps.virt[0]) == (1, 2)
@@ -91,7 +95,7 @@ def test_gap_table_lists_every_cross_pair_once_in_gap_order(data, n):
     levels = sorted(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
     p = data.draw(st.integers(1, n - 1))
     lam = 0.25 * (np.array(levels, dtype=float) + (np.arange(n) >= p))  # lambda_p < lambda_p+1
-    gaps = gap_structure(lam, p)
+    gaps = gap_structure(lam, divided_difference_matrix(lam, p))
     pairs = list(zip(gaps.occ.tolist(), gaps.virt.tolist()))
     assert sorted(pairs) == [(i, j) for i in range(p) for j in range(p, n)]
     keys = list(zip(gaps.cross_gaps.tolist(), *zip(*pairs)))
@@ -102,15 +106,34 @@ def test_gap_table_lists_every_cross_pair_once_in_gap_order(data, n):
         assert list(zip(gaps.a[: 2 * q].tolist(), gaps.b[: 2 * q].tolist())) == both
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(2, 12), start=st.floats(-1e3, 1e3),
+       spacing=st.one_of(st.integers(1, 4).map(float), st.floats(1e-3, 1e3)))
+def test_the_step_table_by_r_keeps_the_order_by_gap(data, n, start, spacing):
+    # equally spaced: exact ties between gaps, and gaps that differ by an ulp
+    # whose correctly rounded 1/gap ties
+    p = data.draw(st.integers(1, n - 1))
+    lam = start + spacing * np.arange(n)
+    assume(np.all(np.diff(lam) > 0))
+    gaps = gap_structure(lam, divided_difference_matrix(lam, p))
+    occ, virt = np.repeat(np.arange(p), n - p), np.tile(np.arange(p, n), p)
+    cross = np.abs(lam[virt] - lam[occ])
+    order = np.lexsort((virt, occ, cross))
+    assert not gaps.diagonal and gaps.count == p * (n - p)
+    assert np.array_equal(gaps.occ, occ[order]) and np.array_equal(gaps.virt, virt[order])
+    assert np.array_equal(gaps.cross_gaps, cross[order])
+
+
 def test_gap_structure_rejects_a_degenerate_spectrum():
+    lam = np.array([0.0, 1.0, 1.0, 2.0])
     with pytest.raises(ZeroGapError):
-        gap_structure(np.array([0.0, 1.0, 1.0, 2.0]), 2)
+        gap_structure(lam, divided_difference_matrix(lam, 2))
 
 
 def test_gap_structure_laplacian_reference_case():
     problem = build_laplacian(7, 10.0, 3, variant="real")
     bundle, _, _ = solved(problem)
-    gaps = gap_structure(bundle.lambdas, 3)
+    gaps = gap_structure(bundle.lambdas, divided_difference_matrix(bundle.lambdas, 3))
     omega3 = list(zip(gaps.a[:6].tolist(), gaps.b[:6].tolist()))
     assert omega3 == [(3, 2), (2, 3), (3, 1), (1, 3), (4, 2), (2, 4)]
 
@@ -229,7 +252,7 @@ def test_bound_naive_reference_value():
 def test_bound_gap_zero_equals_naive():
     problem = build_illustrative(0.1)
     bundle, _, jb = solved(problem)
-    gaps = gap_structure(bundle.lambdas, problem.p)
+    gaps = jb.gaps
     naive = np.linalg.norm(lprime_by_basis_loop(problem.op, problem.n), 2) / gaps.delta(1)
     assert bound_gap_all(jb)[0] == pytest.approx(naive, rel=1e-14)
 
@@ -237,7 +260,7 @@ def test_bound_gap_zero_equals_naive():
 def test_bound_gap_explicit_formula():
     problem = build_illustrative(0.1)
     bundle, _, jb = solved(problem)
-    gaps = gap_structure(bundle.lambdas, problem.p)
+    gaps = jb.gaps
     x = jb.x
 
     def pair_term(i, j, gap):
@@ -261,7 +284,7 @@ def test_bound_gap_explicit_formula():
 def test_bound_gap_family_is_cumulative():
     problem, bundle = solved_random_instances(3)[2]
     jb = assemble_jacobian(bundle, problem.op)
-    gaps = gap_structure(bundle.lambdas, problem.p)
+    gaps = jb.gaps
     family = bound_gap_all(jb)
     n = problem.n
     lp = lprime_by_basis_loop(problem.op, n)
@@ -317,7 +340,7 @@ def test_bound_cyclic_zero_operator():
 def test_bound_rank_truncated_full_recovers_c2():
     problem = build_illustrative(0.2)
     bundle, _, jb = solved(problem)
-    gaps = gap_structure(bundle.lambdas, problem.p)
+    gaps = jb.gaps
     c2 = bound_c2(jb.dense())
     assert bound_rank_truncated(jb, [gaps.count])[0] == pytest.approx(c2, rel=1e-12)
     with pytest.raises(ValueError):
@@ -329,7 +352,7 @@ def test_bound_rank_truncated_matches_dense_truncation():
     n = problem.n
     lp = lprime_by_basis_loop(problem.op, n)
     jb = assemble_jacobian(bundle, problem.op)
-    gaps = gap_structure(bundle.lambdas, problem.p)
+    gaps = jb.gaps
     k = max(1, gaps.count // 2)
     # dense oracle: zero out every entry of D outside omega(k), reassemble
     keep = np.zeros((n, n))
@@ -347,7 +370,7 @@ def test_bound_rank_truncated_matches_dense_truncation():
 def test_bound_rank_truncated_takes_unsorted_repeated_and_sparse_ks():
     problem = build_laplacian(8, 10.0, 3, variant="real")
     bundle, _, jb = solved(problem)
-    gaps = gap_structure(bundle.lambdas, problem.p)
+    gaps = jb.gaps
     # columns a_t = R_ab vech(x_a x_b^H) and rows b_t = W[a, b, S] in omega order
     pairs = list(zip(gaps.a, gaps.b))
     a = np.stack(
@@ -360,10 +383,34 @@ def test_bound_rank_truncated_takes_unsorted_repeated_and_sparse_ks():
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(OPERATOR_KINDS), n=st.integers(3, 6), seed=st.integers(0, 2**16),
+       filter_name=st.sampled_from(sorted(FILTERS)), data=st.data())
+def test_tilde_is_the_jacobian_on_the_first_members_of_the_gap_table(
+    kind, n, seed, filter_name, data
+):
+    problem = random_operator_problem(kind, n, seed)
+    try:
+        bundle, _ = locate_fixed_point(problem, ScfOptions(max_iter=800, **FILTERS[filter_name]))
+    except (ZeroGapError, ChemicalPotentialError):
+        bundle = None
+    assume(bundle is not None and bundle.converged)
+    jb = assemble_jacobian(bundle, problem.op)
+    count = jb.gaps.count
+    k = data.draw(st.integers(1, max(1, count - 1)))
+    row = ladder(problem, jb, ["c2", f"tilde:{k}", f"tilde:{count}"])
+    assert row[f"tilde:{count}"] == pytest.approx(row["c2"], rel=1e-12)
+    x = jb.x
+    middle = d_eff_on(dense_d_eff(jb.r), gap_members(jb.gaps, n)[:k])
+    dense = (selector_T(n) @ np.kron(x.conj(), x) @ middle @ np.kron(x.T, x.conj().T)
+             @ lprime_by_basis_loop(problem.op, n))
+    assert row[f"tilde:{k}"] == pytest.approx(np.linalg.norm(dense, 2), rel=1e-12)
+
+
 def test_bound_liu_values():
     problem = build_laplacian(10, 3.0, 4, variant="real")
     bundle, _, _ = solved(problem)
-    gaps = gap_structure(bundle.lambdas, problem.p)
+    gaps = gap_structure(bundle.lambdas, divided_difference_matrix(bundle.lambdas, problem.p))
     val = bound_liu(problem, gaps.delta(1))
     norm_inv = np.linalg.norm(np.linalg.inv(problem.a0), 2)
     assert val == pytest.approx(2.0 * 3.0 * np.sqrt(10) * norm_inv / gaps.delta(1))
@@ -449,7 +496,7 @@ def test_sign_flip_preserves_norm_quantities():
 def test_divided_difference_norm_identity():
     problem, bundle = solved_random_instances(1)[0]
     jb = assemble_jacobian(bundle, problem.op)
-    gaps = gap_structure(bundle.lambdas, problem.p)
+    gaps = jb.gaps
     d_norm = np.abs(jb.r).max()
     assert d_norm * gaps.delta(1) == pytest.approx(1.0, rel=1e-12)
 
@@ -521,9 +568,11 @@ def test_analyze_under_fermi_reports_the_fermi_map_only():
     assert all(c <= payload[key] < np.inf for key in ("c2a", "c2b", "c_naive"))
     assert c <= min(payload["c_gap"])
     assert payload["c2"] <= payload["c_naive"] == payload["c_gap"][0]
-    assert len(payload["c_gap"]) == len(payload["pairs"]) + 1 == len(payload["deltas"]) + 1
-    # liu and the rank-truncated family are step-filter quantities
-    assert payload["c_liu"] is None and payload["c_tilde"] is None
+    # the table's pairs, every a < b with R_ab != 0, and the diagonal block of D_eff
+    assert jb.gaps.diagonal and len(payload["pairs"]) == len(payload["deltas"]) == 3
+    assert len(payload["c_gap"]) == jb.gaps.count + 1 == len(payload["pairs"]) + 2
+    assert payload["c_tilde"][-1] == [jb.gaps.count, pytest.approx(payload["c2"], rel=1e-12)]
+    assert payload["c_liu"] is None  # a Laplacian bound of the step map
 
 
 def assert_bound_chain(problem, jb):
@@ -610,7 +659,7 @@ def test_the_analyze_report_is_the_ladder_row(kind, filter_name):
     report, _, jb = analyze_problem(problem, ScfOptions(**FILTERS[filter_name]))
     payload = report.to_dict()
     assert list(payload) == REPORT_KEYS
-    count = problem.p * (problem.n - problem.p)
+    count = jb.gaps.count
     gap_tokens = [f"gap:{q}" for q in range(count + 1)]
     tilde_tokens = [f"tilde:{k}" for k in range(1, count + 1)]
     row = ladder(problem, jb, ["c", "c2", "c2a", "c2b", "naive", "liu", *gap_tokens,
@@ -621,11 +670,13 @@ def test_the_analyze_report_is_the_ladder_row(kind, filter_name):
         "c_naive": row["naive"],
         "c_gap": [row[t] for t in gap_tokens],
         "c_liu": row["liu"],
-        "c_tilde": [[k, row[f"tilde:{k}"]] for k in range(1, count + 1)] if step else None,
+        "c_tilde": [[k, row[f"tilde:{k}"]] for k in range(1, count + 1)],
     }
     assert None not in (row["c2a"], row["c2b"], row["naive"], *payload["c_gap"])
-    assert len(payload["pairs"]) == len(payload["deltas"]) == count
-    assert (payload["c_tilde"] is None) == (filter_name == "fermi")
+    assert len(payload["pairs"]) == len(payload["deltas"]) == count - jb.gaps.diagonal
+    assert jb.gaps.diagonal == (not step and bool(np.diagonal(jb.r).any()))
+    if step:
+        assert count == problem.p * (problem.n - problem.p)
 
 
 def test_an_unconverged_report_has_every_quantity_null(monkeypatch):

@@ -439,7 +439,7 @@ def report_value(report, token):
     if family is None:
         return None
     family = dict(family) if name == "tilde" else family
-    return family[min(int(index), report["p"] * (report["n"] - report["p"]))]
+    return family[min(int(index), len(report["c_gap"]) - 1)]  # past the table: its last member
 
 
 @pytest.mark.parametrize("filter_args", [[], ["--filter", "fermi", "--beta", "20"]],
@@ -454,9 +454,7 @@ def test_sweep_quantities_match_analyze(tmp_path, monkeypatch, capsys, case, fil
     assert main(["analyze", *common, "--out", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     expected = {t: report_value(report, t) for t in TABLE_TOKENS}
-    step_only = [t for t in TABLE_TOKENS if t.startswith("tilde:")]
-    assert all((expected[t] is None) == bool(filter_args) for t in step_only)
-    assert all(expected[t] is not None for t in TABLE_TOKENS if t not in [*step_only, "liu"])
+    assert all(expected[t] is not None for t in TABLE_TOKENS if t != "liu")
     assert expected["liu"] is None or not filter_args
 
     if sweep_args is None:
@@ -488,7 +486,7 @@ def test_sweep_quantities_match_analyze(tmp_path, monkeypatch, capsys, case, fil
     assert f"PASS bound chain: c={report['c']:.6e}" in capsys.readouterr().out
     (chain,) = chains
     assert list(chain)[:3] == ["c2", "c2a", "c2b"]
-    assert len(chain) == 3 + report["p"] * (report["n"] - report["p"]) + 1
+    assert len(chain) == 3 + len(report["c_gap"])  # every member of the gap table
     for token, value in chain.items():
         want = report_value(report, token)
         assert (value is None) == (want is None), token
@@ -556,6 +554,10 @@ MALFORMED_FILES = {
         ["sweep", "--family", "illustrative", "--axis", "eps", "--grid", "-1", "1", "3",
          "--grid-scale", "log"],
         ["check", "--family", "laplacian-real", "--h", "0"],
+        ["analyze", "--family", "laplacian-real", "--n", "6", "--p", "3", "--alpha", "10",
+         "--h", "1e-170"],
+        ["analyze", "--family", "laplacian-real", "--n", "6", "--p", "3", "--alpha", "10",
+         "--h", "1e200"],
         ["analyze", "--family", "illustrative", "--tol", "nan"],
         ["analyze", "--file", "nan-a0.json"],
         ["check", "--family", "illustrative", "--seed", "-1"],
@@ -575,7 +577,8 @@ MALFORMED_FILES = {
          "solve-out-missing-dir", "sweep-out-missing-dir", "analyze-zero-gap", "sweep-zero-gap",
          "check-zero-gap", "analyze-mu-not-bracketed", "sweep-mu-not-bracketed",
          "check-mu-not-bracketed", "solve-max-iter-zero", "analyze-alpha-inf",
-         "sweep-value-nan", "sweep-log-grid-through-zero", "check-h-zero", "analyze-tol-nan",
+         "sweep-value-nan", "sweep-log-grid-through-zero", "check-h-zero",
+         "analyze-h-squared-underflows", "analyze-h-squared-overflows", "analyze-tol-nan",
          "analyze-nan-in-a0", "check-negative-seed", "solve-non-hermitian-mask",
          "analyze-non-hermitian-mask", "check-non-hermitian-mask",
          "solve-non-hermitian-general-vec", "analyze-non-hermitian-general-vec",
@@ -732,8 +735,8 @@ def test_sweep_under_fermi_leaves_the_step_ladder_empty(tmp_path):
     c = float(values["c"])
     assert c <= float(values["c2"]) <= float(values["naive"])
     assert all(c <= float(values[t]) for t in ("c2a", "c2b", "gap:1"))
-    # liu and the rank-truncated family are step-filter quantities
-    assert values["liu"] == values["tilde:1"] == ""
+    assert 0.0 < float(values["tilde:1"]) <= float(values["c2"]) * (1 + 1e-12)
+    assert values["liu"] == ""  # a Laplacian bound of the step map
 
 
 def test_analyze_under_fermi_past_the_mu_tolerance_ulp(capsys):

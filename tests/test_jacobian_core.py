@@ -11,9 +11,10 @@ selector T and the dense L' of the basis loop, at n <= 8:
     c_naive, c_gap[q]  from ||L'||_2 and the column norms of L' T (conj(X) kron X)
     c_tilde[k]         = ||J with vec R zeroed outside omega(k)||_2
 
-Under the Fermi filter c2a, c2b, c_naive and c_gap[q] take the n^2 x n^2
-D_eff, diag(vec R) plus the rank-one Fermi-level shift, in place of
-diag(vec R) (``dense_fermi_ladder``).
+Under the Fermi filter c2a, c2b, c_naive, c_gap[q] and c_tilde[k] take the
+n^2 x n^2 D_eff, diag(vec R) plus the rank-one Fermi-level shift, in place of
+diag(vec R), and the gap table's members are its pairs and, when f' is
+nonzero, its diagonal block (``dense_fermi_ladder``).
 
 The operators cover every column support the core distinguishes: all n
 diagonal columns (Laplacians), every column (a dense GeneralVec), a banded
@@ -49,7 +50,15 @@ from scfconv import (
 from scfconv import analysis
 from scfconv.matops import vech
 
-from conftest import FILTERS, lprime_by_basis_loop, random_hermitian, selector_T
+from conftest import (
+    FILTERS,
+    d_eff_on,
+    dense_d_eff,
+    gap_members,
+    lprime_by_basis_loop,
+    random_hermitian,
+    selector_T,
+)
 
 REL = 1e-12
 
@@ -100,7 +109,7 @@ def dense_ladder(problem, bundle, l_prime):
     """Every ladder quantity from its dense-Kronecker definition."""
     n = problem.n
     x = bundle.x
-    gaps = gap_structure(bundle.lambdas, problem.p)
+    gaps = gap_structure(bundle.lambdas, divided_difference_matrix(bundle.lambdas, problem.p))
     r = np.zeros((n, n))
     lam = bundle.lambdas
     p = problem.p
@@ -160,7 +169,7 @@ def case(request):
     assert bundle.converged
     l_prime = lprime_by_basis_loop(problem.op, problem.n)
     jb = assemble_jacobian(bundle, problem.op)
-    gaps = gap_structure(bundle.lambdas, problem.p)
+    gaps = jb.gaps
     return problem, bundle, l_prime, jb, gaps, support_size
 
 
@@ -204,40 +213,41 @@ def test_fermi_jacobian_matches_dense_kronecker(case):
 
 
 def dense_fermi_ladder(bundle, l_prime, beta):
-    """c2a, c2b, c_naive and the c_gap family of the Fermi map from the n^2 x n^2
-    D_eff = diag(vec R) - u u^T / sum f' (u = vec(diag f'); no shift when
-    sum f' = 0), the middle factor of J = T K1 D_eff K2 L'.  c_gap[q] splits
-    D_eff into the first q pairs of the gap table and the rest."""
+    """c2a, c2b, c_naive and the c_gap and c_tilde families of the Fermi map
+    from the n^2 x n^2 D_eff (``dense_d_eff``), the middle factor of J = T K1
+    D_eff K2 L'.  c_gap[q] splits D_eff into the first q members of the gap
+    table and the rest: a pair (a, b) costs |R_ab| times the column norms of
+    L' T K1 at (a, b) and (b, a), the diagonal member ||L' T K1 D_eff|| on its
+    block.  c_tilde[k] is ||J|| with D_eff zeroed outside the first k."""
     x, lam, p = bundle.x, bundle.lambdas, bundle.p
     n = x.shape[0]
     r = divided_difference_matrix(lam, p, beta=beta, mu=fermi_chemical_potential(lam, beta, p))
-    fprime = np.diagonal(r)
-    d_eff = np.diag(r.ravel(order="F"))
-    if fprime.sum() != 0:
-        u = np.diag(fprime).ravel(order="F")
-        d_eff -= np.outer(u, u) / fprime.sum()
+    d_eff = dense_d_eff(r)
     k1 = np.kron(x.conj(), x)
     k2 = np.kron(x.T, x.conj().T)
     lpt = l_prime @ selector_T(n)
     norm_lp = np.linalg.norm(l_prime, 2)
-    gaps = gap_structure(lam, p)
+    gaps = gap_structure(lam, r)
+    members = gap_members(gaps, n)
     col = np.linalg.norm(lpt @ k1, axis=0)
-    c_gap, rest, terms = [], d_eff.copy(), 0.0
-    for q in range(gaps.count + 1):
-        c_gap.append(norm_lp * np.linalg.norm(rest, 2) + terms)
-        if q < gaps.count:
-            i, j = gaps.occ[q], gaps.virt[q]
-            rest[i + n * j, i + n * j] = rest[j + n * i, j + n * i] = 0.0
-            terms += abs(r[i, j]) * (col[i + n * j] + col[j + n * i])
+    cost = [abs(r[a, b]) * (col[a + n * b] + col[b + n * a]) for a, b in zip(gaps.occ, gaps.virt)]
+    if gaps.diagonal:
+        on = members[-1]
+        cost.append(np.linalg.norm(lpt @ k1[:, on] @ d_eff[np.ix_(on, on)], 2))
+    c_gap = [norm_lp * np.linalg.norm(d_eff - d_eff_on(d_eff, members[:q]), 2) + sum(cost[:q])
+             for q in range(len(members) + 1)]
+    c_tilde = [np.linalg.norm(selector_T(n) @ k1 @ d_eff_on(d_eff, members[:k]) @ k2 @ l_prime, 2)
+               for k in range(1, len(members) + 1)]
     return {
         "c2a": np.linalg.norm(d_eff @ k2 @ lpt, 2),
         "c2b": np.linalg.norm(lpt @ k1 @ d_eff, 2),
         "c_naive": norm_lp * np.linalg.norm(d_eff, 2),
         "c_gap": np.array(c_gap),
+        "c_tilde": np.array(c_tilde),
     }
 
 
-@pytest.mark.parametrize("name", ["c2a", "c2b", "c_naive", "c_gap"])
+@pytest.mark.parametrize("name", ["c2a", "c2b", "c_naive", "c_gap", "c_tilde"])
 def test_factored_quantity_matches_dense_definition_under_fermi(case, name):
     problem, bundle, l_prime, _, _, _ = case
     fermi = FILTERS["fermi"]
@@ -269,7 +279,7 @@ def test_every_k_on_a_dense_support_allocates_no_more_than_a_few_jacobians():
     bundle, _ = locate_fixed_point(problem, ScfOptions(max_iter=800))
     assert bundle.converged
     jb = assemble_jacobian(bundle, problem.op)
-    gaps = gap_structure(bundle.lambdas, problem.p)
+    gaps = jb.gaps
     assert jb.support.size == jb.m
     ks = np.arange(1, gaps.count + 1)
     tracemalloc.start()
