@@ -55,9 +55,9 @@ def _spans(count: int, item_bytes: int, least: int = 1) -> list:
 
 def _gram_spans(count: int, height: int) -> list:
     """The column blocks of a Gram pass over ``count`` columns of ``height``
-    complex entries: a chunk, or a quarter of the height when that is wider, so
-    that each update is one well-shaped GEMM and the temporaries stay within a
-    chunk or the Gram matrix's own size."""
+    entries of at most 16 bytes: a chunk, or a quarter of the height when that
+    is wider, so that each update is one well-shaped GEMM and the temporaries
+    stay within a chunk or the Gram matrix's own size."""
     return _spans(count, 16 * height, least=height // 4)
 
 
@@ -146,13 +146,12 @@ class JacobianBundle:
         """A factor F with F^H F = L'[T, S]^H L'[T, S], so that every norm of
         L' M is that of F M, with at most |S| rows: the column norms (a vector:
         F is diagonal) when no row of L'[T, S] holds two nonzeros, as for a
-        Hadamard mask; else the R of the QR of L'[T, S] (real when it is)."""
-        l_s = _real_if_real(self.l_s)
-        t, s = np.nonzero(l_s)
+        Hadamard mask; else the R of the QR of L'[T, S]."""
+        t, s = np.nonzero(self.l_s)
         if np.all(np.diff(t) > 0):
-            weights = np.abs(l_s[t, s]) ** 2
+            weights = np.abs(self.l_s[t, s]) ** 2
             return np.sqrt(np.bincount(s, weights, minlength=self.support.size))
-        return np.linalg.qr(l_s, mode="r")
+        return np.linalg.qr(self.l_s, mode="r")
 
     @cached_property
     def lprime_u(self) -> tuple[float, np.ndarray, float]:
@@ -174,7 +173,7 @@ class JacobianBundle:
                 y *= f[:, None]
             else:
                 y = _matmul(f, y)
-            norms[pos] = np.sqrt(sum(np.einsum("ij,ij->j", a, a) for a in (y.real, y.imag)))
+            norms[pos] = np.sqrt(sum(np.einsum("ij,ij->j", a, a) for a in _parts(y)))
             return y
 
         on = np.arange(n) * (n + 1)
@@ -210,7 +209,7 @@ class JacobianBundle:
 
     def dense(self) -> np.ndarray:
         """The m x m J, zero outside the columns S: for the oracles only."""
-        j = np.zeros((self.m, self.m), dtype=complex)
+        j = np.zeros((self.m, self.m), dtype=self.j_s.dtype)
         j[:, self.support] = self.j_s
         return j
 
@@ -235,7 +234,7 @@ def assemble_jacobian(bundle: FixedPointBundle, op: OperatorSpec) -> JacobianBun
     rows, support = op.image_rows(), op.support()
     w = _congruences(x, l_s, rows)
     vidx = vech_index(n)
-    j_t = np.empty((support.size, vidx.size), dtype=complex)  # J[:, S] transposed
+    j_t = np.empty((support.size, vidx.size), dtype=w.dtype)  # J[:, S] transposed
     p, xc = bundle.p, x.conj()
     cross = not (r[:p, :p].any() or r[p:, p:].any())  # M_s = [[0, B_s], [C_s, 0]]: the step filter
     every = np.arange(n * n)
@@ -265,10 +264,10 @@ def _congruences(x: np.ndarray, l_s: np.ndarray, rows: np.ndarray) -> np.ndarray
     the sandwich of each L(E_s) goes a chunk of S at a time.
     """
     n = x.shape[0]
-    w = np.empty((l_s.shape[1], n, n), dtype=complex)
+    w = np.empty((l_s.shape[1], n, n), dtype=np.result_type(x, l_s))
     if rows.size < n * n:
         xi, xk = x[rows % n].conj(), x[rows // n]
-        lt = np.ascontiguousarray(_real_if_real(l_s).T)
+        lt = np.ascontiguousarray(l_s.T)
         for a in range(n):
             _matmul(lt, xi[:, a, None] * xk, out=w[:, a])
         return w
@@ -277,11 +276,6 @@ def _congruences(x: np.ndarray, l_s: np.ndarray, rows: np.ndarray) -> np.ndarray
         stack = l_s[:, chunk].T.copy().reshape(-1, n, n).transpose(0, 2, 1)
         np.matmul(x.conj().T @ stack, x, out=w[chunk])
     return w
-
-
-def _real_if_real(a: np.ndarray) -> np.ndarray:
-    """The real part of a complex array with no imaginary part (a view), else the array."""
-    return a if a.imag.any() else a.real
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -393,7 +387,7 @@ def jacobian_fd(
     step = 5e-4 * (1.0 + float(np.linalg.norm(p_star)))
     ts = np.array([step, -step, 2.0 * step, -2.0 * step])
     vidx = vech_index(n)
-    out = np.empty((m, m), dtype=complex)
+    out = np.empty((m, m), dtype=problem.apply(p_star).dtype)
     for j, v in _perturbed_psi(problem, p_star, ts, vidx % n, vidx // n, 1.0, filter, beta):
         # differences first, so a column whose psi values are all equal
         # comes out exactly zero
@@ -484,10 +478,15 @@ def _gram_norm2(blocks) -> float:
     return float(np.ldexp(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)), e))
 
 
+def _parts(a: np.ndarray) -> tuple:
+    """(a.real, a.imag) of a complex array, (a,) of a real one: views that write through."""
+    return (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+
+
 def _ldexp(a: np.ndarray, k: int) -> None:
     """a *= 2^k in place and exactly, the real and imaginary parts apart (one
     factor 2.0**k would leave the double range where a subnormal needs it)."""
-    for part in (a.real, a.imag) if np.iscomplexobj(a) else (a,):
+    for part in _parts(a):
         np.ldexp(part, k, out=part)
 
 
@@ -546,7 +545,7 @@ def bound_rank_truncated(jb: JacobianBundle, ks) -> np.ndarray:
         r_a = np.linalg.qr(a, mode="r")
         l_b = np.linalg.qr(jb.w[:, pa, pb].conj(), mode="r").conj().T
         rows, cols = r_a.shape[0], l_b.shape[1]
-        total = np.zeros((rows, cols), dtype=complex)
+        total = np.zeros((rows, cols), dtype=np.result_type(r_a, l_b))
         norms = {}
         wanted = set(part.tolist())
         for k in range(1, part.max() + 1):
@@ -587,7 +586,7 @@ def cyclic_spectral_radii(jb: JacobianBundle) -> list:
     here, rows, every = vech_index(n)[jb.support], jb.image_rows, np.arange(n * n)
     pos = np.flatnonzero(r)  # C, as flat positions a n + b of Y = X^H P X
     k1 = _kron_rows(x[here % n], x[here // n].conj(), pos)  # K1[vec(S), C]
-    k2l = np.empty((pos.size, here.size), dtype=complex)  # (K2 L'T)[C, S], K2 = K1^H
+    k2l = np.empty((pos.size, here.size), dtype=np.result_type(x, jb.l_s))  # (K2 L'T)[C, S]
     xi, xk = x[rows % n], x[rows // n].conj()
     for span in _spans(pos.size, 16 * rows.size):
         k2l[span] = _kron_rows(xi, xk, pos[span]).conj().T @ jb.l_s
@@ -598,13 +597,13 @@ def cyclic_spectral_radii(jb: JacobianBundle) -> list:
     radii[1] = convergence_factor(k1d @ k2l)
     del k1, k2l
     xi, xk = x[every % n], x[every // n].conj()
-    k1dk2 = np.empty((here.size, n * n), dtype=complex)  # (K1 D_eff K2)[vec(S), :]
+    k1dk2 = np.empty((here.size, n * n), dtype=x.dtype)  # (K1 D_eff K2)[vec(S), :]
     for span in _spans(n * n, 16 * pos.size):
         k1dk2[:, span] = k1d @ _kron_rows(xi[span], xk[span], pos).conj().T
     del k1d
     product = jb.l_s @ k1dk2
     if rows.size < n * n:  # the n^2 - |T| rows of L' that are zero
-        product, rest = np.zeros((n * n, n * n), dtype=complex), product
+        product, rest = np.zeros((n * n, n * n), dtype=product.dtype), product
         product[rows] = rest
         del rest
     del k1dk2

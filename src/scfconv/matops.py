@@ -99,10 +99,10 @@ def vech_inv(v) -> np.ndarray:
 
 def _check_cross_gap(lam: np.ndarray, p: int) -> None:
     """Raise ZeroGapError when the cross gap lambda_p+1 - lambda_p of ascending
-    spectra (..., n) is degenerate, with the message of a single spectrum; the
-    first such member of a stack is named in ``member`` only."""
+    spectra (..., n) is at most ``GAP_TOL`` times the largest |lambda|, with the
+    message of a single spectrum; a stack's first such member is named in ``member``."""
     gap = lam[..., p] - lam[..., p - 1]
-    zero = gap <= GAP_TOL * np.abs(lam).max(axis=-1, initial=1.0)
+    zero = gap <= GAP_TOL * np.abs(lam).max(axis=-1)
     if zero.any():
         member = tuple(np.argwhere(zero)[0].tolist())
         raise ZeroGapError(

@@ -50,7 +50,7 @@ class HadamardMask:
         rows = self.image_rows()
         here = vech_index(n)[self.support()]
         flat = self.mask.ravel(order="F")
-        out = np.zeros((rows.size, here.size), dtype=complex)
+        out = np.zeros((rows.size, here.size), dtype=np.result_type(self.mask, float))
         for vec in (here, here // n + n * (here % n)):  # vec(i, k), then vec(k, i)
             cols = np.flatnonzero(flat[vec])
             out[np.searchsorted(rows, vec[cols]), cols] = flat[vec[cols]]
@@ -90,7 +90,7 @@ class DiagonalMap:
 
     def lprime(self) -> np.ndarray:
         """L'[T, S] in closed form: the column of E_ii holds alpha * coeff[:, i]."""
-        return (self.alpha * self.coeff).astype(complex)
+        return self.alpha * self.coeff
 
     def require_hermitian_preserving(self) -> None:
         """Nothing to check: L(P) is diagonal, and real for Hermitian P and the
@@ -130,7 +130,7 @@ class GeneralVec:
         n = self.n
         vidx = vech_index(n)
         rows, cols = vidx % n, vidx // n
-        out = self.matrix[:, vidx].astype(complex, copy=False)
+        out = self.matrix[:, vidx].astype(np.result_type(self.matrix, float), copy=False)
         off = np.flatnonzero(rows != cols)
         out[:, off] += self.matrix[:, cols[off] + n * rows[off]]
         return out
@@ -181,7 +181,8 @@ class Problem:
         for name, value in arrays.items():
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} has a non-finite entry")
-        self.a0 = np.asarray(require_hermitian(self.a0, name="A0"), dtype=complex)
+        a0 = require_hermitian(self.a0, name="A0")
+        self.a0 = a0.astype(np.result_type(a0, float), copy=False)
         if not 1 <= self.p < self.n:
             raise ValueError(f"occupation p={self.p} must satisfy 1 <= p < n={self.n}")
         if self.op.n != self.n:
@@ -321,8 +322,7 @@ def _decode_operator(data: dict, n: int) -> OperatorSpec:
         return DiagonalMap(coeff=coeff, alpha=float(data.get("alpha", 1.0)))
     if kind == "general_vec":
         # GeneralVec checks that it is n^2 x n^2, and Problem that n is A0's
-        matrix = _decode_matrix(data["matrix"], "matrix")
-        return GeneralVec(matrix=np.asarray(matrix, dtype=complex))
+        return GeneralVec(matrix=_decode_matrix(data["matrix"], "matrix"))
     raise ValueError(f"unknown operator kind {kind!r}")
 
 

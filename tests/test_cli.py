@@ -73,6 +73,20 @@ def test_solve_file_problem(tmp_path):
     assert len(rows) <= 2  # linear problem: fixed point after one step
 
 
+def test_a_gap_below_unit_scale_is_no_zero_gap(tmp_path, capsys):
+    # the cross gap is half the spectrum's scale: 1e-13 is no degeneracy there
+    problem = Problem(a0=np.diag([0.0, 1e-13, 2e-13]), op=HadamardMask(mask=np.zeros((3, 3))),
+                      p=1)
+    path = tmp_path / "problem.json"
+    save_problem(problem, path)
+    out = tmp_path / "history.csv"
+    assert main(["solve", "--file", str(path), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 1
+    assert main(["analyze", "--file", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["c"] == 0.0
+
+
 def test_solve_nonconvergent_exit_code(tmp_path):
     out = tmp_path / "history.csv"
     code = main(

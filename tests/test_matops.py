@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scfconv.matops import (
+    GAP_TOL,
     ChemicalPotentialError,
     ZeroGapError,
     divided_difference_matrix,
@@ -219,6 +220,34 @@ def test_divided_difference_step_structure():
 def test_divided_difference_step_zero_gap():
     with pytest.raises(ZeroGapError):
         divided_difference_matrix(np.array([0.0, 1.0, 1.0]), 2)
+
+
+def step_verdict(lam, p):
+    """Whether the step filter's divided differences of ``lam`` raise "zero gap"."""
+    try:
+        divided_difference_matrix(lam, p)
+    except ZeroGapError:
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(2, 6), near=st.floats(0.0, 2.0))
+def test_the_zero_gap_verdict_does_not_change_with_the_spectrum_scale(data, n, near):
+    p = data.draw(st.integers(1, n - 1))
+    lam = np.sort(data.draw(st.lists(st.floats(-1e3, 1e3, allow_subnormal=False),
+                                     min_size=n, max_size=n)))
+    # lambda_p+1 at ``near`` times the tolerance above lambda_p: both verdicts occur
+    lam[p] = lam[p - 1] + near * GAP_TOL * np.abs(lam).max()
+    lam = np.sort(lam)
+    gap, top = lam[p] - lam[p - 1], np.abs(lam).max()
+    values = np.abs(np.array([*lam, gap, GAP_TOL * top]))
+    nonzero = values[values > 0]
+    assume(nonzero.size and nonzero.min() >= np.finfo(float).tiny)
+    _, e = np.frexp(nonzero)
+    # every entry, the gap and the tolerance stay normal, and no difference overflows
+    k = data.draw(st.integers(-1021 - int(e.min()), 1022 - int(e.max())))
+    assert step_verdict(np.ldexp(lam, k), p) == step_verdict(lam, p)
 
 
 def test_divided_difference_fermi_matches_direct():
