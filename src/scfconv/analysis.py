@@ -2,8 +2,8 @@
 
 The Jacobian acts on half-vectorized density-matrix coordinates (dimension
 m = n(n+1)/2).  It is built once per fixed point from a factored core on the
-support S that the operator names, the columns of L' that can be nonzero, and
-its image rows T, the vec positions L can write:
+support S (``lprime_support``), the columns of L' that can be nonzero, and
+the operator's image rows T, the vec positions L can write:
 
     W_s     = X^H L(E_s) X                   (n x n, s in S)
     J[:, s] = vech(X D_eff(W_s) X^H)
@@ -38,7 +38,7 @@ from .matops import (
     vech,
     vech_index,
 )
-from .problems import OperatorSpec, Problem, assemble_Lprime
+from .problems import OperatorSpec, Problem, assemble_Lprime, lprime_support
 from .scf import FixedPointBundle, ScfOptions, locate_fixed_point, measured_rate, scf_step
 
 # The bytes of one chunk of the Jacobian core's temporaries: the sandwich goes
@@ -116,7 +116,7 @@ class JacobianBundle:
     """The assembled Jacobian with the factored core every bound is read from.
 
     ``r`` is the n x n divided-difference matrix R of the map's occupations,
-    f' on its diagonal.  ``support`` is S, the columns the operator names, and
+    f' on its diagonal.  ``support`` is S (``lprime_support``), and
     ``image_rows`` is T, the vec positions L can write; L' vanishes outside
     ``l_s`` = L'[T, S] (|T| x |S|), and J outside ``j_s`` = J[:, S].  ``w`` is
     the |S| x n x n stack of W_s = X^H L(E_s) X, so that w[s, a, b] =
@@ -231,7 +231,7 @@ def assemble_jacobian(bundle: FixedPointBundle, op: OperatorSpec) -> JacobianBun
     beta = bundle.beta if bundle.filter == "fermi" else None
     r = divided_difference_matrix(bundle.lambdas, bundle.p, beta=beta, mu=bundle.mu)
     l_s = assemble_Lprime(op, n)
-    rows, support = op.image_rows(), op.support()
+    rows, support = op.image_rows(), lprime_support(op)
     w = _congruences(x, l_s, rows)
     vidx = vech_index(n)
     j_t = np.empty((support.size, vidx.size), dtype=w.dtype)  # J[:, S] transposed
@@ -579,11 +579,11 @@ def cyclic_spectral_radii(jb: JacobianBundle) -> list:
     under the Fermi filter).  The first radius is c: J vanishes outside the
     columns S.  The second, (K1 D_eff)(K2 L'T), vanishes outside the columns
     vec(S), and D_eff outside C.  The third, D_eff (K2 L'T)(K1), vanishes
-    outside the rows C: its radius is that of the C x C block, by the same
-    block-triangular argument as c, not by the cyclic identity under test.
-    The fourth, L'T (K1 D_eff K2), stays one dense n^2 x n^2 product."""
+    outside the rows C, and the fourth, L'T (K1 D_eff K2), outside the rows T:
+    each radius is that of its diagonal block (C x C, T x T), by the same
+    block-triangular argument as c, not by the cyclic identity under test."""
     x, n, r = jb.x, jb.n, jb.r
-    here, rows, every = vech_index(n)[jb.support], jb.image_rows, np.arange(n * n)
+    here, rows = vech_index(n)[jb.support], jb.image_rows
     pos = np.flatnonzero(r)  # C, as flat positions a n + b of Y = X^H P X
     k1 = _kron_rows(x[here % n], x[here // n].conj(), pos)  # K1[vec(S), C]
     k2l = np.empty((pos.size, here.size), dtype=np.result_type(x, jb.l_s))  # (K2 L'T)[C, S]
@@ -596,18 +596,11 @@ def cyclic_spectral_radii(jb: JacobianBundle) -> list:
     k1d = _d_eff(r, k1, pos)  # (K1 D_eff)[vec(S), C]
     radii[1] = convergence_factor(k1d @ k2l)
     del k1, k2l
-    xi, xk = x[every % n], x[every // n].conj()
-    k1dk2 = np.empty((here.size, n * n), dtype=x.dtype)  # (K1 D_eff K2)[vec(S), :]
-    for span in _spans(n * n, 16 * pos.size):
+    k1dk2 = np.empty((here.size, rows.size), dtype=x.dtype)  # (K1 D_eff K2)[vec(S), T]
+    for span in _spans(rows.size, 16 * pos.size):
         k1dk2[:, span] = k1d @ _kron_rows(xi[span], xk[span], pos).conj().T
     del k1d
-    product = jb.l_s @ k1dk2
-    if rows.size < n * n:  # the n^2 - |T| rows of L' that are zero
-        product, rest = np.zeros((n * n, n * n), dtype=product.dtype), product
-        product[rows] = rest
-        del rest
-    del k1dk2
-    radii[3] = convergence_factor(product)
+    radii[3] = convergence_factor(jb.l_s @ k1dk2)  # L'[T, S] (K1 D_eff K2)[vec(S), T]
     return radii
 
 

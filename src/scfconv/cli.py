@@ -155,6 +155,8 @@ def cmd_analyze(args) -> int:
 def parse_outputs(spec: str):
     """The comma-separated tokens of the ladder table in ``spec``."""
     tokens = [t.strip() for t in spec.split(",") if t.strip()]
+    if not tokens:
+        raise SystemExit(f"no output quantities in --outputs {spec!r}")
     for token in tokens:
         try:
             ladder_token(token)

@@ -121,14 +121,16 @@ def fermi_occupations(lam, beta: float, mu: float) -> np.ndarray:
 def fermi_chemical_potential(lam, beta: float, p: int, tol: float = 1e-12, max_iter: int = 200):
     """Chemical potential mu with sum of occupations equal to p, by safeguarded Newton.
 
-    Brackets on [lambda_1 - 1, lambda_n + 1]; the total occupation is strictly
-    increasing in mu for finite beta.  Newton on g(mu) = sum f_i - p, with
-    g' = beta sum f_i (1 - f_i), starts midway between lambda_p and
-    lambda_{p+1}; every evaluation shrinks the bracket by the sign of g, and
-    a step that leaves the bracket (or a slope that underflows to 0) is
-    replaced by the bracket's midpoint.  The search ends at |g| <= ``tol``,
-    or once the bracket holds adjacent doubles, at its end of smaller |g|:
-    near a large lambda_p one ulp of mu can move the trace by more than tol.
+    Brackets on [lambda_1 - s, lambda_n + s], s = max(1, (1 + ln n) / beta),
+    past which every occupation is within 1 / (1 + e n) of 0 or 1: the trace,
+    increasing in mu, brackets any 1 <= p < n unless s overflows.  Newton on
+    g(mu) = sum f_i - p, with g' = beta sum f_i (1 - f_i), starts midway
+    between lambda_p and lambda_{p+1}; every evaluation shrinks the bracket by
+    the sign of g, and a step that leaves the bracket (or a slope that
+    underflows to 0) is replaced by the bracket's midpoint.  The search ends
+    at |g| <= ``tol``, or once the bracket holds adjacent doubles, at its end
+    of smaller |g|: near a large lambda_p one ulp of mu can move the trace by
+    more than tol.
 
     On spectra of shape (..., n) every row runs this search at once and is
     frozen once it converges, each to the mu a single row would get.  A row
@@ -139,8 +141,10 @@ def fermi_chemical_potential(lam, beta: float, p: int, tol: float = 1e-12, max_i
     if beta <= 0:
         raise ValueError("beta must be positive")
     rows = lam.reshape(-1, lam.shape[-1])
-    lo, hi = rows[:, 0] - 1.0, rows[:, -1] + 1.0
-    unbracketed = (fermi_occupations(rows, beta, lo[:, None]).sum(axis=-1) > p) | (
+    with np.errstate(over="ignore"):
+        s = max(1.0, (1.0 + np.log(rows.shape[-1])) / beta)
+    lo, hi = rows[:, 0] - s, rows[:, -1] + s
+    unbracketed = np.isinf(s) | (fermi_occupations(rows, beta, lo[:, None]).sum(axis=-1) > p) | (
         fermi_occupations(rows, beta, hi[:, None]).sum(axis=-1) < p
     )
     top = min(max(p, 1), rows.shape[-1] - 1)
@@ -226,7 +230,10 @@ def divided_difference_matrix(
     With no ``beta`` f is the step filter (1 on the p lowest, 0 above): R is
     1/(lambda_a - lambda_b) on occupied/virtual cross pairs, all negative (the
     paper's -D), and zero elsewhere.  With ``beta`` f is the Fermi function
-    at ``mu`` (solved for trace p when not given).
+    at ``mu`` (solved for trace p when not given); a pair with |d| < 1, d =
+    beta (lambda_a - lambda_b) / 2, takes the form free of the cancellation
+    in f_a - f_b, -(beta / 4) (sinh d / d) / (cosh x_a cosh x_b) with
+    x = beta (lambda - mu) / 2.
     """
     lam = np.asarray(lambdas, dtype=float)
     n = lam.shape[0]
@@ -246,9 +253,11 @@ def divided_difference_matrix(
         mu = fermi_chemical_potential(lam, beta, p)
     f = fermi_occupations(lam, beta, mu)
     diff = lam[:, None] - lam[None, :]
-    near = np.abs(diff) <= 1e-10 * max(1.0, float(np.abs(lam).max()))
-    r = (f[:, None] - f[None, :]) / np.where(near, 1.0, diff)
-    fm = fermi_occupations(0.5 * (lam[:, None] + lam[None, :]), beta, mu)
-    r = np.where(near, -beta * fm * (1.0 - fm), r)
+    d = 0.5 * beta * diff
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        quotient = (f[:, None] - f[None, :]) / diff
+        cosh = np.cosh(0.5 * beta * (lam - mu))  # tanh x - tanh y = sinh(x - y) / (cosh x cosh y)
+        tie = -0.25 * beta * np.where(d == 0, 1.0, np.sinh(d) / d) / np.outer(cosh, cosh)
+    r = np.where(np.abs(d) < 1.0, tie, quotient)
     np.fill_diagonal(r, -beta * f * (1.0 - f))
     return r

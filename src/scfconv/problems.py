@@ -3,10 +3,10 @@
 The linear part L is kept in one of three representations (Hadamard mask,
 diagonal map, general vectorized matrix) rather than always densified: the
 mask and diagonal forms are O(n^2) to apply, which keeps the Laplacian family
-cheap at n = 60.  Each form also names the support S of its L' (the derivative
-of L in vech coordinates), the columns that can be nonzero, and its image rows
-T, the vec positions L can write, and writes the |T| x |S| block L'[T, S] in
-closed form, with no loop over basis matrices.
+cheap at n = 60.  Each form speaks vec only: it names its image rows T, the
+vec positions L can write, and writes any columns of its vec matrix on T in
+closed form, with no loop over basis matrices.  ``assemble_Lprime`` alone
+pairs them into L' (the derivative of L in vech coordinates).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .matops import require_hermitian, vech, vech_index
+from .matops import require_hermitian, vech_index
 
 
 @dataclass(frozen=True)
@@ -34,26 +34,17 @@ class HadamardMask:
     def apply(self, p: np.ndarray) -> np.ndarray:
         return self.mask * p
 
-    def support(self) -> np.ndarray:
-        """The vech positions (i, k) where mask[i, k] or mask[k, i] is nonzero."""
-        nonzero = self.mask != 0
-        return np.flatnonzero(vech(nonzero | nonzero.T))
-
     def image_rows(self) -> np.ndarray:
         """T: the vec positions where the mask is nonzero."""
         return np.flatnonzero(self.mask.ravel(order="F"))
 
-    def lprime(self) -> np.ndarray:
-        """L'[T, S] in closed form: column (i, k) holds mask[i, k] at vec(i, k)
-        and mask[k, i] at vec(k, i), each a row of T where it is nonzero."""
-        n = self.n
-        rows = self.image_rows()
-        here = vech_index(n)[self.support()]
-        flat = self.mask.ravel(order="F")
-        out = np.zeros((rows.size, here.size), dtype=np.result_type(self.mask, float))
-        for vec in (here, here // n + n * (here % n)):  # vec(i, k), then vec(k, i)
-            cols = np.flatnonzero(flat[vec])
-            out[np.searchsorted(rows, vec[cols]), cols] = flat[vec[cols]]
+    def lprime_vec(self, cols: np.ndarray) -> np.ndarray:
+        """The columns ``cols`` (vec positions) of L's vec matrix on the rows T:
+        L(E_ik) = mask[i, k] E_ik, so column (i, k) holds mask[i, k] at row (i, k)."""
+        rows, flat = self.image_rows(), self.mask.ravel(order="F")
+        out = np.zeros((rows.size, cols.size), dtype=np.result_type(self.mask, float))
+        hit = np.flatnonzero(flat[cols])
+        out[np.searchsorted(rows, cols[hit]), hit] = flat[cols[hit]]
         return out
 
     def require_hermitian_preserving(self) -> None:
@@ -80,17 +71,17 @@ class DiagonalMap:
         out.reshape(*p.shape[:-2], self.n * self.n)[..., :: self.n + 1] = self.alpha * v
         return out
 
-    def support(self) -> np.ndarray:
-        """The n diagonal positions of vech (vec positions: multiples of n + 1)."""
-        return np.flatnonzero(vech_index(self.n) % (self.n + 1) == 0)
-
     def image_rows(self) -> np.ndarray:
         """T: the n diagonal positions of vec (multiples of n + 1)."""
         return np.arange(self.n) * (self.n + 1)
 
-    def lprime(self) -> np.ndarray:
-        """L'[T, S] in closed form: the column of E_ii holds alpha * coeff[:, i]."""
-        return self.alpha * self.coeff
+    def lprime_vec(self, cols: np.ndarray) -> np.ndarray:
+        """The columns ``cols`` (vec positions) of L's vec matrix on the rows T:
+        alpha * coeff[:, i] at (i, i), zero off the diagonal."""
+        i, k = cols % self.n, cols // self.n
+        out = self.alpha * self.coeff[:, i]
+        out[:, i != k] = 0
+        return out
 
     def require_hermitian_preserving(self) -> None:
         """Nothing to check: L(P) is diagonal, and real for Hermitian P and the
@@ -116,24 +107,13 @@ class GeneralVec:
         vec = p.swapaxes(-2, -1).reshape(*p.shape[:-2], n * n, 1)  # column-major vec
         return np.matmul(self.matrix, vec).reshape(p.shape).swapaxes(-2, -1)
 
-    def support(self) -> np.ndarray:
-        """Every vech position: a general matrix may reach them all."""
-        return np.arange(self.n * (self.n + 1) // 2)
-
     def image_rows(self) -> np.ndarray:
         """T: every vec position."""
         return np.arange(self.n * self.n)
 
-    def lprime(self) -> np.ndarray:
-        """L' in closed form (S and T are everything): column (i, k) is the sum
-        of the matrix columns at vec(i, k) and, off the diagonal, vec(k, i)."""
-        n = self.n
-        vidx = vech_index(n)
-        rows, cols = vidx % n, vidx // n
-        out = self.matrix[:, vidx].astype(np.result_type(self.matrix, float), copy=False)
-        off = np.flatnonzero(rows != cols)
-        out[:, off] += self.matrix[:, cols[off] + n * rows[off]]
-        return out
+    def lprime_vec(self, cols: np.ndarray) -> np.ndarray:
+        """The columns ``cols`` (vec positions) of the matrix, float at least."""
+        return self.matrix[:, cols].astype(np.result_type(self.matrix, float), copy=False)
 
     def require_hermitian_preserving(self) -> None:
         """Raise ValueError unless L(P) is Hermitian for every Hermitian P: the
@@ -158,13 +138,29 @@ def apply_L(op: OperatorSpec, p) -> np.ndarray:
     return op.apply(p)
 
 
+def lprime_support(op: OperatorSpec) -> np.ndarray:
+    """S: the vech positions (i, k) with (i, k) or (k, i) in T = ``op.image_rows()``.
+    Column (i, k) of L' is vec(L(E_ik + E_ki)), and every operator kind reads
+    only the vec positions it writes (L(E_c) = 0 for c outside T): L' vanishes
+    outside the columns S."""
+    n = op.n
+    vidx = vech_index(n)
+    written = np.zeros(n * n, dtype=bool)
+    written[op.image_rows()] = True
+    return np.flatnonzero(written[vidx] | written[vidx // n + n * (vidx % n)])
+
+
 def assemble_Lprime(op: OperatorSpec, n: int) -> np.ndarray:
-    """L'[T, S], S = ``op.support()`` and T = ``op.image_rows()``: the |T| x |S|
-    block of the columns vec(L(vech_inv(e_j))), from the operator's closed
-    form.  L' is zero outside it."""
+    """L'[T, S], S = ``lprime_support(op)`` and T = ``op.image_rows()``: the
+    |T| x |S| block of the columns vec(L(vech_inv(e_j))), the one place where
+    vec columns are paired into vech.  L' is zero outside it."""
     if op.n != n:
         raise ValueError(f"dimension mismatch: operator is n={op.n}, L' asked for n={n}")
-    return op.lprime()
+    here = vech_index(n)[lprime_support(op)]
+    out = op.lprime_vec(here)
+    off = np.flatnonzero(here % (n + 1))  # then vec(k, i) of each (i, k) off the diagonal
+    out[:, off] += op.lprime_vec(here[off] // n + n * (here[off] % n))
+    return out
 
 
 @dataclass
@@ -343,7 +339,7 @@ def load_problem(path) -> Problem:
     """Load a problem from the JSON schema, validating Hermiticity of A0 and
     that a ``meta.alpha`` other than null is a finite number.  A malformed
     file (not an object, an operator or meta that is not an object, n or p
-    not a number, a missing key) raises a one-line ValueError."""
+    not a JSON integer, a missing key) raises a one-line ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -353,15 +349,12 @@ def load_problem(path) -> Problem:
         if not isinstance(value, dict):
             raise ValueError(f"problem file: {name} must be a JSON object")
     try:
-        n = int(payload["n"])
-        p = int(payload["p"])
+        n, p = payload["n"], payload["p"]
+        if not (type(n) is int and type(p) is int):  # JSON integers: no float, bool or string
+            raise ValueError(f"n and p must be integers, got {n!r} and {p!r}")
         a0 = _decode_matrix(payload["A0"], "A0")
     except KeyError as exc:
         raise ValueError(f"problem file missing required key: {exc}") from exc
-    except TypeError:
-        raise ValueError(
-            f"n and p must be integers, got {payload['n']!r} and {payload.get('p')!r}"
-        ) from None
     if a0.shape != (n, n):
         raise ValueError(f"A0 shape {a0.shape} does not match n={n}")
     try:

@@ -204,8 +204,12 @@ def fermi_chemical_potential_loop(lam, beta, p, tol=1e-12, max_iter=200):
     lam = np.sort(np.asarray(lam, dtype=float))
     if beta <= 0:
         raise ValueError("beta must be positive")
-    lo, hi = lam[0] - 1.0, lam[-1] + 1.0
-    if fermi_occupations(lam, beta, lo).sum() > p or fermi_occupations(lam, beta, hi).sum() < p:
+    with np.errstate(over="ignore"):
+        s = max(1.0, (1.0 + np.log(lam.size)) / beta)
+    lo, hi = lam[0] - s, lam[-1] + s
+    if np.isinf(s) or fermi_occupations(lam, beta, lo).sum() > p or (
+        fermi_occupations(lam, beta, hi).sum() < p
+    ):
         raise ChemicalPotentialError(
             f"trace target p={p} not bracketed on [{lo}, {hi}] for beta={beta}"
         )

@@ -152,6 +152,23 @@ def test_jacobian_matches_fd_random():
     assert max_column_relative_error(jb.dense(), fd) <= 1e-6
 
 
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(OPERATOR_KINDS), n=st.integers(3, 6), seed=st.integers(0, 2**16),
+       filter_name=st.sampled_from(sorted(FILTERS)))
+def test_jacobian_matches_fd_on_random_problems(kind, n, seed, filter_name):
+    problem = random_operator_problem(kind, n, seed)
+    try:
+        bundle, _ = locate_fixed_point(problem, ScfOptions(max_iter=800, **FILTERS[filter_name]))
+    except (ZeroGapError, ChemicalPotentialError):
+        bundle = None
+    assume(bundle is not None and bundle.converged)
+    lam = bundle.lambdas  # an open gap: the FD steps stay far from a level crossing
+    assume(lam[problem.p] - lam[problem.p - 1] > 1e-2 * max(1.0, np.abs(lam).max()))
+    jb = assemble_jacobian(bundle, problem.op)
+    fd = jacobian_fd(problem, bundle.p_star, filter=bundle.filter, beta=bundle.beta)
+    assert max_column_relative_error(jb.dense(), fd) <= 1e-6
+
+
 def test_jacobian_zero_for_linear_problem():
     n, p = 4, 2
     a0 = np.diag(np.arange(n, dtype=float))
@@ -434,12 +451,13 @@ def test_fermi_jacobian_vanishes_for_flat_occupations():
     problem = build_illustrative(0.1)
     bundle, _, jb = solved(problem)
     # at vanishing beta the occupations are flat and the Jacobian collapses;
-    # mu must be supplied since no chemical potential can meet the trace target
+    # mu must be supplied where the search's bracket half-width (1 + ln n) / beta
+    # overflows, since no chemical potential is bracketed there
     flat = replace(bundle, filter="fermi", beta=1e-8)
     jf = assemble_jacobian(replace(flat, mu=float(bundle.lambdas.mean())), problem.op)
     assert np.abs(jf.dense()).max() < 1e-6
     with pytest.raises(ChemicalPotentialError):
-        assemble_jacobian(flat, problem.op)
+        assemble_jacobian(replace(flat, beta=1e-310), problem.op)
 
 
 def test_fermi_jacobian_rejects_bad_beta():

@@ -532,6 +532,9 @@ MALFORMED_FILES = {
                                                 "coeff": [[[1.0, 0.5]] * 3] * 3}},
     "p-null": {"p": None},
     "n-list": {"n": [2]},
+    "p-float": {"p": 2.7},
+    "p-bool": {"p": True},
+    "p-string": {"p": "1"},
 }
 
 
@@ -557,10 +560,10 @@ MALFORMED_FILES = {
         ["analyze", "--family", "illustrative", "--eps", "0", "--d", "-1"],
         ["sweep", "--family", "illustrative", "--d", "-1", "--axis", "eps", "--values", "0"],
         ["check", "--family", "illustrative", "--eps", "0", "--d", "-1"],
-        ["analyze", "--family", "illustrative", "--filter", "fermi", "--beta", "1e-3"],
-        ["sweep", "--family", "illustrative", "--filter", "fermi", "--beta", "1e-3",
+        ["analyze", "--family", "illustrative", "--filter", "fermi", "--beta", "1e-310"],
+        ["sweep", "--family", "illustrative", "--filter", "fermi", "--beta", "1e-310",
          "--axis", "eps", "--values", "0.1"],
-        ["check", "--family", "illustrative", "--filter", "fermi", "--beta", "1e-3"],
+        ["check", "--family", "illustrative", "--filter", "fermi", "--beta", "1e-310"],
         ["solve", "--family", "illustrative", "--max-iter", "0"],
         ["analyze", "--family", "laplacian-real", "--n", "6", "--p", "3", "--alpha", "inf"],
         ["sweep", "--family", "laplacian-real", "--n", "6", "--p", "3", "--axis", "alpha",
@@ -584,6 +587,10 @@ MALFORMED_FILES = {
         ["analyze", "--file", "alpha-not-a-number.json"],
         ["analyze", "--file", "alpha-infinite.json"],
         *(["analyze", "--file", f"{name}.json"] for name in MALFORMED_FILES),
+        ["sweep", "--family", "illustrative", "--axis", "eps", "--values", "0.1",
+         "--outputs", ""],
+        ["sweep", "--family", "illustrative", "--axis", "eps", "--values", "0.1",
+         "--outputs", ","],
     ],
     ids=["p-ge-n", "p-zero", "fermi-without-beta", "beta-without-fermi", "damping-zero",
          "missing-file", "sweep-bad-value", "sweep-bad-count", "sweep-count-zero",
@@ -597,7 +604,8 @@ MALFORMED_FILES = {
          "analyze-non-hermitian-mask", "check-non-hermitian-mask",
          "solve-non-hermitian-general-vec", "analyze-non-hermitian-general-vec",
          "check-non-hermitian-general-vec", "analyze-alpha-not-a-number",
-         "analyze-alpha-infinite", *(f"analyze-{name}" for name in MALFORMED_FILES)],
+         "analyze-alpha-infinite", *(f"analyze-{name}" for name in MALFORMED_FILES),
+         "sweep-no-outputs", "sweep-outputs-only-commas"],
 )
 def test_bad_input_is_one_line_on_stderr(tmp_path, argv):
     # the problem file of the NaN case: the illustrative problem with A0[1, 1] = NaN
@@ -665,7 +673,7 @@ def test_a_failing_sweep_cell_keeps_the_rows_before_it(tmp_path):
     [
         (["--family", "illustrative", "--d", "-1", "--axis", "eps"], "0.1", "0"),
         (["--family", "laplacian-complex", "--p", "3", "--axis", "n"], "6", "3"),
-        (["--family", "illustrative", "--filter", "fermi", "--beta", "1e-3", "--axis", "eps"],
+        (["--family", "illustrative", "--filter", "fermi", "--beta", "1e-310", "--axis", "eps"],
          "", "0.1"),
     ],
     ids=["zero-gap", "unbuildable-problem", "mu-not-bracketed"],
@@ -674,7 +682,8 @@ def test_the_first_failing_cell_ends_a_lockstep_sweep_as_it_ends_one_cell(
     capsys, argv, before, failing
 ):
     # The grid is the cell ``before`` the failing one (if any), the failing
-    # one, and one after it; under beta = 1e-3 no cell can bracket mu.
+    # one, and one after it; under beta = 1e-310 no cell can bracket mu (the
+    # bracket's half-width (1 + ln n) / beta overflows).
     def sweep(values):
         try:
             code = main(["sweep", *argv, "--values", values])
@@ -763,3 +772,28 @@ def test_analyze_under_fermi_past_the_mu_tolerance_ulp(capsys):
     bundle, _ = locate_fixed_point(problem, ScfOptions(filter="fermi", beta=20.0))
     fd = jacobian_fd(problem, bundle.p_star, filter="fermi", beta=20.0)
     assert report["c"] == pytest.approx(convergence_factor(fd), rel=1e-6)
+
+
+# Two levels 1e-7 apart: close on the spectrum's scale, not on beta's
+TIE_FILE = {"n": 3, "p": 1, "A0": [[0.0, 0.0, 0.0], [0.0, 1e-7, 0.0], [0.0, 0.0, 1e4]],
+            "operator": {"kind": "hadamard", "mask": [[1e-9, 1e-9, 0.0], [1e-9, 1e-9, 0.0],
+                                                      [0.0, 0.0, 1e-9]]}}
+
+
+@pytest.mark.parametrize("beta", ["1e8", "1e5"])
+def test_check_passes_on_levels_close_on_the_spectrum_scale_only(tmp_path, capsys, beta):
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps(TIE_FILE))
+    code = main(["check", "--file", str(path), "--filter", "fermi", "--beta", beta])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "PASS finite-difference oracle" in out
+
+
+def test_check_passes_where_mu_lies_past_the_spectrum_at_small_beta(capsys):
+    # at beta = 0.05 the trace at lambda_1 - 1 is 1.33 > p = 1: mu lies below it
+    code = main(["check", "--family", "illustrative", "--eps", "0.1", "--filter", "fermi",
+                 "--beta", "0.05"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "PASS finite-difference oracle" in out

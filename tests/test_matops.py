@@ -1,5 +1,7 @@
 """Unit tests for the half-vectorization algebra and filter kernels."""
 
+from decimal import Decimal, Overflow, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -271,6 +273,55 @@ def test_divided_difference_fermi_near_degenerate():
     assert np.isfinite(r).all()
 
 
+def fermi_divided_differences_40_digits(lam, beta, mu):
+    """R_ab = (f_a - f_b) / (lambda_a - lambda_b) of the Fermi occupations at
+    the given doubles, f' on the diagonal and at exact ties, in 40-digit
+    decimal arithmetic."""
+    n = len(lam)
+    out = np.empty((n, n))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        ctx.traps[Overflow] = False  # exp of a huge argument is Infinity: f = 0
+        b, m = Decimal(beta), Decimal(mu)
+        x = [Decimal(v) for v in lam]
+        f = [1 / (1 + (b * (v - m)).exp()) for v in x]
+        for a in range(n):
+            for c in range(n):
+                if x[a] == x[c]:
+                    out[a, c] = float(-b * f[a] * (1 - f[a]))
+                else:
+                    out[a, c] = float((f[a] - f[c]) / (x[a] - x[c]))
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    p_frac=st.floats(0.0, 1.0),
+    log_beta=st.floats(-3.0, 12.0),
+    log_scale=st.floats(-3.0, 3.0),
+)
+def test_fermi_divided_differences_match_a_40_digit_evaluation(seed, n, p_frac, log_beta,
+                                                               log_scale):
+    rng = np.random.default_rng(seed)
+    gaps = rng.exponential(size=n) * 10.0**log_scale
+    near = rng.uniform(size=n) < 0.4  # near-ties, down to below one ulp
+    gaps[near] *= 10.0 ** rng.uniform(-17.0, -6.0, size=near.sum())
+    gaps[rng.uniform(size=n) < 0.1] = 0.0  # exact ties
+    lam = np.cumsum(gaps) - rng.uniform(0.0, 2.0) * gaps.sum()
+    p = min(1 + int(p_frac * (n - 1)), n - 1)
+    beta = 10.0**log_beta
+    try:
+        mu = fermi_chemical_potential(lam, beta, p)
+    except ChemicalPotentialError:
+        mu = None
+    assume(mu is not None)
+    want = fermi_divided_differences_40_digits(lam, beta, mu)
+    got = divided_difference_matrix(lam, p, beta=beta, mu=mu)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_divided_difference_rejects_unsorted():
     with pytest.raises(ValueError):
         divided_difference_matrix(np.array([1.0, 0.0]), 1)
@@ -296,7 +347,8 @@ def test_divided_difference_fermi_tends_to_the_step_matrix_sign_included():
 def bisection_mu(lam, beta, p, tol=1e-12, max_iter=200):
     """The chemical potential by plain bisection: the reference for the Newton search."""
     lam = np.sort(np.asarray(lam, dtype=float))
-    lo, hi = lam[0] - 1.0, lam[-1] + 1.0
+    s = max(1.0, (1.0 + np.log(lam.size)) / beta)
+    lo, hi = lam[0] - s, lam[-1] + s
     if fermi_occupations(lam, beta, lo).sum() > p or fermi_occupations(lam, beta, hi).sum() < p:
         raise ChemicalPotentialError("not bracketed")
     for _ in range(max_iter + 1):
@@ -341,6 +393,31 @@ def test_newton_chemical_potential_agrees_with_bisection(
     assert (newton is None) == (bisection is None)
     if newton is not None:
         assert newton <= 1e-12 and bisection <= 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    p_frac=st.floats(0.0, 1.0),
+    log_beta=st.floats(-6.0, 3.0),
+    log_scale=st.floats(-2.0, 3.0),
+)
+def test_the_mu_bracket_holds_any_trace_target_down_to_small_beta(
+    seed, n, p_frac, log_beta, log_scale
+):
+    # past lambda_1 - s and lambda_n + s, s = max(1, (1 + ln n) / beta), every
+    # occupation is within 1 / (1 + e n) of 0 or 1: the trace is below 1 and above n - 1
+    rng = np.random.default_rng(seed)
+    lam = np.sort(rng.normal(size=n) * 10.0**log_scale)
+    p = min(1 + int(p_frac * (n - 1)), n - 1)
+    beta = 10.0**log_beta
+    s = max(1.0, (1.0 + np.log(n)) / beta)
+    assert fermi_occupations(lam, beta, lam[0] - s).sum() < 1.0
+    assert fermi_occupations(lam, beta, lam[-1] + s).sum() > n - 1.0
+    mu = fermi_chemical_potential(lam, beta, p)
+    assert lam[0] - s <= mu <= lam[-1] + s
+    assert abs(fermi_occupations(lam, beta, mu).sum() - p) <= 1e-12
 
 
 def test_newton_chemical_potential_contract_at_the_edges():
@@ -399,8 +476,9 @@ def test_chemical_potential_of_a_stack_equals_its_rows_one_at_a_time(
 
 
 def test_a_failing_row_of_a_stack_is_named_with_its_single_row_message():
-    # at beta = 0.5 a flat spectrum cannot hold p = 1 on its bracket; a wide one can
-    wide, flat = np.array([0.0, 10.0, 20.0, 30.0]), np.zeros(4)
+    # at beta = 0.5 a flat spectrum at 1e17 cannot hold p = 1 on its bracket, whose
+    # ends round back to 1e17; a wide one can
+    wide, flat = np.array([0.0, 10.0, 20.0, 30.0]), np.full(4, 1e17)
     stack = np.stack([[wide, wide, flat], [flat, wide, wide]])
     with pytest.raises(ChemicalPotentialError) as single:
         fermi_chemical_potential_loop(flat, 0.5, 1)

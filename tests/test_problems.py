@@ -18,7 +18,7 @@ from scfconv import (
     spectral_filter_density,
     vech,
 )
-from scfconv.problems import _decode_matrix
+from scfconv.problems import _decode_matrix, lprime_support
 
 from conftest import (
     OPERATOR_KINDS,
@@ -112,7 +112,7 @@ def test_assemble_Lprime_identity_on_random_inputs():
     lp = assemble_Lprime(op, 5)
     for _ in range(20):
         x = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        lhs = lp @ vech(x)[op.support()]
+        lhs = lp @ vech(x)[lprime_support(op)]
         rhs = apply_L(op, symmetrize_S(x)).ravel(order="F")
         assert np.allclose(lhs, rhs, atol=1e-12)
 
@@ -369,7 +369,7 @@ def test_assemble_Lprime_equals_the_basis_loop(name, n):
     op = lprime_operators(n, np.random.default_rng(n))[name]
     got = assemble_Lprime(op, n)
     loop = lprime_by_basis_loop(op, n)
-    support, rows = op.support(), op.image_rows()
+    support, rows = lprime_support(op), op.image_rows()
     assert got.dtype == np.result_type(*vars(op).values(), float)
     assert got.shape == (rows.size, support.size)
     assert np.array_equal(scatter_rows(got, rows, n), loop[:, support])
@@ -402,12 +402,34 @@ def test_lprime_vanishes_off_its_image_rows(kind, density):
     rng = np.random.default_rng(int(density * 10) + len(kind))
     for n in (2, 3, 5, 7):
         op = random_operator(kind, n, rng, density)
-        rows, support = op.image_rows(), op.support()
+        rows, support = op.image_rows(), lprime_support(op)
         assert np.all(np.diff(rows) > 0) and rows.size <= n * n
         loop = lprime_by_basis_loop(op, n)
         # L(E_s) vanishes off T for every s in S, and L'[T, S] is L' there bit for bit
         assert not np.any(np.delete(loop[:, support], rows, axis=0))
-        assert np.array_equal(scatter_rows(op.lprime(), rows, n), loop[:, support])
+        assert np.array_equal(scatter_rows(assemble_Lprime(op, n), rows, n), loop[:, support])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_lprime_vec_is_L_of_each_vec_basis_matrix_on_its_image_rows(n):
+    rng = np.random.default_rng(40 + n)
+    ops = [*lprime_operators(n, rng).values(),
+           *(random_operator(kind, n, rng, density)
+             for kind in OPERATOR_KINDS for density in (1.0, 0.3))]
+    every = np.arange(n * n)
+    for op in ops:
+        rows = op.image_rows()
+        want = np.zeros((n * n, n * n), dtype=complex)  # column c: vec(L(E_c))
+        for c in every:
+            basis = np.zeros(n * n)
+            basis[c] = 1.0
+            want[:, c] = apply_L(op, basis.reshape(n, n, order="F")).ravel(order="F")
+        got = op.lprime_vec(every)
+        assert got.shape == (rows.size, n * n)
+        assert np.array_equal(got, want[rows])
+        # L writes only T and reads only T: the contract of lprime_support
+        assert not np.any(np.delete(want, rows, axis=0))
+        assert not np.any(np.delete(want, rows, axis=1))
 
 
 def test_assemble_Lprime_checks_the_dimension():

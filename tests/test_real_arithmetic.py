@@ -22,6 +22,7 @@ from scfconv import (
     Problem,
     ScfOptions,
     ZeroGapError,
+    assemble_Lprime,
     assemble_jacobian,
     build_illustrative,
     build_laplacian,
@@ -93,8 +94,8 @@ def real_case(name: str, tmp_path) -> Problem:
 def test_a_real_problem_stays_real_from_a0_to_j(name, filter_name, tmp_path):
     problem = real_case(name, tmp_path)
     bundle, jb = solved_core(problem, **FILTERS[filter_name])
-    arrays = {"A0": problem.a0, "L'": problem.op.lprime(), "X": bundle.x, "P*": bundle.p_star,
-              "w": jb.w, "J[:, S]": jb.j_s}
+    arrays = {"A0": problem.a0, "L'": assemble_Lprime(problem.op, problem.n), "X": bundle.x,
+              "P*": bundle.p_star, "w": jb.w, "J[:, S]": jb.j_s}
     assert {key: a.dtype for key, a in arrays.items()} == dict.fromkeys(arrays, np.dtype(float))
 
 
@@ -103,24 +104,24 @@ def test_a_complex_mask_stays_complex():
     a0 = random_hermitian(rng, 5, scale=0.1) + np.diag(np.arange(5.0))
     problem = Problem(a0=a0, op=HadamardMask(mask=random_hermitian(rng, 5, scale=0.2)), p=2)
     bundle, jb = solved_core(problem)
-    for a in (problem.op.lprime(), bundle.x, jb.w, jb.j_s):
+    for a in (assemble_Lprime(problem.op, problem.n), bundle.x, jb.w, jb.j_s):
         assert a.dtype == complex
 
 
 def test_the_complex_laplacian_has_a_complex_x_and_a_real_lprime():
     problem = build_laplacian(8, 10.0, 3, variant="complex")
     bundle, jb = solved_core(problem)
-    assert problem.op.lprime().dtype == float and jb.l_s.dtype == float
+    assert assemble_Lprime(problem.op, problem.n).dtype == float and jb.l_s.dtype == float
     assert bundle.x.dtype == jb.w.dtype == jb.j_s.dtype == complex
 
 
 def test_lprime_keeps_its_data_dtype_and_makes_an_integer_one_float():
     eye = np.eye(3, dtype=int)
-    assert HadamardMask(mask=eye).lprime().dtype == float
-    assert GeneralVec(matrix=np.eye(9, dtype=int)).lprime().dtype == float
-    assert DiagonalMap(coeff=eye).lprime().dtype == float
-    assert DiagonalMap(coeff=eye * (1.0 + 0.5j)).lprime().dtype == complex
-    assert HadamardMask(mask=eye * (1.0 + 0j)).lprime().dtype == complex
+    assert assemble_Lprime(HadamardMask(mask=eye), 3).dtype == float
+    assert assemble_Lprime(GeneralVec(matrix=np.eye(9, dtype=int)), 3).dtype == float
+    assert assemble_Lprime(DiagonalMap(coeff=eye), 3).dtype == float
+    assert assemble_Lprime(DiagonalMap(coeff=eye * (1.0 + 0.5j)), 3).dtype == complex
+    assert assemble_Lprime(HadamardMask(mask=eye * (1.0 + 0j)), 3).dtype == complex
 
 
 @pytest.mark.parametrize("name", REAL_CASES)

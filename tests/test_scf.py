@@ -344,8 +344,8 @@ def test_lockstep_stops_at_the_first_failing_problem_with_its_own_error():
         # A(P) = diag(P_11 + shift, 1, 2): the middle start closes the gap at iterate 0
         ([Problem(a0=np.diag([shift, 1.0, 2.0]), op=HadamardMask(mask=np.diag([1.0, 0.0, 0.0])),
                   p=1) for shift in (-0.5, 0.0, -0.25)], ScfOptions()),
-        # at beta = 1e-3 no member's occupations bracket mu at iterate 0
-        ([build_illustrative(eps) for eps in (0.1, 0.2)], ScfOptions(filter="fermi", beta=1e-3)),
+        # at beta = 1e-310 no member brackets mu at iterate 0: (1 + ln n) / beta overflows
+        ([build_illustrative(eps) for eps in (0.1, 0.2)], ScfOptions(filter="fermi", beta=1e-310)),
     ],
     ids=["zero-gap", "mu-not-bracketed"],
 )
