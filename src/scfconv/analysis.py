@@ -307,13 +307,6 @@ def _d_eff(r: np.ndarray, y: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return y
 
 
-def _diagonal_block(r: np.ndarray) -> np.ndarray:
-    """D_eff on the n diagonal positions: diag(f') - f' f'^T / sum f' (diag(f')
-    when f' sums to 0)."""
-    fprime = np.diagonal(r)
-    return np.diag(fprime) - np.outer(fprime, fprime / (fprime.sum() or np.inf))
-
-
 def _d_eff_blocks(r: np.ndarray, columns, height: int):
     """Yield Y D_eff by blocks of columns over the positions where D_eff is
     nonzero, Y given by ``columns(pos)``, a fresh ``height`` x len(pos) array
@@ -337,7 +330,8 @@ def _d_eff_tail(jb: JacobianBundle) -> np.ndarray:
     gaps = jb.gaps
     members = np.abs(jb.r[gaps.occ, gaps.virt])
     if gaps.diagonal:
-        members = np.append(members, _norm2(_diagonal_block(jb.r)))
+        on = np.arange(jb.n) * (jb.n + 1)
+        members = np.append(members, _norm2(_d_eff(jb.r, np.eye(jb.n), on)))
     return np.maximum.accumulate(np.append(members, 0.0)[::-1])[::-1]
 
 

@@ -1,9 +1,8 @@
 """Command-line surface: solves, analyses, oracle checks and parameter sweeps.
 
-Outputs are deterministic given the problem and the options (``check`` also
-reads ``--seed``).  Numeric values are written with full double precision
-(shortest round-trip representation), so re-reading a CSV/JSON reproduces the
-computed values bit-faithfully.
+Outputs are deterministic given the problem and the options.  Numeric values
+are written with full double precision (shortest round-trip representation),
+so re-reading a CSV/JSON reproduces the computed values bit-faithfully.
 """
 
 from __future__ import annotations
@@ -239,8 +238,6 @@ def verdict(ok: bool, text: str) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.seed < 0:
-        raise SystemExit(f"--seed must be >= 0, got {args.seed}")
     problem = build_problem(args)
     bundle, _ = locate_fixed_point(problem, build_opts(args))
     if not bundle.converged:
@@ -255,7 +252,7 @@ def cmd_check(args) -> int:
     fd_err = max_column_relative_error(jb.dense(), fd)
     failures = verdict(fd_err <= 1e-6, f"finite-difference oracle: max column error {fd_err:.3e}")
 
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(0)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=problem.n))
     rotated = assemble_jacobian(replace(bundle, x=bundle.x * phases[None, :]), problem.op).j_s
     phase_err = float(np.abs(rotated - jb.j_s).max(initial=0.0))
@@ -331,7 +328,6 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check", help="oracle and invariant checks")
     add_problem_args(p_check)
     add_solver_args(p_check)
-    p_check.add_argument("--seed", type=int, default=0, help="seed of the phase-invariance test")
     p_check.add_argument(
         "--corrupt-jacobian",
         action="store_true",

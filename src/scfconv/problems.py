@@ -231,22 +231,14 @@ def build_laplacian(
         raise ValueError(f"grid spacing h must be positive and finite, got {h}")
     if not 0 < h * h < np.inf:
         raise ValueError(f"grid spacing h={h} has a square outside the positive finite doubles")
-    diag = 2.0 / h**2
-    off = -1.0 / h**2
-    if variant == "complex":
-        a0 = np.zeros((n, n), dtype=complex)
-        np.fill_diagonal(a0, diag)
-        idx = np.arange(n - 1)
-        a0[idx, idx + 1] = off + 1j / (2.0 * h)
-        a0[idx + 1, idx] = off - 1j / (2.0 * h)
-    elif variant == "real":
-        a0 = np.zeros((n, n))
-        np.fill_diagonal(a0, diag)
-        idx = np.arange(n - 1)
-        a0[idx, idx + 1] = off
-        a0[idx + 1, idx] = off
-    else:
+    if variant not in ("complex", "real"):
         raise ValueError(f"unknown Laplacian variant {variant!r}")
+    convection = 1j / (2.0 * h) if variant == "complex" else 0.0
+    a0 = np.zeros((n, n), dtype=type(convection))
+    np.fill_diagonal(a0, 2.0 / h**2)
+    idx = np.arange(n - 1)
+    a0[idx, idx + 1] = -1.0 / h**2 + convection
+    a0[idx + 1, idx] = -1.0 / h**2 - convection
     coeff = np.linalg.inv(np.real(a0))
     meta = {
         "family": f"laplacian_{variant}",
@@ -302,6 +294,13 @@ def _encode_operator(op: OperatorSpec) -> dict:
     raise TypeError(f"unknown operator type {type(op)!r}")
 
 
+def _finite_number(value, name: str):
+    """``value``, if it is a finite JSON number (an int or a float, not a bool)."""
+    if not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 def _decode_operator(data: dict, n: int) -> OperatorSpec:
     kind = data.get("kind")
     if kind == "hadamard":
@@ -315,7 +314,8 @@ def _decode_operator(data: dict, n: int) -> OperatorSpec:
             raise ValueError("coeff must be real")
         if coeff.shape != (n, n):
             raise ValueError(f"coeff shape {coeff.shape} does not match n={n}")
-        return DiagonalMap(coeff=coeff, alpha=float(data.get("alpha", 1.0)))
+        alpha = _finite_number(data.get("alpha", 1.0), "operator alpha")
+        return DiagonalMap(coeff=coeff, alpha=float(alpha))
     if kind == "general_vec":
         # GeneralVec checks that it is n^2 x n^2, and Problem that n is A0's
         return GeneralVec(matrix=_decode_matrix(data["matrix"], "matrix"))
@@ -337,9 +337,10 @@ def save_problem(problem: Problem, path) -> None:
 
 def load_problem(path) -> Problem:
     """Load a problem from the JSON schema, validating Hermiticity of A0 and
-    that a ``meta.alpha`` other than null is a finite number.  A malformed
-    file (not an object, an operator or meta that is not an object, n or p
-    not a JSON integer, a missing key) raises a one-line ValueError."""
+    that a ``diagonal_map`` alpha and a ``meta.alpha`` other than null are
+    finite numbers.  A malformed file (not an object, an operator or meta that
+    is not an object, n or p not a JSON integer, a missing key) raises a
+    one-line ValueError."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -361,10 +362,6 @@ def load_problem(path) -> Problem:
         op = _decode_operator(operator, n)
     except KeyError as exc:
         raise ValueError(f"operator missing required key: {exc}") from exc
-    except TypeError as exc:  # a diagonal_map alpha that is not a number
-        raise ValueError(f"operator: {exc}") from None
-    alpha = meta.get("alpha")
-    finite = type(alpha) in (int, float) and abs(alpha) <= sys.float_info.max
-    if alpha is not None and not finite:
-        raise ValueError(f"meta.alpha must be a finite number, got {alpha!r}")
+    if meta.get("alpha") is not None:
+        _finite_number(meta["alpha"], "meta.alpha")
     return Problem(a0=a0, op=op, p=p, meta=meta)

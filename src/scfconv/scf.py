@@ -35,9 +35,10 @@ STALL_SPREAD = 1e-6
 FALLBACK_DAMPINGS = (0.5, 0.2, 0.05)
 FALLBACK_MAX_ITER = 5000
 
-# A lockstep batch keeps every member's iterates (16 n^2 bytes each, up to
-# its iteration cap) until the member converges; it holds as many members as
-# fit in GRID_BATCH_BYTES that way, and at least one (``batch_cells``).
+# A lockstep batch keeps every member's plain-run iterates (16 n^2 bytes each,
+# up to its iteration cap) until the member converges; it holds as many members
+# as fit in GRID_BATCH_BYTES that way, and at least one.  The damped fallbacks
+# keep no iterates.
 GRID_BATCH_BYTES = 64 << 20
 
 
@@ -99,7 +100,8 @@ class FixedPointBundle:
 
     ``errors_to_fixed`` is filled post hoc from the stored iterates once P*
     is known; it aligns with ``history`` (entry k is ||P_{k+1} - P*||_F).  It
-    is None for an unconverged run, whose last iterate is no fixed point.
+    is None for an unconverged run, whose last iterate is no fixed point, and
+    for a damped run of ``locate_fixed_point(s)``, which keeps no iterates.
     """
 
     p_star: np.ndarray
@@ -143,30 +145,25 @@ def scf_step(problem, density, filter: str = "step", beta: float | None = None):
     return spectral_filter_density(a, p, beta=beta, name="A(P)")[:3]
 
 
-def batch_cells(n: int, max_iter: int) -> int:
-    """How many problems of dimension n one lockstep batch holds when each may
-    store up to ``max_iter`` iterates of 16 n^2 bytes (``GRID_BATCH_BYTES``)."""
-    return max(1, GRID_BATCH_BYTES // (16 * n * n * max_iter))
-
-
 def _batches(problems, max_iter: int):
-    """The runs of consecutive problems of equal (n, p), cut to at most
-    ``batch_cells(n, max_iter)`` problems each."""
+    """The runs of consecutive problems of equal (n, p), cut to as many problems
+    as store ``max_iter`` iterates of 16 n^2 bytes each in ``GRID_BATCH_BYTES``,
+    and at least one."""
     for (n, _), run in itertools.groupby(problems, key=lambda one: (one.n, one.p)):
-        run, per = list(run), batch_cells(n, max_iter)
+        run, per = list(run), max(1, GRID_BATCH_BYTES // (16 * n * n * max_iter))
         yield from (run[first:first + per] for first in range(0, len(run), per))
 
 
-def _bundle(problem: Problem, opts: ScfOptions, history, iterates, converged: bool):
-    """The FixedPointBundle of a finished run whose last iterate is P*."""
-    p_star = iterates[-1]
+def _bundle(problem: Problem, opts: ScfOptions, history, p_star, iterates, converged: bool):
+    """The FixedPointBundle of a finished run whose last density is ``p_star``;
+    ``iterates`` is the run's densities, or None when it kept none."""
     a_star = problem.apply(p_star)
     lam, x = np.linalg.eigh(require_hermitian(a_star, tol=1e-10, name="A(P*)"))
     mu = None
     if opts.filter == "fermi":
         mu = fermi_chemical_potential(lam, opts.beta, problem.p)
     errors = None
-    if converged:
+    if converged and iterates is not None:
         errors = np.array([float(np.linalg.norm(it - p_star)) for it in iterates])
     return FixedPointBundle(
         p_star=p_star,
@@ -185,20 +182,22 @@ def _bundle(problem: Problem, opts: ScfOptions, history, iterates, converged: bo
 
 def _run_batch(batch, opts: ScfOptions, stall: bool):
     """``scf_solve`` of each problem of ``batch`` (all of equal n and p), iterated
-    together: the bundle of each, or the exception it raises alone.  Each step
-    maps the live members' densities through one ``scf_step``.  A member leaves
-    the stack, with its iterates, once it fails, converges, reaches
-    ``opts.max_iter`` or, with ``stall``, stalls (``_stalled``)."""
+    together from the filter density of A0: the bundle of each, or the exception
+    it raises alone.  Each step maps the live members' densities through one
+    ``scf_step``.  A member leaves the stack once it fails, converges, reaches
+    ``opts.max_iter`` or, with ``stall``, stalls (``_stalled``).  A damped run
+    that stops on a stall (a fallback of ``locate_fixed_points``) keeps no iterates."""
     runs: list[FixedPointBundle | Exception | None] = [None] * len(batch)
     live, starts = [], []
     for i, problem in enumerate(batch):
         try:
-            starts.append(spectral_filter_density(problem.a0, problem.p)[0])
+            starts.append(spectral_filter_density(problem.a0, problem.p, beta=opts.beta)[0])
             live.append(i)
-        except ZeroGapError as exc:
+        except (ZeroGapError, ChemicalPotentialError) as exc:
             runs[i] = exc
     histories = [[] for _ in batch]
-    iterates = [[] for _ in batch]
+    keep = not (stall and opts.damping < 1.0)
+    iterates = [[] if keep else None for _ in batch]
     density = np.stack(starts) if starts else None
     p, theta = batch[0].p, opts.damping
     for k in range(opts.max_iter):
@@ -225,11 +224,13 @@ def _run_batch(batch, opts: ScfOptions, stall: bool):
             step_err = float(np.linalg.norm(diff[j]))
             history = histories[i]
             history.append(IterationRecord(step_err, low, high, gap))
-            iterates[i].append(nxt[j].copy())
+            kept = iterates[i]
+            if kept is not None:
+                kept.append(nxt[j].copy())
             converged = step_err <= opts.tol
             if converged or k + 1 == opts.max_iter or (stall and _stalled(history)):
                 try:
-                    runs[i] = _bundle(batch[i], opts, history, iterates[i], converged)
+                    runs[i] = _bundle(batch[i], opts, history, nxt[j].copy(), kept, converged)
                 except ChemicalPotentialError as exc:
                     runs[i] = exc
                 iterates[i] = None
@@ -267,37 +268,32 @@ def scf_solve(problem: Problem, opts: ScfOptions | None = None) -> FixedPointBun
     return run
 
 
-def _locate_batch(batch, opts: ScfOptions) -> list:
-    """The entries of ``locate_fixed_points`` for one batch, as a list."""
-    plain = _run_batch(batch, replace(opts, damping=1.0), stall=True)
-    found = list(plain)
-    for theta in FALLBACK_DAMPINGS:
-        todo = [i for i, run in enumerate(found)
-                if isinstance(run, FixedPointBundle) and not run.converged]
-        damped = replace(opts, damping=theta, max_iter=FALLBACK_MAX_ITER)
-        runs = (run for chunk in _batches([batch[i] for i in todo], FALLBACK_MAX_ITER)
-                for run in _run_batch(chunk, damped, stall=True))
-        for i, run in zip(todo, runs):
-            if isinstance(run, Exception) or run.converged:
-                found[i] = run
-    return [run if isinstance(run, Exception) else (run, first)
-            for run, first in zip(found, plain)]
-
-
 def locate_fixed_points(problems, opts: ScfOptions | None = None):
     """``locate_fixed_point`` of each of ``problems``, in lockstep.
 
     Yields one entry per problem, in order: the (bundle, plain_bundle) pair
     of ``locate_fixed_point`` on it alone, or the exception that raises.  A
     failing problem leaves the stack; the others go on.  Consecutive problems
-    of equal (n, p) go in batches of at most ``batch_cells(n, opts.max_iter)``,
-    and a batch's entries are yielded once it is done.  Within a batch the
-    plain runs go together, then each of ``FALLBACK_DAMPINGS`` in turn over
-    the problems still unconverged, batched again by ``FALLBACK_MAX_ITER``.
+    of equal (n, p) go in batches (``_batches``) sized by the plain runs'
+    iterates, and a batch's entries are yielded once it is done.  Within a
+    batch the plain runs go together, then each of ``FALLBACK_DAMPINGS`` in
+    turn as one stack of the problems still unconverged, keeping no iterates.
     """
     opts = opts or ScfOptions()
     for batch in _batches(problems, opts.max_iter):
-        yield from _locate_batch(batch, opts)
+        plain = _run_batch(batch, replace(opts, damping=1.0), stall=True)
+        found = list(plain)
+        for theta in FALLBACK_DAMPINGS:
+            todo = [i for i, run in enumerate(found)
+                    if isinstance(run, FixedPointBundle) and not run.converged]
+            if not todo:
+                break
+            damped = replace(opts, damping=theta, max_iter=FALLBACK_MAX_ITER)
+            for i, run in zip(todo, _run_batch([batch[i] for i in todo], damped, stall=True)):
+                if isinstance(run, Exception) or run.converged:
+                    found[i] = run
+        yield from (run if isinstance(run, Exception) else (run, first)
+                    for run, first in zip(found, plain))
 
 
 def locate_fixed_point(problem: Problem, opts: ScfOptions | None = None
@@ -306,7 +302,8 @@ def locate_fixed_point(problem: Problem, opts: ScfOptions | None = None
 
     Returns (bundle, plain_bundle) where plain_bundle is the theta = 1 run
     (the one rate measurements may use) and bundle is the first converged run,
-    trying ``FALLBACK_DAMPINGS`` in turn.  Needed to evaluate divergent cases
+    trying ``FALLBACK_DAMPINGS`` in turn.  A damped bundle keeps no iterates,
+    so its ``errors_to_fixed`` is None.  Needed to evaluate divergent cases
     (c > 1), where plain SCF never settles but the damped iteration shares the
     same fixed points.
 

@@ -242,7 +242,7 @@ def fermi_chemical_potential_loop(lam, beta, p, tol=1e-12, max_iter=200):
 def scf_solve_loop(problem, opts, stall_steps=None):
     """``scf_solve`` one problem and one ``scf_step`` call at a time: the
     reference of the lockstep iteration, which must equal it exactly."""
-    density = spectral_filter_density(problem.a0, problem.p)[0]
+    density = spectral_filter_density(problem.a0, problem.p, beta=opts.beta)[0]
     theta = opts.damping
     history, iterates = [], []
     converged = False
@@ -278,7 +278,8 @@ def scf_solve_loop(problem, opts, stall_steps=None):
 
 
 def locate_fixed_point_loop(problem, opts):
-    """``locate_fixed_point`` by ``scf_solve_loop``: one run of one problem at a time."""
+    """``locate_fixed_point`` by ``scf_solve_loop``: one run of one problem at a
+    time.  A damped run keeps no iterates, so its bundle has no errors_to_fixed."""
     plain = scf_solve_loop(problem, replace(opts, damping=1.0), stall_steps=STALL_STEPS)
     if plain.converged:
         return plain, plain
@@ -287,7 +288,7 @@ def locate_fixed_point_loop(problem, opts):
             problem, replace(opts, damping=theta, max_iter=FALLBACK_MAX_ITER), STALL_STEPS
         )
         if damped.converged:
-            return damped, plain
+            return replace(damped, errors_to_fixed=None), plain
     return plain, plain
 
 

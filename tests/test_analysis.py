@@ -31,6 +31,7 @@ from scfconv import (
     max_column_relative_error,
     realified_jacobian_fd,
     vech,
+    vech_index,
 )
 from scfconv.matops import ChemicalPotentialError, ZeroGapError
 from scfconv.problems import HadamardMask, Problem, apply_L
@@ -645,7 +646,19 @@ def test_the_bound_chain_holds_on_random_problems(kind, n, seed, beta):
     except (ZeroGapError, ChemicalPotentialError):
         bundle = None
     assume(bundle is not None and bundle.converged)
-    assert_bound_chain(problem, assemble_jacobian(bundle, problem.op))
+    jb = assemble_jacobian(bundle, problem.op)
+    assert_bound_chain(problem, jb)
+    # Column s of J[:, S] is the vech of the Hermitian X M_s X^H, and c2a's Gram
+    # matrix is that of the M_s: c2a^2 = lambda_max(2 Re(J^H J) - G_d), G_d the
+    # Gram matrix of J's n diagonal rows, so c2a <= sqrt(2) c2.  The rest,
+    # 2 Re(J^H J) - G_d - J^H J, is the conjugate of the Gram matrix of J's
+    # rows below the diagonal, so c2 <= c2a.
+    c2a, _ = bound_cyclic(jb)
+    j, on = jb.j_s, vech_index(n) % (n + 1) == 0
+    gram = 2.0 * (j.conj().T @ j).real - j[on].conj().T @ j[on]
+    root = np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
+    assert abs(root - c2a) <= 1e-12 * c2a, (root, c2a)
+    assert jb.c2 <= c2a * (1 + 1e-12) and c2a <= np.sqrt(2.0) * jb.c2 * (1 + 1e-12)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

@@ -405,6 +405,7 @@ def test_check_passes_on_laplacian(capsys, family):
         ["solve", "--family", "illustrative", "--seed", "1"],
         ["analyze", "--family", "illustrative", "--seed", "1"],
         ["sweep", "--family", "illustrative", "--axis", "eps", "--values", "0.1", "--seed", "1"],
+        ["check", "--family", "illustrative", "--seed", "1"],
     ],
 )
 def test_unread_flags_are_rejected(argv):
@@ -530,6 +531,9 @@ MALFORMED_FILES = {
                                              "alpha": None}},
     "diagonal-map-complex-coeff": {"operator": {"kind": "diagonal_map",
                                                 "coeff": [[[1.0, 0.5]] * 3] * 3}},
+    **{f"diagonal-map-alpha-{name}": {"operator": {"kind": "diagonal_map",
+                                                   "coeff": [[1.0] * 3] * 3, "alpha": alpha}}
+       for name, alpha in (("string", "2"), ("bool", True), ("overflow", float("1e999")))},
     "p-null": {"p": None},
     "n-list": {"n": [2]},
     "p-float": {"p": 2.7},
@@ -577,7 +581,6 @@ MALFORMED_FILES = {
          "--h", "1e200"],
         ["analyze", "--family", "illustrative", "--tol", "nan"],
         ["analyze", "--file", "nan-a0.json"],
-        ["check", "--family", "illustrative", "--seed", "-1"],
         ["solve", "--file", "non-hermitian-mask.json"],
         ["analyze", "--file", "non-hermitian-mask.json"],
         ["check", "--file", "non-hermitian-mask.json"],
@@ -600,7 +603,7 @@ MALFORMED_FILES = {
          "check-mu-not-bracketed", "solve-max-iter-zero", "analyze-alpha-inf",
          "sweep-value-nan", "sweep-log-grid-through-zero", "check-h-zero",
          "analyze-h-squared-underflows", "analyze-h-squared-overflows", "analyze-tol-nan",
-         "analyze-nan-in-a0", "check-negative-seed", "solve-non-hermitian-mask",
+         "analyze-nan-in-a0", "solve-non-hermitian-mask",
          "analyze-non-hermitian-mask", "check-non-hermitian-mask",
          "solve-non-hermitian-general-vec", "analyze-non-hermitian-general-vec",
          "check-non-hermitian-general-vec", "analyze-alpha-not-a-number",
@@ -745,6 +748,23 @@ def test_check_passes_under_fermi(capsys):
     assert "PASS finite-difference oracle" in out
     assert "PASS cyclic-permutation spectral radii" in out
     assert "PASS bound chain" in out
+
+
+def test_a_fermi_run_needs_no_gap_in_A0(tmp_path, capsys):
+    # lambda_p = lambda_p+1 = 1 in A0: it has no step projector, but a Fermi
+    # density, the start of a Fermi run
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps({"n": 4, "p": 2, "A0": np.diag([0.0, 1.0, 1.0, 2.0]).tolist(),
+                                "operator": {"kind": "hadamard", "mask": [[0.1] * 4] * 4}}))
+    fermi = ["--file", str(path), "--filter", "fermi", "--beta", "5"]
+    report = tmp_path / "report.json"
+    assert main(["analyze", *fermi, "--out", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    assert payload["converged"] and payload["c"] == pytest.approx(0.125, rel=1e-12)
+    assert main(["check", *fermi]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    with pytest.raises(SystemExit, match="zero gap"):  # the step filter needs the gap
+        main(["analyze", "--file", str(path)])
 
 
 def test_sweep_under_fermi_leaves_the_step_ladder_empty(tmp_path):

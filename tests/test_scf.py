@@ -2,6 +2,7 @@
 
 import csv
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -381,6 +382,56 @@ def test_a_member_whose_final_mu_fails_leaves_the_others_as_alone(monkeypatch):
     assert isinstance(middle, ChemicalPotentialError)
     assert str(middle) == "mu search failed at the final A(P*)"
     assert first[0].converged and last[0].converged
+
+
+def test_a_damped_bundle_of_locate_keeps_no_errors_and_a_damped_solve_keeps_them():
+    problem, opts = sweep_cell("fermi", 0.0316)
+    bundle, plain = locate_fixed_point(problem, opts)
+    assert bundle.converged and bundle.damping < 1.0
+    assert bundle.errors_to_fixed is None
+    assert plain.errors_to_fixed is None  # unconverged
+    solved = scf_solve(build_illustrative(0.2), opts=ScfOptions(damping=0.5, max_iter=2000))
+    assert solved.converged
+    assert len(solved.errors_to_fixed) == solved.iterations
+
+
+def test_each_damping_takes_the_unconverged_cells_of_a_batch_as_one_stack(monkeypatch):
+    # Room for the plain runs' iterates of the whole eps grid, a tenth of what
+    # its seven divergent cells would take with FALLBACK_MAX_ITER iterates each
+    problems, opts = zip(*(sweep_cell(kind, value) for kind, value in EPS_CELLS))
+    monkeypatch.setattr(scf, "GRID_BATCH_BYTES", 16 * 3 * 3 * opts[0].max_iter * len(problems))
+    calls = []
+
+    def spy(batch, opts, stall):
+        calls.append((opts.damping, len(batch)))
+        return run_batch(batch, opts, stall)
+
+    run_batch = scf._run_batch
+    monkeypatch.setattr(scf, "_run_batch", spy)
+    located = list(locate_fixed_points(list(problems), opts[0]))
+    unconverged = sum(not plain.converged for _, plain in located)
+    assert unconverged == 7
+    assert all(bundle.converged for bundle, _ in located)
+    assert calls == [(1.0, len(problems)), (FALLBACK_DAMPINGS[0], unconverged)]
+    # no fallback converges in 30 steps: each damping takes all seven at once
+    calls.clear()
+    monkeypatch.setattr(scf, "FALLBACK_MAX_ITER", 30)
+    list(locate_fixed_points(list(problems), opts[0]))
+    assert calls == [(1.0, len(problems)), *((theta, unconverged) for theta in FALLBACK_DAMPINGS)]
+
+
+def test_a_cell_whose_fallbacks_all_run_to_their_cap_stays_small():
+    # Plain SCF and every fallback run their whole cap here (500 + 3 x 5000
+    # steps at n = 8): the 15000 damped iterates took 7.8 MB when kept
+    problem = coupled_hadamard_problem(0, 3.0)
+    tracemalloc.start()
+    try:
+        bundle, plain = locate_fixed_point(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not bundle.converged and plain.iterations == ScfOptions().max_iter
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("kind,value", [("laplacian", 5e5), ("fermi", 0.0316)])
