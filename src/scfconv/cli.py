@@ -341,7 +341,7 @@ def main(argv=None) -> int:
         raise SystemExit(f"output directory {out_dir!r} does not exist")
     try:
         return args.func(args)
-    except (ZeroGapError, ChemicalPotentialError) as exc:
+    except (ZeroGapError, ChemicalPotentialError, OSError) as exc:  # OSError: opening --out
         raise SystemExit(str(exc)) from None
 
 

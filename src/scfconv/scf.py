@@ -35,12 +35,6 @@ STALL_SPREAD = 1e-6
 FALLBACK_DAMPINGS = (0.5, 0.2, 0.05)
 FALLBACK_MAX_ITER = 5000
 
-# A lockstep batch keeps every member's plain-run iterates (16 n^2 bytes each,
-# up to its iteration cap) until the member converges; it holds as many members
-# as fit in GRID_BATCH_BYTES that way, and at least one.  The damped fallbacks
-# keep no iterates.
-GRID_BATCH_BYTES = 64 << 20
-
 
 class RateEstimationError(RuntimeError):
     """Too few usable tail points; rerun with a smaller tol or more iterations."""
@@ -98,10 +92,10 @@ class IterationRecord:
 class FixedPointBundle:
     """Converged density matrix with the full eigendecomposition of A(P*).
 
-    ``errors_to_fixed`` is filled post hoc from the stored iterates once P*
-    is known; it aligns with ``history`` (entry k is ||P_{k+1} - P*||_F).  It
-    is None for an unconverged run, whose last iterate is no fixed point, and
-    for a damped run of ``locate_fixed_point(s)``, which keeps no iterates.
+    ``errors_to_fixed`` aligns with ``history`` (entry k is ||P_{k+1} - P*||_F),
+    filled from the stored iterates once P* is known.  Only ``scf_solve``
+    stores iterates, so it is None for every run of ``locate_fixed_point(s)``,
+    and for an unconverged run, whose last iterate is no fixed point.
     """
 
     p_star: np.ndarray
@@ -145,15 +139,6 @@ def scf_step(problem, density, filter: str = "step", beta: float | None = None):
     return spectral_filter_density(a, p, beta=beta, name="A(P)")[:3]
 
 
-def _batches(problems, max_iter: int):
-    """The runs of consecutive problems of equal (n, p), cut to as many problems
-    as store ``max_iter`` iterates of 16 n^2 bytes each in ``GRID_BATCH_BYTES``,
-    and at least one."""
-    for (n, _), run in itertools.groupby(problems, key=lambda one: (one.n, one.p)):
-        run, per = list(run), max(1, GRID_BATCH_BYTES // (16 * n * n * max_iter))
-        yield from (run[first:first + per] for first in range(0, len(run), per))
-
-
 def _bundle(problem: Problem, opts: ScfOptions, history, p_star, iterates, converged: bool):
     """The FixedPointBundle of a finished run whose last density is ``p_star``;
     ``iterates`` is the run's densities, or None when it kept none."""
@@ -185,8 +170,8 @@ def _run_batch(batch, opts: ScfOptions, stall: bool):
     together from the filter density of A0: the bundle of each, or the exception
     it raises alone.  Each step maps the live members' densities through one
     ``scf_step``.  A member leaves the stack once it fails, converges, reaches
-    ``opts.max_iter`` or, with ``stall``, stalls (``_stalled``).  A damped run
-    that stops on a stall (a fallback of ``locate_fixed_points``) keeps no iterates."""
+    ``opts.max_iter`` or, with ``stall``, stalls (``_stalled``).  A run that
+    stops on a stall (a run of ``locate_fixed_points``) keeps no iterates."""
     runs: list[FixedPointBundle | Exception | None] = [None] * len(batch)
     live, starts = [], []
     for i, problem in enumerate(batch):
@@ -196,8 +181,7 @@ def _run_batch(batch, opts: ScfOptions, stall: bool):
         except (ZeroGapError, ChemicalPotentialError) as exc:
             runs[i] = exc
     histories = [[] for _ in batch]
-    keep = not (stall and opts.damping < 1.0)
-    iterates = [[] if keep else None for _ in batch]
+    iterates = [None if stall else [] for _ in batch]
     density = np.stack(starts) if starts else None
     p, theta = batch[0].p, opts.damping
     for k in range(opts.max_iter):
@@ -274,13 +258,14 @@ def locate_fixed_points(problems, opts: ScfOptions | None = None):
     Yields one entry per problem, in order: the (bundle, plain_bundle) pair
     of ``locate_fixed_point`` on it alone, or the exception that raises.  A
     failing problem leaves the stack; the others go on.  Consecutive problems
-    of equal (n, p) go in batches (``_batches``) sized by the plain runs'
-    iterates, and a batch's entries are yielded once it is done.  Within a
-    batch the plain runs go together, then each of ``FALLBACK_DAMPINGS`` in
-    turn as one stack of the problems still unconverged, keeping no iterates.
+    of equal (n, p) go in one batch, whose entries are yielded once it is
+    done.  Within a batch the plain runs go together, then each of
+    ``FALLBACK_DAMPINGS`` in turn as one stack of the problems still
+    unconverged.  No run keeps its iterates.
     """
     opts = opts or ScfOptions()
-    for batch in _batches(problems, opts.max_iter):
+    for _, batch in itertools.groupby(problems, key=lambda one: (one.n, one.p)):
+        batch = list(batch)
         plain = _run_batch(batch, replace(opts, damping=1.0), stall=True)
         found = list(plain)
         for theta in FALLBACK_DAMPINGS:
@@ -302,8 +287,8 @@ def locate_fixed_point(problem: Problem, opts: ScfOptions | None = None
 
     Returns (bundle, plain_bundle) where plain_bundle is the theta = 1 run
     (the one rate measurements may use) and bundle is the first converged run,
-    trying ``FALLBACK_DAMPINGS`` in turn.  A damped bundle keeps no iterates,
-    so its ``errors_to_fixed`` is None.  Needed to evaluate divergent cases
+    trying ``FALLBACK_DAMPINGS`` in turn.  No run keeps its iterates, so
+    ``errors_to_fixed`` is None on both.  Needed to evaluate divergent cases
     (c > 1), where plain SCF never settles but the damped iteration shares the
     same fixed points.
 
@@ -325,7 +310,9 @@ def estimate_rate(errors) -> float:
 
     Uses the last ``RATE_TAIL`` entries that sit above the round-off floor
     ``RATE_FLOOR`` (100x machine precision) and fits the slope of log(error)
-    against the iteration index.
+    against the iteration index.  ``measured_rate`` hands it a run's step
+    errors ||P_{k+1} - P_k||_F, which shrink at the rate of the errors to P*
+    and need no P*.
     """
     errors = np.asarray(errors, dtype=float)
     usable = np.flatnonzero(errors > RATE_FLOOR)
@@ -341,10 +328,11 @@ def estimate_rate(errors) -> float:
 
 
 def measured_rate(plain: FixedPointBundle | None) -> float | None:
-    """Fitted rate of a converged plain (undamped) run; None when there is none to fit."""
+    """Fitted rate of the step errors of a converged plain (undamped) run; None
+    when there is none to fit."""
     if plain is None or not plain.converged or plain.damping != 1.0:
         return None
     try:
-        return estimate_rate(plain.errors_to_fixed)
+        return estimate_rate([rec.step_err for rec in plain.history])
     except RateEstimationError:
         return None

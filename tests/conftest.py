@@ -241,7 +241,8 @@ def fermi_chemical_potential_loop(lam, beta, p, tol=1e-12, max_iter=200):
 
 def scf_solve_loop(problem, opts, stall_steps=None):
     """``scf_solve`` one problem and one ``scf_step`` call at a time: the
-    reference of the lockstep iteration, which must equal it exactly."""
+    reference of the lockstep iteration, which must equal it exactly.  A run
+    that stops on a stall (``stall_steps``) keeps no iterates."""
     density = spectral_filter_density(problem.a0, problem.p, beta=opts.beta)[0]
     theta = opts.damping
     history, iterates = [], []
@@ -270,7 +271,7 @@ def scf_solve_loop(problem, opts, stall_steps=None):
     if opts.filter == "fermi":
         mu = fermi_chemical_potential_loop(lam, opts.beta, problem.p)
     errors = None
-    if converged:
+    if converged and not stall_steps:
         errors = np.array([float(np.linalg.norm(it - density)) for it in iterates])
     return FixedPointBundle(p_star=density, x=x, lambdas=lam, history=history,
                             converged=converged, p=problem.p, damping=theta,
@@ -279,7 +280,7 @@ def scf_solve_loop(problem, opts, stall_steps=None):
 
 def locate_fixed_point_loop(problem, opts):
     """``locate_fixed_point`` by ``scf_solve_loop``: one run of one problem at a
-    time.  A damped run keeps no iterates, so its bundle has no errors_to_fixed."""
+    time.  No run keeps its iterates, so no bundle has errors_to_fixed."""
     plain = scf_solve_loop(problem, replace(opts, damping=1.0), stall_steps=STALL_STEPS)
     if plain.converged:
         return plain, plain
@@ -288,7 +289,7 @@ def locate_fixed_point_loop(problem, opts):
             problem, replace(opts, damping=theta, max_iter=FALLBACK_MAX_ITER), STALL_STEPS
         )
         if damped.converged:
-            return replace(damped, errors_to_fixed=None), plain
+            return damped, plain
     return plain, plain
 
 

@@ -28,7 +28,6 @@ from scfconv import (
     build_laplacian,
     convergence_factor,
     cyclic_spectral_radii,
-    estimate_rate,
     jacobian_fd,
     locate_fixed_point,
     max_column_relative_error,
@@ -36,6 +35,7 @@ from scfconv import (
     vech,
 )
 from scfconv.problems import apply_L
+from scfconv.scf import measured_rate
 
 from conftest import lprime_by_basis_loop, selector_T, solved_random_instances, symmetrize_S
 
@@ -81,14 +81,14 @@ def test_criterion_02_rate_prediction():
         bundle, plain, jb = solve_and_jacobian(problem)
         assert plain.converged, label
         rho = convergence_factor(jb.dense())
-        rate = estimate_rate(plain.errors_to_fixed)
+        rate = measured_rate(plain)
         rels.append((label, rho, rate, abs(rate - rho) / rho))
     elapsed = time.perf_counter() - t0
     worst = max(r[3] for r in rels)
-    ok = worst <= 0.05 and elapsed < 60.0
+    ok = worst <= 1e-3 and elapsed < 60.0
     detail = "; ".join(f"{lbl}: rho={rho:.4e}, rate={rate:.4e}" for lbl, rho, rate, _ in rels)
     report(2, ok, f"max relative gap {worst:.3e} ({detail}), {elapsed:.1f} s")
-    assert worst <= 0.05
+    assert worst <= 1e-3
     assert elapsed < 60.0
 
 

@@ -23,7 +23,6 @@ from scfconv import (
     convergence_factor,
     cyclic_spectral_radii,
     divided_difference_matrix,
-    estimate_rate,
     gap_structure,
     jacobian_fd,
     ladder,
@@ -37,6 +36,7 @@ from scfconv.matops import ChemicalPotentialError, ZeroGapError
 from scfconv.problems import HadamardMask, Problem, apply_L
 
 from scfconv import analysis, scf
+from scfconv.scf import measured_rate
 
 from conftest import (
     FILTERS,
@@ -240,8 +240,7 @@ def test_convergence_factor_matches_measured_rate():
     problem = build_illustrative(0.2)
     bundle, plain, jb = solved(problem)
     rho = convergence_factor(jb.dense())
-    rate = estimate_rate(plain.errors_to_fixed)
-    assert abs(rate - rho) <= 0.05 * rho
+    assert abs(measured_rate(plain) - rho) <= 1e-3 * rho
 
 
 def test_bound_c2_dominates_c():
@@ -528,7 +527,7 @@ def test_analyze_problem_report_consistency():
     assert values["c"] <= values["c2"] + 1e-12
     assert values["gap:0"] == pytest.approx(values["naive"], rel=1e-12)
     assert report.fd_check <= 1e-6
-    assert report.measured_rate == pytest.approx(values["c"], rel=0.05)
+    assert report.measured_rate == pytest.approx(values["c"], rel=1e-3)
     payload = report.to_dict()
     assert payload["n"] == 3 and payload["p"] == 1
     assert len(payload["deltas"]) == 2

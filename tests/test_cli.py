@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -561,6 +560,9 @@ MALFORMED_FILES = {
         ["solve", "--family", "illustrative", "--out", "no-such-dir/history.csv"],
         ["sweep", "--family", "illustrative", "--axis", "eps", "--values", "0.1",
          "--out", "no-such-dir/sweep.csv"],
+        ["solve", "--family", "illustrative", "--out", "."],
+        ["analyze", "--family", "illustrative", "--out", "."],
+        ["sweep", "--family", "illustrative", "--axis", "eps", "--values", "0.1", "--out", "."],
         ["analyze", "--family", "illustrative", "--eps", "0", "--d", "-1"],
         ["sweep", "--family", "illustrative", "--d", "-1", "--axis", "eps", "--values", "0"],
         ["check", "--family", "illustrative", "--eps", "0", "--d", "-1"],
@@ -598,7 +600,9 @@ MALFORMED_FILES = {
     ids=["p-ge-n", "p-zero", "fermi-without-beta", "beta-without-fermi", "damping-zero",
          "missing-file", "sweep-bad-value", "sweep-bad-count", "sweep-count-zero",
          "sweep-count-negative", "negative-q-max", "analyze-out-missing-dir",
-         "solve-out-missing-dir", "sweep-out-missing-dir", "analyze-zero-gap", "sweep-zero-gap",
+         "solve-out-missing-dir", "sweep-out-missing-dir", "solve-out-is-a-directory",
+         "analyze-out-is-a-directory", "sweep-out-is-a-directory", "analyze-zero-gap",
+         "sweep-zero-gap",
          "check-zero-gap", "analyze-mu-not-bracketed", "sweep-mu-not-bracketed",
          "check-mu-not-bracketed", "solve-max-iter-zero", "analyze-alpha-inf",
          "sweep-value-nan", "sweep-log-grid-through-zero", "check-h-zero",
@@ -703,34 +707,22 @@ def test_the_first_failing_cell_ends_a_lockstep_sweep_as_it_ends_one_cell(
     assert sweep(grid) == (alone[0], rows_before)
 
 
-def test_a_sweep_holds_one_batch_of_iterates_at_a_time(monkeypatch):
-    # Eight convergent cells of 75-111 plain steps under a cap of 150: with
-    # room for two cells' capped iterates, the grid goes through in batches
-    # of two, and its traced peak stays below that room.
-    n, cap = 30, 150
-    room = 2 * 16 * n * n * cap
-    argv = ["sweep", "--family", "laplacian-complex", "--n", str(n), "--p", "15",
-            "--axis", "alpha", "--grid", "1.6e5", "1.9e5", "8", "--max-iter", str(cap),
-            "--outputs", "c", "--out", os.devnull]
-    sizes = []
+def test_a_grid_of_one_n_and_p_runs_its_plain_runs_as_one_batch(monkeypatch):
+    # Ten cells of 75-111 plain steps, all convergent: one plain run of all
+    # ten, and no fallback
+    argv = ["sweep", "--family", "laplacian-complex", "--n", "30", "--p", "15",
+            "--axis", "alpha", "--grid", "1.6e5", "1.9e5", "10", "--outputs", "c",
+            "--out", os.devnull]
+    calls = []
 
     def spy(batch, opts, stall):
-        sizes.append(len(batch))
+        calls.append((opts.damping, len(batch)))
         return run_batch(batch, opts, stall)
 
     run_batch = scf._run_batch
     monkeypatch.setattr(scf, "_run_batch", spy)
-    peaks = {}
-    for budget in (room, 64 * room):
-        monkeypatch.setattr(scf, "GRID_BATCH_BYTES", budget)
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peaks[budget] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert sizes == [2, 2, 2, 2, 8]
-    assert peaks[room] < room < peaks[64 * room]
+    assert main(argv) == 0
+    assert calls == [(1.0, 10)]
 
 
 def test_check_says_it_skips_the_cyclic_radii_past_n20(capsys):

@@ -15,6 +15,7 @@ from scfconv import (
     Problem,
     ScfOptions,
     ZeroGapError,
+    assemble_jacobian,
     build_illustrative,
     build_laplacian,
     estimate_rate,
@@ -390,16 +391,16 @@ def test_a_damped_bundle_of_locate_keeps_no_errors_and_a_damped_solve_keeps_them
     assert bundle.converged and bundle.damping < 1.0
     assert bundle.errors_to_fixed is None
     assert plain.errors_to_fixed is None  # unconverged
+    bundle, plain = locate_fixed_point(build_illustrative(0.2))
+    assert plain.converged and bundle is plain
+    assert plain.errors_to_fixed is None  # a plain run of locate keeps no iterates either
     solved = scf_solve(build_illustrative(0.2), opts=ScfOptions(damping=0.5, max_iter=2000))
     assert solved.converged
     assert len(solved.errors_to_fixed) == solved.iterations
 
 
 def test_each_damping_takes_the_unconverged_cells_of_a_batch_as_one_stack(monkeypatch):
-    # Room for the plain runs' iterates of the whole eps grid, a tenth of what
-    # its seven divergent cells would take with FALLBACK_MAX_ITER iterates each
     problems, opts = zip(*(sweep_cell(kind, value) for kind, value in EPS_CELLS))
-    monkeypatch.setattr(scf, "GRID_BATCH_BYTES", 16 * 3 * 3 * opts[0].max_iter * len(problems))
     calls = []
 
     def spy(batch, opts, stall):
@@ -432,6 +433,43 @@ def test_a_cell_whose_fallbacks_all_run_to_their_cap_stays_small():
         tracemalloc.stop()
     assert not bundle.converged and plain.iterations == ScfOptions().max_iter
     assert peak < 4e6
+
+
+def test_the_peak_of_a_plain_locate_run_does_not_grow_with_its_step_count(monkeypatch):
+    # Plain SCF converges here in 421 steps; capped at 100 it stops unconverged.
+    # The 321 steps more would store 4.6 MB of iterates if the run kept them.
+    n = 30
+    problem = build_laplacian(n, 2.5e5, 15, variant="complex")
+    monkeypatch.setattr(scf, "FALLBACK_DAMPINGS", ())
+    peaks, steps = [], []
+    for cap in (100, 500):
+        tracemalloc.start()
+        try:
+            _, plain = locate_fixed_point(problem, ScfOptions(max_iter=cap))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        steps.append((plain.iterations, plain.converged))
+    assert steps == [(100, False), (421, True)]
+    assert peaks[1] - peaks[0] < 10 * 16 * n * n  # less than ten iterates' worth
+
+
+@pytest.mark.parametrize("theta", [0.05, None], ids=["0.05", "optimal"])
+def test_the_step_errors_of_a_damped_run_shrink_at_the_damped_factor(theta):
+    # Linear mixing P -> (1 - theta) P + theta Psi(P) has the Jacobian
+    # (1 - theta) I + theta J, whose spectral radius on the vech space is
+    # max(1 - theta, max_i |1 - theta + theta lambda_i|) over the eigenvalues
+    # lambda_i of J[S, S] (J vanishes off S).  Plain SCF diverges here (c > 1);
+    # theta* = 2 / (2 + c) is the best damping when the lambda_i lie in [-c, 0].
+    problem = build_laplacian(30, 5e5, 15, variant="complex")
+    bundle, _ = locate_fixed_point(problem)
+    jb = assemble_jacobian(bundle, problem.op)
+    theta = theta or 2.0 / (2.0 + jb.c)
+    lam = np.linalg.eigvals(jb.j_s[jb.support])
+    rho = max(1.0 - theta, float(np.abs(1.0 - theta + theta * lam).max()))
+    run = scf_solve(problem, opts=ScfOptions(damping=theta, max_iter=3000))
+    assert run.converged
+    assert abs(estimate_rate([rec.step_err for rec in run.history]) - rho) <= 1e-3
 
 
 @pytest.mark.parametrize("kind,value", [("laplacian", 5e5), ("fermi", 0.0316)])
