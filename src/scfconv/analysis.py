@@ -12,13 +12,12 @@ D_eff(Y) = R o Y - (sum_i f'_i Y_ii / sum_i f'_i) diag(f'), R the divided
 differences of the map's own occupations (f' on the diagonal), with no
 Fermi-level shift when f' sums to 0: one formula and one ladder serve both
 filters.  L' is zero outside L'[T, S] and J outside the columns S; only
-L'[T, S] and J[:, S] are kept, with the stack of W_s.  Every number is read
-from this core: c = rho(J[S, S]), c2 = ||J[:, S]||_2, c2a from D_eff(W_s), c2b
-and c_gap from D_eff and L'[T, S] times the S-rows of vech(x_a x_b^H), c_tilde
-from one running sum over the gap table.  Nothing of size n^4 is formed: the
-sandwich goes a chunk of S at a time, and the 2-norms are Gram matrices summed
-a chunk of columns at a time, over the positions where D_eff is nonzero (the
-2p(n-p) cross pairs under the step filter).  The dense J
+L'[T, S] and J[:, S] are kept.  Every number is read from this core: c =
+rho(J[S, S]), c2 = ||J[:, S]||_2, c2a from the Gram matrix of J[:, S] (X is
+unitary), c2b and c_gap from D_eff and L'[T, S] times the S-rows of
+vech(x_a x_b^H), c_tilde from one running sum over the gap table.  Nothing of
+size n^4 is formed: W_s and the sandwich go a chunk of S at a time, and the
+2-norms are Gram matrices summed a chunk of columns at a time.  The dense J
 (``JacobianBundle.dense``) survives only in the oracles.
 
 ``LADDER`` names these quantities, and ``ladder`` is the one evaluator that
@@ -118,9 +117,9 @@ class JacobianBundle:
     ``r`` is the n x n divided-difference matrix R of the map's occupations,
     f' on its diagonal.  ``support`` is S (``lprime_support``), and
     ``image_rows`` is T, the vec positions L can write; L' vanishes outside
-    ``l_s`` = L'[T, S] (|T| x |S|), and J outside ``j_s`` = J[:, S].  ``w`` is
-    the |S| x n x n stack of W_s = X^H L(E_s) X, so that w[s, a, b] =
-    x_a^H L(E_s) x_b, and J[:, s] = vech(X D_eff(W_s) X^H).
+    ``l_s`` = L'[T, S] (|T| x |S|), and J outside ``j_s`` = J[:, S], whose
+    column s is vech(X D_eff(W_s) X^H), W_s = X^H L(E_s) X.  No W_s is kept:
+    the assembly makes them a chunk of S at a time.
     """
 
     j_s: np.ndarray
@@ -130,7 +129,6 @@ class JacobianBundle:
     lambdas: np.ndarray
     support: np.ndarray
     image_rows: np.ndarray
-    w: np.ndarray
     filter: str = "step"
 
     @property
@@ -223,8 +221,8 @@ def assemble_jacobian(bundle: FixedPointBundle, op: OperatorSpec) -> JacobianBun
     with M_s = D_eff(W_s) = R o W_s - dmu_s diag(f'): mu is solved again for
     every P, so dmu_s = sum_i f'_i W_s[i, i] / sum_i f'_i is the Fermi-level
     shift, left out when f' sums to 0 (the step filter, or all f' underflowed).
-    M_s and the sandwich are formed a chunk of S at a time (``CORE_CHUNK_BYTES``)
-    and written straight into J[:, S].
+    W_s, M_s and the sandwich are formed a chunk of S at a time
+    (``CORE_CHUNK_BYTES``) and written straight into J[:, S].
     """
     x = bundle.x
     n = x.shape[0]
@@ -232,14 +230,14 @@ def assemble_jacobian(bundle: FixedPointBundle, op: OperatorSpec) -> JacobianBun
     r = divided_difference_matrix(bundle.lambdas, bundle.p, beta=beta, mu=bundle.mu)
     l_s = assemble_Lprime(op, n)
     rows, support = op.image_rows(), lprime_support(op)
-    w = _congruences(x, l_s, rows)
     vidx = vech_index(n)
-    j_t = np.empty((support.size, vidx.size), dtype=w.dtype)  # J[:, S] transposed
+    j_t = np.empty((support.size, vidx.size), dtype=np.result_type(x, l_s))  # J[:, S] transposed
     p, xc = bundle.p, x.conj()
     cross = not (r[:p, :p].any() or r[p:, p:].any())  # M_s = [[0, B_s], [C_s, 0]]: the step filter
     every = np.arange(n * n)
     for chunk in _spans(support.size, 16 * n * n):
-        m_s = _d_eff(r, w[chunk].reshape(-1, n * n).copy(), every).reshape(-1, n, n)
+        w = _congruences(x, l_s[:, chunk], rows)
+        m_s = _d_eff(r, w.reshape(-1, n * n), every).reshape(-1, n, n)
         # the sandwich, transposed and in place: (X M_s X^H)^T = conj(X) M_s^T X^T,
         # whose C-order flat positions are the column-major ones of vech
         mt = m_s.transpose(0, 2, 1)
@@ -251,31 +249,20 @@ def assemble_jacobian(bundle: FixedPointBundle, op: OperatorSpec) -> JacobianBun
         np.take(m_s.reshape(len(m_s), n * n), vidx, axis=1, out=j_t[chunk])
     return JacobianBundle(
         j_s=j_t.T, r=r, l_s=l_s, x=x, lambdas=np.asarray(bundle.lambdas, dtype=float),
-        support=support, image_rows=rows, w=w, filter=bundle.filter,
+        support=support, image_rows=rows, filter=bundle.filter,
     )
 
 
-def _congruences(x: np.ndarray, l_s: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The stack W_s = X^H L(E_s) X, s in S, from L'[T, S] (``l_s``, T = ``rows``).
-
-    When T is not every vec position, W = L'[T, S]^T U_T with U_T[t, (a, b)] =
-    conj(x[i_t, a]) x[k_t, b], t = (i_t, k_t): one GEMM, formed one a at a time
-    (a real GEMM when L'[T, S] is real).  Otherwise U_T would be n^2 x n^2, and
-    the sandwich of each L(E_s) goes a chunk of S at a time.
-    """
+def _congruences(x: np.ndarray, l_cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The stack W_s = X^H L(E_s) X for the columns ``l_cols`` of L'[T, S]
+    (T = ``rows``): each column is vec(L(E_s)) at the rows T, scattered onto an
+    n x n matrix (vec is column-major) and sandwiched, the chunk as one
+    batched matmul."""
     n = x.shape[0]
-    w = np.empty((l_s.shape[1], n, n), dtype=np.result_type(x, l_s))
-    if rows.size < n * n:
-        xi, xk = x[rows % n].conj(), x[rows // n]
-        lt = np.ascontiguousarray(l_s.T)
-        for a in range(n):
-            _matmul(lt, xi[:, a, None] * xk, out=w[:, a])
-        return w
-    for chunk in _spans(len(w), 16 * n * n):
-        # rows of l_s.T are vec(L(E_s)), column-major: [s, k, i] holds L(E_s)[i, k]
-        stack = l_s[:, chunk].T.copy().reshape(-1, n, n).transpose(0, 2, 1)
-        np.matmul(x.conj().T @ stack, x, out=w[chunk])
-    return w
+    stack = np.zeros((l_cols.shape[1], n * n), dtype=l_cols.dtype)
+    stack[:, rows] = l_cols.T
+    # [s, k, i] holds L(E_s)[i, k]
+    return x.conj().T @ _matmul(stack.reshape(-1, n, n).transpose(0, 2, 1), x)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -486,12 +473,15 @@ def _ldexp(a: np.ndarray, k: int) -> None:
 
 def bound_cyclic(jb: JacobianBundle) -> tuple[float, float]:
     """The cyclic-permutation bounds of J = T K1 D_eff K2 L': c_2a =
-    ||D_eff K2 L' T||_2, whose nonzero columns are the M_s = D_eff(W_s) of the
-    assembly (a Gram matrix over the positions where D_eff is nonzero), and
-    c_2b = ||L' T K1 D_eff||_2 (``lprime_u``)."""
-    flat = jb.w.reshape(len(jb.w), jb.n**2)
-    c2a = _gram_norm2(_d_eff_blocks(jb.r, lambda pos: np.take(flat, pos, axis=1), len(flat)))
-    return c2a, jb.lprime_u[0]
+    ||D_eff K2 L' T||_2, whose columns are the vec(M_s), and c_2b =
+    ||L' T K1 D_eff||_2 (``lprime_u``).  J[:, s] = vech(X M_s X^H), X unitary and
+    X M_s X^H Hermitian, so c_2a is the norm of J[:, S]'s real and imaginary
+    parts with sqrt(2) on the off-diagonal vech rows, a block of rows at a time."""
+    vidx = vech_index(jb.n)
+    weight = np.where(vidx % (jb.n + 1) == 0, 1.0, np.sqrt(2.0))
+    blocks = (part[span].T * weight[span]
+              for span in _gram_spans(jb.m, jb.support.size) for part in _parts(jb.j_s))
+    return _gram_norm2(blocks), jb.lprime_u[0]
 
 
 def bound_gap_all(jb: JacobianBundle) -> np.ndarray:
@@ -514,13 +504,14 @@ def bound_rank_truncated(jb: JacobianBundle, ks) -> np.ndarray:
     With the pairs (a, b) = (a[t], b[t]) of the gap table, a_t = R_ab
     vech(x_a x_b^H) and b_t = W[a, b, S] as the columns of A and the rows of
     B, J_k[:, S] = A[:, :2k] B[:2k] for k up to the pairs; k = count keeps
-    every member, the diagonal one too, and reads c_2.  A and B
-    are built only for the first 2 max(k) pairs that the other k need.  One QR
-    of A and one of B^H give A = Q_A R_A and B = L_B Q_B^H; the R factor of a
-    column prefix of A is the matching block of R_A, so ||J_k|| is the norm
-    of R_A[:, :2k] L_B[:2k].  One running sum of these rank-2 terms, each
-    added to the leading 2k x 2k block where it lies, serves every k in
-    ``ks``; its ``_norm2`` is taken only at the k asked for.
+    every member, the diagonal one too, and reads c_2.  B is read from x and
+    L'[T, S]: B^T = L'[T, S]^T U_T, U_T[(i, k), (a, b)] = conj(x[i, a]) x[k, b]
+    for (i, k) in T.  A and B are built only for the first 2 max(k) pairs that
+    the other k need.  One QR of A and one of B^H give A = Q_A R_A and B = L_B
+    Q_B^H; the R factor of a column prefix of A is the matching block of R_A,
+    so ||J_k|| is the norm of R_A[:, :2k] L_B[:2k].  One running sum of these
+    rank-2 terms, each added to the leading 2k x 2k block where it lies,
+    serves every k in ``ks``; its ``_norm2`` is taken only at the k asked for.
     """
     gaps = jb.gaps
     ks = np.asarray(ks, dtype=int).reshape(-1)
@@ -534,10 +525,13 @@ def bound_rank_truncated(jb: JacobianBundle, ks) -> np.ndarray:
     if part.size and jb.support.size:
         top = 2 * part.max()
         pa, pb = gaps.a[:top], gaps.b[:top]
-        vidx = vech_index(jb.n)
-        a = jb.x[:, pa][vidx % jb.n] * jb.x[:, pb].conj()[vidx // jb.n] * jb.r[pa, pb]
-        r_a = np.linalg.qr(a, mode="r")
-        l_b = np.linalg.qr(jb.w[:, pa, pb].conj(), mode="r").conj().T
+        n, t, vidx = jb.n, jb.image_rows, vech_index(jb.n)
+        r_a = np.linalg.qr(jb.x[:, pa][vidx % n] * jb.x[:, pb].conj()[vidx // n] * jb.r[pa, pb],
+                           mode="r")
+        u_t = _kron_rows(jb.x[t % n].conj(), jb.x[t // n], pa * n + pb)
+        b_h = _matmul(jb.l_s.T, u_t).conj()  # B^H = conj(L'[T, S]^T U_T)
+        del u_t  # before the QR's workspace
+        l_b = np.linalg.qr(b_h, mode="r").conj().T
         rows, cols = r_a.shape[0], l_b.shape[1]
         total = np.zeros((rows, cols), dtype=np.result_type(r_a, l_b))
         norms = {}

@@ -336,9 +336,12 @@ def main(argv=None) -> int:
     p_check.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)
-    out_dir = os.path.dirname(getattr(args, "out", None) or "")
+    out = getattr(args, "out", None) or ""
+    out_dir = os.path.dirname(out)
     if out_dir and not os.path.isdir(out_dir):
         raise SystemExit(f"output directory {out_dir!r} does not exist")
+    if os.path.isdir(out):
+        raise SystemExit(f"--out {out!r} is a directory, not a file")
     try:
         return args.func(args)
     except (ZeroGapError, ChemicalPotentialError, OSError) as exc:  # OSError: opening --out

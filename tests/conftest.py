@@ -138,6 +138,19 @@ def lprime_by_basis_loop(op, n):
     return out
 
 
+def w_by_definition(op, x, support) -> np.ndarray:
+    """The |S| x n x n stack W_s = X^H L(E_s) X, s in ``support``, L applied to
+    each vech basis matrix E_s: the definition the core's W is made from."""
+    n = x.shape[0]
+    ej = np.zeros(n * (n + 1) // 2)
+    stack = []
+    for s in support:
+        ej.flat = 0.0
+        ej[s] = 1.0
+        stack.append(x.conj().T @ apply_L(op, vech_inv(ej)) @ x)
+    return np.array(stack).reshape(len(support), n, n)
+
+
 def jacobian_fd_loop(problem, p_star, filter="step", beta=None):
     """``jacobian_fd`` one column and one ``scf_step`` call at a time: the
     reference of the stacked oracle, which must equal it exactly."""

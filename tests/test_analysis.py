@@ -53,6 +53,7 @@ from conftest import (
     selector_T,
     solved_random_instances,
     symmetrize_S,
+    w_by_definition,
 )
 
 
@@ -393,7 +394,8 @@ def test_bound_rank_truncated_takes_unsorted_repeated_and_sparse_ks():
     a = np.stack(
         [jb.r[i, j] * vech(np.outer(jb.x[:, i], jb.x[:, j].conj())) for i, j in pairs], axis=1
     )
-    b = np.stack([jb.w[:, i, j] for i, j in pairs])
+    w = w_by_definition(problem.op, jb.x, jb.support)
+    b = np.stack([w[:, i, j] for i, j in pairs])
     ks = [gaps.count - 1, 1, gaps.count, 1, 5]
     got = bound_rank_truncated(jb, ks)
     want = [np.linalg.norm(a[:, : 2 * k] @ b[: 2 * k], 2) for k in ks]
@@ -542,6 +544,29 @@ def test_analyze_problem_includes_liu_for_laplacian():
     report, _, _ = analyze_problem(problem, q_max=1)
     assert report.values["liu"] is not None
     assert report.values["liu"] >= report.values["naive"] - 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(variant=st.sampled_from(["real", "complex"]), n=st.integers(4, 14),
+       log_alpha=st.floats(-2.0, 5.0), log_beta=st.one_of(st.none(), st.floats(-3.0, 2.0)),
+       data=st.data())
+def test_laplacian_structure_c2a_is_c2b_and_the_spectrum_is_real_and_nonpositive(
+    variant, n, log_alpha, log_beta, data
+):
+    # L' = alpha coeff with coeff symmetric positive definite, so c2a = c2b, and
+    # J[S, S] = chi K with chi negative semidefinite under either filter: J[S, S]
+    # is similar to the Hermitian K^1/2 chi K^1/2, its spectrum real and in [-c, 0]
+    p = data.draw(st.integers(1, n - 1), label="p")
+    problem = build_laplacian(n, 10.0**log_alpha, p, variant=variant)
+    opts = {} if log_beta is None else {"filter": "fermi", "beta": 10.0**log_beta}
+    bundle, _ = locate_fixed_point(problem, ScfOptions(**opts))
+    assume(bundle.converged)
+    jb = assemble_jacobian(bundle, problem.op)
+    c2a, c2b = bound_cyclic(jb)
+    assert c2a == pytest.approx(c2b, rel=1e-13, abs=0.0)
+    eigenvalues = np.linalg.eigvals(jb.j_s[jb.support])
+    assert np.abs(eigenvalues.imag).max() <= 1e-12 * jb.c
+    assert eigenvalues.real.max() <= 1e-12 * jb.c
 
 
 def test_max_column_relative_error_basics():

@@ -28,7 +28,7 @@ from scfconv import (
     save_problem,
     scf_solve,
 )
-from scfconv import cli, scf
+from scfconv import analysis, cli, scf
 from scfconv.cli import main, parse_outputs
 
 
@@ -646,6 +646,30 @@ def test_bad_input_is_one_line_on_stderr(tmp_path, argv):
     assert "Traceback" not in done.stderr
     assert len(done.stderr.splitlines()) == 1, done.stderr
     assert done.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--family", "illustrative"],
+        ["analyze", "--family", "illustrative", "--q-max", "3"],
+        ["sweep", "--family", "illustrative", "--axis", "eps", "--values", "0.1"],
+    ],
+    ids=["solve", "analyze", "sweep"],
+)
+def test_an_out_that_names_a_directory_exits_before_any_work(tmp_path, argv, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started before --out was checked")
+
+    for module, name in [(cli, "scf_solve"), (cli, "locate_fixed_point"),
+                         (cli, "locate_fixed_points"), (analysis, "locate_fixed_point")]:
+        monkeypatch.setattr(module, name, no_work)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    # a string code: Python prints it as the one stderr line and exits 1
+    assert isinstance(exc.value.code, str) and "is a directory" in exc.value.code
+    assert len(exc.value.code.splitlines()) == 1
+    assert capsys.readouterr() == ("", "")
 
 
 def test_an_n_sweep_prints_the_n_it_builds(tmp_path):

@@ -58,6 +58,7 @@ from conftest import (
     lprime_by_basis_loop,
     random_hermitian,
     selector_T,
+    w_by_definition,
 )
 
 REL = 1e-12
@@ -293,7 +294,8 @@ def test_every_k_on_a_dense_support_allocates_no_more_than_a_few_jacobians():
     a = np.stack(
         [jb.r[i, j] * vech(np.outer(jb.x[:, i], jb.x[:, j].conj())) for i, j in pairs], axis=1
     )
-    b = np.stack([jb.w[:, i, j] for i, j in pairs])
+    w = w_by_definition(problem.op, jb.x, jb.support)
+    b = np.stack([w[:, i, j] for i, j in pairs])
     expected = [np.linalg.norm(a[:, : 2 * k] @ b[: 2 * k], 2) for k in ks]
     assert np.allclose(got, expected, rtol=REL, atol=0.0)
 
@@ -304,7 +306,10 @@ def test_every_k_on_a_dense_support_allocates_no_more_than_a_few_jacobians():
     ids=["laplacian-complex-step", "laplacian-real-fermi"],
 )
 def test_assembly_and_ladder_peak_below_eight_cubes(variant, n, p, opts):
-    # the core is n x n per column of S (|S| = n here): nothing of size m x pairs
+    # the core is n x n per column of S (|S| = n here): nothing of size m x pairs,
+    # and no stack of W_s beyond one chunk.  J[:, S] is half a cube (complex) or a
+    # quarter (real), and the peak measures 0.78 and 0.56 cubes: one cube leaves
+    # a margin of 1.28 over the larger
     problem = build_laplacian(n, 5.0, p, variant=variant)
     bundle, _ = locate_fixed_point(problem, opts)
     assert bundle.converged
@@ -321,7 +326,7 @@ def test_assembly_and_ladder_peak_below_eight_cubes(variant, n, p, opts):
     if opts.filter == "fermi":
         assert np.diagonal(jb.r).sum() != 0  # the Fermi-level shift is in play
     assert values["c"] <= values["c2"]
-    assert peak < 8 * n**3 * np.dtype(complex).itemsize, peak
+    assert peak < n**3 * np.dtype(complex).itemsize, peak / (n**3 * np.dtype(complex).itemsize)
 
 
 @pytest.mark.parametrize("filter_name", FILTERS)
@@ -340,7 +345,7 @@ def test_chunks_do_not_change_the_core(case, filter_name, monkeypatch):
     one, one_row, one_radii = run(1 << 40)
     for chunk_bytes in (1, (one.support.size - 1) * n * n * 16):
         jb, row, radii = run(chunk_bytes)
-        assert np.array_equal(jb.j_s, one.j_s) and np.array_equal(jb.w, one.w)
+        assert np.array_equal(jb.j_s, one.j_s)
         for token, value in row.items():
             assert value == pytest.approx(one_row[token], rel=1e-14, abs=0.0), token
         assert np.allclose(radii, one_radii, rtol=1e-14, atol=0.0)
@@ -355,7 +360,9 @@ def dense_mask_problem(n: int = 16) -> Problem:
 
 @pytest.mark.parametrize("filter_name", FILTERS)
 def test_core_and_cyclic_radii_on_a_dense_support_stay_within_a_few_stacks(filter_name):
-    # w, L'[T, S] and J[:, S] alone take 2.5 stacks of |S| n x n matrices here
+    # L'[T, S] and J[:, S] take 1.55 stacks of |S| n x n matrices here, and that is
+    # all the core holds: no stack of W_s.  The peak, 3.25 stacks, is that of
+    # assemble_Lprime pairing vec into vech: 3.5 leaves a margin of 8 %
     problem = dense_mask_problem()
     n = problem.n
     bundle, _ = locate_fixed_point(problem, ScfOptions(max_iter=800, **FILTERS[filter_name]))
@@ -374,6 +381,7 @@ def test_core_and_cyclic_radii_on_a_dense_support_stay_within_a_few_stacks(filte
         tracemalloc.stop()
     assert jb.support.size == jb.m and jb.image_rows.size == n * n
     stack = jb.support.size * n * n * np.dtype(complex).itemsize
-    assert peak < 4 * stack, peak / stack
+    assert held < 2 * stack, held / stack
+    assert peak < 3.5 * stack, peak / stack
     assert radii_peak < 3 * n**4 * np.dtype(complex).itemsize, radii_peak / (n**4 * 16)
     assert values["c"] == radii[0] and max(radii) - min(radii) <= 1e-10 * max(radii)
