@@ -1,24 +1,23 @@
 """Exact Jacobian of the fixed-point map, convergence factor, and the bound ladder.
 
 The Jacobian acts on half-vectorized density-matrix coordinates (dimension
-m = n(n+1)/2).  It is built once per fixed point from a factored core on the
-support S (``lprime_support``), the columns of L' that can be nonzero, and
-the operator's image rows T, the vec positions L can write:
+m = n(n+1)/2).  L' vanishes outside L'[T, S], S the columns that can be
+nonzero (``lprime_support``) and T the vec positions L can write, so the rows
+of J = T K1 D_eff K1^H L' are those of chi = K1 D_eff K1^H, the
+independent-particle susceptibility, at the columns T:
 
-    W_s     = X^H L(E_s) X                   (n x n, s in S)
-    J[:, s] = vech(X D_eff(W_s) X^H)
+    J[(i', k'), S]  = chi[(i', k'), T] L'[T, S]
+    chi[(i', k'), u] = sum_b Q_i'[i_u, b] x[k_u, b] conj(x[k', b]),  Q_i' = (conj(X) o x_i') R
 
-D_eff(Y) = R o Y - (sum_i f'_i Y_ii / sum_i f'_i) diag(f'), R the divided
-differences of the map's own occupations (f' on the diagonal), with no
-Fermi-level shift when f' sums to 0: one formula and one ladder serve both
-filters.  L' is zero outside L'[T, S] and J outside the columns S; only
-L'[T, S] and J[:, S] are kept.  Every number is read from this core: c =
-rho(J[S, S]), c2 = ||J[:, S]||_2, c2a from the Gram matrix of J[:, S] (X is
-unitary), c2b and c_gap from D_eff and L'[T, S] times the S-rows of
-vech(x_a x_b^H), c_tilde from one running sum over the gap table.  Nothing of
-size n^4 is formed: W_s and the sandwich go a chunk of S at a time, and the
-2-norms are Gram matrices summed a chunk of columns at a time.  The dense J
-(``JacobianBundle.dense``) survives only in the oracles.
+for u = i_u + n k_u in T, x_i' the row i' of X multiplied into each row of
+conj(X).  R holds the divided differences of the map's own occupations, f' on
+its diagonal, and D_eff(Y) = R o Y - (sum_i f'_i Y_ii / sum f') diag(f') adds
+-Pf[i', k'] Pf[k_u, i_u] / sum f' to chi, Pf = X diag(f') X^H: nothing when f'
+vanishes, so one formula serves both filters.  One pass over the rows of chi
+keeps J[S, S] (c = rho(J[S, S])) and G = J[:, S]^H J[:, S] (c2 and c2a); c2b
+and c_gap come from D_eff and L'[T, S] times the S-rows of vech(x_a x_b^H),
+c_tilde from one running sum over the gap table.  Nothing of size n^4 or
+m x |S| is kept: the dense J (``JacobianBundle.dense``) serves the oracles.
 
 ``LADDER`` names these quantities, and ``ladder`` is the one evaluator that
 ``analyze``, ``sweep`` and ``check`` read them from.
@@ -40,8 +39,7 @@ from .matops import (
 from .problems import OperatorSpec, Problem, assemble_Lprime, lprime_support
 from .scf import FixedPointBundle, ScfOptions, locate_fixed_point, measured_rate, scf_step
 
-# The bytes of one chunk of the Jacobian core's temporaries: the sandwich goes
-# a chunk of S at a time, and a Gram matrix a block of columns at a time
+# The bytes of one chunk of the Jacobian core's temporaries (Gram passes, cyclic radii)
 CORE_CHUNK_BYTES = 1 << 16
 
 
@@ -112,17 +110,19 @@ def gap_structure(lambdas, r) -> GapStructure:
 
 @dataclass
 class JacobianBundle:
-    """The assembled Jacobian with the factored core every bound is read from.
+    """The factored core of the Jacobian that every bound is read from.
 
     ``r`` is the n x n divided-difference matrix R of the map's occupations,
     f' on its diagonal.  ``support`` is S (``lprime_support``), and
     ``image_rows`` is T, the vec positions L can write; L' vanishes outside
-    ``l_s`` = L'[T, S] (|T| x |S|), and J outside ``j_s`` = J[:, S], whose
-    column s is vech(X D_eff(W_s) X^H), W_s = X^H L(E_s) X.  No W_s is kept:
-    the assembly makes them a chunk of S at a time.
+    ``l_s`` = L'[T, S] (|T| x |S|), and J outside the columns S.  Of J, the
+    assembly's row pass keeps ``j_ss`` = J[S, S] and the ``c2`` and ``c2a`` of
+    J[:, S]'s Gram matrix; ``dense`` runs the pass again for the oracles.
     """
 
-    j_s: np.ndarray
+    j_ss: np.ndarray
+    c2: float
+    c2a: float
     r: np.ndarray
     l_s: np.ndarray
     x: np.ndarray
@@ -137,7 +137,7 @@ class JacobianBundle:
 
     @property
     def m(self) -> int:
-        return self.j_s.shape[0]
+        return self.n * (self.n + 1) // 2
 
     @cached_property
     def lprime_r(self) -> np.ndarray:
@@ -174,9 +174,15 @@ class JacobianBundle:
             norms[pos] = np.sqrt(sum(np.einsum("ij,ij->j", a, a) for a in _parts(y)))
             return y
 
+        # chunks of the positions a != b where R is nonzero (the 2p(n-p) cross pairs
+        # under the step filter), then the diagonal positions when f' is nonzero
         on = np.arange(n) * (n + 1)
+        off = np.flatnonzero(self.r - np.diag(np.diagonal(self.r)))
+        blocks = [off[span] for span in _gram_spans(off.size, here.size)]
+        blocks += [on] * self.gaps.diagonal
         diagonal = _norm2(_d_eff(self.r, columns(on), on)) if self.gaps.diagonal else 0.0
-        return _gram_norm2(_d_eff_blocks(self.r, columns, here.size)), norms, diagonal
+        c2b = _root(*_gram(_d_eff(self.r, columns(pos), pos) for pos in blocks))
+        return c2b, norms, diagonal
 
     @cached_property
     def lprime_norm(self) -> float:
@@ -193,12 +199,7 @@ class JacobianBundle:
         """The convergence factor rho(J) = rho(J[S, S]).  J is zero outside the
         columns S, so ordered (S, rest) it is block lower-triangular with a
         zero diagonal block."""
-        return convergence_factor(self.j_s[self.support])
-
-    @cached_property
-    def c2(self) -> float:
-        """The spectral-norm bound ||J||_2 = ||J[:, S]||_2."""
-        return bound_c2(self.j_s)
+        return convergence_factor(self.j_ss)
 
     @cached_property
     def c_naive(self) -> float:
@@ -206,9 +207,10 @@ class JacobianBundle:
         return self.lprime_norm * _d_eff_tail(self)[0]
 
     def dense(self) -> np.ndarray:
-        """The m x m J, zero outside the columns S: for the oracles only."""
-        j = np.zeros((self.m, self.m), dtype=self.j_s.dtype)
-        j[:, self.support] = self.j_s
+        """The m x m J, zero outside the columns S, by the row pass: for the oracles."""
+        j = np.zeros((self.m, self.m), dtype=self.j_ss.dtype)
+        for rows, z in _row_pass(self.x, self.r, self.l_s, self.image_rows):
+            j[np.ix_(rows, self.support)] = z.T
         return j
 
 
@@ -217,12 +219,12 @@ def assemble_jacobian(bundle: FixedPointBundle, op: OperatorSpec) -> JacobianBun
 
     R is the divided-difference matrix of the map's own occupations: of the
     step filter, or of the Fermi function at ``bundle.beta`` and
-    ``bundle.mu`` (solved for trace p when None).  J[:, S] = vech(X M_s X^H)
-    with M_s = D_eff(W_s) = R o W_s - dmu_s diag(f'): mu is solved again for
-    every P, so dmu_s = sum_i f'_i W_s[i, i] / sum_i f'_i is the Fermi-level
-    shift, left out when f' sums to 0 (the step filter, or all f' underflowed).
-    W_s, M_s and the sandwich are formed a chunk of S at a time
-    (``CORE_CHUNK_BYTES``) and written straight into J[:, S].
+    ``bundle.mu`` (solved for trace p when None).  One row pass over chi
+    (``_row_pass``) keeps J[S, S] and J's n diagonal rows and sums G =
+    J[:, S]^H J[:, S] (``_gram``): c2^2 = lambda_max(G).  J[:, s] = vech(X M_s
+    X^H), M_s the column s of D_eff K2 L' T, X unitary and X M_s X^H Hermitian,
+    so <M_s, M_t> counts J's diagonal rows once and twice the real part of the
+    rest: c2a^2 = lambda_max(2 Re G - G_d), G_d the Gram matrix of those rows.
     """
     x = bundle.x
     n = x.shape[0]
@@ -230,50 +232,59 @@ def assemble_jacobian(bundle: FixedPointBundle, op: OperatorSpec) -> JacobianBun
     r = divided_difference_matrix(bundle.lambdas, bundle.p, beta=beta, mu=bundle.mu)
     l_s = assemble_Lprime(op, n)
     rows, support = op.image_rows(), lprime_support(op)
-    vidx = vech_index(n)
-    j_t = np.empty((support.size, vidx.size), dtype=np.result_type(x, l_s))  # J[:, S] transposed
-    p, xc = bundle.p, x.conj()
-    cross = not (r[:p, :p].any() or r[p:, p:].any())  # M_s = [[0, B_s], [C_s, 0]]: the step filter
-    every = np.arange(n * n)
-    for chunk in _spans(support.size, 16 * n * n):
-        w = _congruences(x, l_s[:, chunk], rows)
-        m_s = _d_eff(r, w.reshape(-1, n * n), every).reshape(-1, n, n)
-        # the sandwich, transposed and in place: (X M_s X^H)^T = conj(X) M_s^T X^T,
-        # whose C-order flat positions are the column-major ones of vech
-        mt = m_s.transpose(0, 2, 1)
-        if cross:  # the zero blocks of M_s left out: a quarter of the work
-            left = np.concatenate([xc[:, p:] @ mt[:, p:, :p], xc[:, :p] @ mt[:, :p, p:]], axis=2)
-        else:
-            left = xc @ mt
-        np.matmul(left, x.T, out=m_s)
-        np.take(m_s.reshape(len(m_s), n * n), vidx, axis=1, out=j_t[chunk])
+    j_ss = np.empty((support.size, support.size), dtype=np.result_type(x, l_s))
+    on = np.empty((support.size, n), dtype=j_ss.dtype)  # J's diagonal rows, transposed
+    at = np.full(n * (n + 1) // 2, -1)  # the row of J[S, S] at each vech position
+    at[support] = np.arange(support.size)
+
+    def blocks():
+        for i, (vech_rows, z) in enumerate(_row_pass(x, r, l_s, rows)):
+            s = at[vech_rows]
+            j_ss[s[s >= 0]] = z[:, s >= 0].T
+            on[:, i] = z[:, i]
+            yield z  # scaled in place by _gram
+
+    gram, e = _gram(blocks())
+    c2 = _root(gram, e)
+    if gram is not None:
+        _ldexp(on, -e)
+        gram = 2.0 * gram.real  # 2 Re G - G_d
+        for part in _parts(on):
+            gram -= part @ part.T
     return JacobianBundle(
-        j_s=j_t.T, r=r, l_s=l_s, x=x, lambdas=np.asarray(bundle.lambdas, dtype=float),
-        support=support, image_rows=rows, filter=bundle.filter,
+        j_ss=j_ss, c2=c2, c2a=_root(gram, e), r=r, l_s=l_s, x=x,
+        lambdas=np.asarray(bundle.lambdas, dtype=float), support=support, image_rows=rows,
+        filter=bundle.filter,
     )
 
 
-def _congruences(x: np.ndarray, l_cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The stack W_s = X^H L(E_s) X for the columns ``l_cols`` of L'[T, S]
-    (T = ``rows``): each column is vec(L(E_s)) at the rows T, scattered onto an
-    n x n matrix (vec is column-major) and sandwiched, the chunk as one
-    batched matmul."""
+def _row_pass(x: np.ndarray, r: np.ndarray, l_s: np.ndarray, rows: np.ndarray):
+    """Yield, for i' = 0 .. n-1, the vech positions of J's rows (i', k'), k' <=
+    i', and Z = J[(i', k'), S]^T (|S| x (i' + 1)), from the rows of chi at the
+    columns T = ``rows`` (module docstring).  Q_i'^T = R (X^H o x_i') is one
+    real-by-complex GEMM (R is symmetric), gathered at the i_u and multiplied by
+    the x[k_u]; conj(x[k']) and L'[T, S] make Z, less the rank-one shift."""
     n = x.shape[0]
-    stack = np.zeros((l_cols.shape[1], n * n), dtype=l_cols.dtype)
-    stack[:, rows] = l_cols.T
-    # [s, k, i] holds L(E_s)[i, k]
-    return x.conj().T @ _matmul(stack.reshape(-1, n, n).transpose(0, 2, 1), x)
+    iu, ku = rows % n, rows // n
+    xh = np.ascontiguousarray(x.conj().T)
+    xk = x.T[:, ku]  # x[k_u, b] at [b, u]
+    first = np.flatnonzero(vech_index(n) % (n + 1) == 0)  # the vech position of (k, k)
+    pf = (x * np.diagonal(r)) @ xh  # X diag(f') X^H, 0 when f' is
+    shift = (pf[ku, iu] / (np.trace(r) or 1.0)) @ l_s
+    for i in range(n):
+        v = _matmul(r, xh * x[i][:, None])[:, iu]  # Q_i'^T at the columns i_u
+        v *= xk
+        z = _matmul(l_s.T, v.T @ xh[:, : i + 1])  # L'[T, S]^T chi[(i', k'), T]^T
+        z -= np.multiply.outer(shift, pf[i, : i + 1])
+        yield first[: i + 1] + i - np.arange(i + 1), z
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b, as one real GEMM on the float views of b and the result when a is
     real and b complex (half the work of the complex GEMM)."""
     if np.iscomplexobj(a) or not np.iscomplexobj(b):
-        return np.matmul(a, b, out=out)
-    if out is None:
-        out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=complex)
-    np.matmul(a, np.ascontiguousarray(b).view(float), out=out.view(float))
-    return out
+        return a @ b
+    return (a @ np.ascontiguousarray(b).view(float)).view(complex)
 
 
 def _d_eff(r: np.ndarray, y: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -292,21 +303,6 @@ def _d_eff(r: np.ndarray, y: np.ndarray, pos: np.ndarray) -> np.ndarray:
         dmu = np.take(y, on, axis=1).sum(axis=1) / total
         y[:, on] -= dmu[:, None] * np.diagonal(r)[pos[on] // (n + 1)]
     return y
-
-
-def _d_eff_blocks(r: np.ndarray, columns, height: int):
-    """Yield Y D_eff by blocks of columns over the positions where D_eff is
-    nonzero, Y given by ``columns(pos)``, a fresh ``height`` x len(pos) array
-    of its columns at the flat positions ``pos``: chunks of the positions
-    a != b where R is nonzero (the 2p(n-p) cross pairs under the step filter),
-    then the diagonal positions when f' is nonzero."""
-    n = r.shape[0]
-    off = np.flatnonzero(r - np.diag(np.diagonal(r)))
-    blocks = [off[span] for span in _gram_spans(off.size, height)]
-    if np.diagonal(r).any():
-        blocks.append(np.arange(n) * (n + 1))
-    for pos in blocks:
-        yield _d_eff(r, columns(pos), pos)
 
 
 def _d_eff_tail(jb: JacobianBundle) -> np.ndarray:
@@ -426,18 +422,17 @@ def bound_c2(j_p: np.ndarray) -> float:
 def _norm2(a: np.ndarray) -> float:
     """Spectral norm from the top eigenvalue of the smaller Gram matrix, 0 for
     a matrix with no entries: the 2-norm of the package.  The Gram matrix is
-    summed a chunk of the longer side at a time (``_gram_norm2``), each chunk
-    one scaled copy."""
+    summed a chunk of the longer side at a time (``_gram``), each chunk one
+    scaled copy."""
     long = a.T if a.shape[0] > a.shape[1] else a
-    return _gram_norm2(long[:, span].copy() for span in _gram_spans(long.shape[1], len(long)))
+    return _root(*_gram(long[:, span].copy() for span in _gram_spans(long.shape[1], len(long))))
 
 
-def _gram_norm2(blocks) -> float:
-    """||[Z_1 Z_2 ...]||_2 of column blocks Z_k of equal height, from the top
-    eigenvalue of sum_k Z_k Z_k^H (0 when every block is zero).  Each block is
-    scaled in place by an exact power of two, 2^-e with e the exponent of the
-    largest entry so far (the sum rescaled when e grows), so the Gram matrix
-    cannot leave the double range."""
+def _gram(blocks) -> tuple:
+    """(G, e) with G = 2^-2e sum_k Z_k Z_k^H for column blocks Z_k of equal
+    height, (None, 0) when every block is zero.  Each block is scaled in place
+    by an exact power of two, 2^-e with e the exponent of the largest entry so
+    far (the sum rescaled when e grows), so G cannot leave the double range."""
     gram, e = None, 0
     for z in blocks:
         top = float(np.abs(z).max(initial=0.0))
@@ -454,6 +449,12 @@ def _gram_norm2(blocks) -> float:
         for rows in _gram_spans(len(z), len(z)):  # no product as large as the Gram matrix
             gram[rows] += z[rows] @ zh
         del z, zh  # before the next block is made
+    return gram, e
+
+
+def _root(gram: np.ndarray | None, e: int) -> float:
+    """2^e sqrt(lambda_max(G)) of a Gram matrix G scaled as ``_gram`` scales it:
+    ||[Z_1 Z_2 ...]||_2 of its blocks, 0 for None (every block zero)."""
     if gram is None:
         return 0.0
     return float(np.ldexp(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)), e))
@@ -473,15 +474,9 @@ def _ldexp(a: np.ndarray, k: int) -> None:
 
 def bound_cyclic(jb: JacobianBundle) -> tuple[float, float]:
     """The cyclic-permutation bounds of J = T K1 D_eff K2 L': c_2a =
-    ||D_eff K2 L' T||_2, whose columns are the vec(M_s), and c_2b =
-    ||L' T K1 D_eff||_2 (``lprime_u``).  J[:, s] = vech(X M_s X^H), X unitary and
-    X M_s X^H Hermitian, so c_2a is the norm of J[:, S]'s real and imaginary
-    parts with sqrt(2) on the off-diagonal vech rows, a block of rows at a time."""
-    vidx = vech_index(jb.n)
-    weight = np.where(vidx % (jb.n + 1) == 0, 1.0, np.sqrt(2.0))
-    blocks = (part[span].T * weight[span]
-              for span in _gram_spans(jb.m, jb.support.size) for part in _parts(jb.j_s))
-    return _gram_norm2(blocks), jb.lprime_u[0]
+    ||D_eff K2 L' T||_2, read from the Gram matrix of J[:, S] in the assembly
+    (``assemble_jacobian``), and c_2b = ||L' T K1 D_eff||_2 (``lprime_u``)."""
+    return jb.c2a, jb.lprime_u[0]
 
 
 def bound_gap_all(jb: JacobianBundle) -> np.ndarray:

@@ -158,8 +158,9 @@ def assemble_Lprime(op: OperatorSpec, n: int) -> np.ndarray:
         raise ValueError(f"dimension mismatch: operator is n={op.n}, L' asked for n={n}")
     here = vech_index(n)[lprime_support(op)]
     out = op.lprime_vec(here)
-    off = np.flatnonzero(here % (n + 1))  # then vec(k, i) of each (i, k) off the diagonal
-    out[:, off] += op.lprime_vec(here[off] // n + n * (here[off] % n))
+    off = np.flatnonzero(here % (n + 1))  # then vec(k, i) of each (i, k) off the diagonal,
+    for cols in np.array_split(off, max(1, off.size * len(out) >> 12)):  # 64 KB at a time
+        out[:, cols] += op.lprime_vec(here[cols] // n + n * (here[cols] % n))
     return out
 
 

@@ -564,7 +564,7 @@ def test_laplacian_structure_c2a_is_c2b_and_the_spectrum_is_real_and_nonpositive
     jb = assemble_jacobian(bundle, problem.op)
     c2a, c2b = bound_cyclic(jb)
     assert c2a == pytest.approx(c2b, rel=1e-13, abs=0.0)
-    eigenvalues = np.linalg.eigvals(jb.j_s[jb.support])
+    eigenvalues = np.linalg.eigvals(jb.j_ss)
     assert np.abs(eigenvalues.imag).max() <= 1e-12 * jb.c
     assert eigenvalues.real.max() <= 1e-12 * jb.c
 
@@ -678,7 +678,7 @@ def test_the_bound_chain_holds_on_random_problems(kind, n, seed, beta):
     # 2 Re(J^H J) - G_d - J^H J, is the conjugate of the Gram matrix of J's
     # rows below the diagonal, so c2 <= c2a.
     c2a, _ = bound_cyclic(jb)
-    j, on = jb.j_s, vech_index(n) % (n + 1) == 0
+    j, on = jb.dense()[:, jb.support], vech_index(n) % (n + 1) == 0
     gram = 2.0 * (j.conj().T @ j).real - j[on].conj().T @ j[on]
     root = np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0))
     assert abs(root - c2a) <= 1e-12 * c2a, (root, c2a)

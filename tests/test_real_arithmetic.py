@@ -95,7 +95,7 @@ def test_a_real_problem_stays_real_from_a0_to_j(name, filter_name, tmp_path):
     problem = real_case(name, tmp_path)
     bundle, jb = solved_core(problem, **FILTERS[filter_name])
     arrays = {"A0": problem.a0, "L'": assemble_Lprime(problem.op, problem.n), "X": bundle.x,
-              "P*": bundle.p_star, "J[:, S]": jb.j_s}
+              "P*": bundle.p_star, "J[S, S]": jb.j_ss}
     assert {key: a.dtype for key, a in arrays.items()} == dict.fromkeys(arrays, np.dtype(float))
 
 
@@ -104,7 +104,7 @@ def test_a_complex_mask_stays_complex():
     a0 = random_hermitian(rng, 5, scale=0.1) + np.diag(np.arange(5.0))
     problem = Problem(a0=a0, op=HadamardMask(mask=random_hermitian(rng, 5, scale=0.2)), p=2)
     bundle, jb = solved_core(problem)
-    for a in (assemble_Lprime(problem.op, problem.n), bundle.x, jb.j_s):
+    for a in (assemble_Lprime(problem.op, problem.n), bundle.x, jb.j_ss):
         assert a.dtype == complex
 
 
@@ -112,7 +112,7 @@ def test_the_complex_laplacian_has_a_complex_x_and_a_real_lprime():
     problem = build_laplacian(8, 10.0, 3, variant="complex")
     bundle, jb = solved_core(problem)
     assert assemble_Lprime(problem.op, problem.n).dtype == float and jb.l_s.dtype == float
-    assert bundle.x.dtype == jb.j_s.dtype == complex
+    assert bundle.x.dtype == jb.j_ss.dtype == complex
 
 
 def test_lprime_keeps_its_data_dtype_and_makes_an_integer_one_float():
@@ -129,8 +129,8 @@ def test_a_real_core_takes_half_the_bytes_of_its_complex_cast(name, tmp_path):
     problem = real_case(name, tmp_path)
     _, jb = solved_core(problem)
     _, cast = solved_core(complex_cast(problem))
-    assert cast.j_s.dtype == complex
-    assert 2 * jb.j_s.nbytes == cast.j_s.nbytes
+    assert cast.j_ss.dtype == complex
+    assert 2 * jb.j_ss.nbytes == cast.j_ss.nbytes
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -148,7 +148,7 @@ def test_real_arithmetic_agrees_with_the_complex_cast(kind, n, seed, filter_name
     cast = complex_cast(problem)
     jb = assemble_jacobian(bundle, problem.op)
     jc = assemble_jacobian(replace(bundle, x=bundle.x.astype(complex)), cast.op)
-    assert jb.j_s.dtype == float and jc.j_s.dtype == complex
+    assert jb.j_ss.dtype == float and jc.j_ss.dtype == complex
     count = jb.gaps.count
     tokens = ["c", "c2", "c2a", "c2b", "naive", "liu", *(f"gap:{q}" for q in range(count + 1)),
               *(f"tilde:{k}" for k in range(1, count + 1))]

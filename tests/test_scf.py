@@ -465,7 +465,7 @@ def test_the_step_errors_of_a_damped_run_shrink_at_the_damped_factor(theta):
     bundle, _ = locate_fixed_point(problem)
     jb = assemble_jacobian(bundle, problem.op)
     theta = theta or 2.0 / (2.0 + jb.c)
-    lam = np.linalg.eigvals(jb.j_s[jb.support])
+    lam = np.linalg.eigvals(jb.j_ss)
     rho = max(1.0 - theta, float(np.abs(1.0 - theta + theta * lam).max()))
     run = scf_solve(problem, opts=ScfOptions(damping=theta, max_iter=3000))
     assert run.converged
